@@ -19,6 +19,15 @@ Together the flip bit and the detector pair identify the Bell state:
     unchanged, equal pair  -> phi+        changed, equal pair  -> psi+
     unchanged, mixed pair  -> phi-        changed, mixed pair  -> psi-
 
+``analyze`` does not run the stages gate by gate on every call.  The
+analyzer is a fixed linear map on the two photons' rails and polarizations,
+so the stage functions are driven once per operating point over the 16 input
+basis kets, giving one linear map per outcome branch (flip bit, detector of
+photon a, detector of photon b).  An input's exact joint distribution over
+those eight branches is a contraction with these maps, cached per Bell-state
+label; a run then draws three uniforms, for the readout photon, photon a and
+photon b in that order, which is the draw order the stages themselves use.
+
 The module also scores the analyzer against realistic cavity amplitudes:
 fidelity and efficiency of the two measurement rounds as functions of the
 cold and hot reflection moduli, and the extra fidelity factor from electron
@@ -28,6 +37,7 @@ spin dephasing between the rounds.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,13 +50,16 @@ from .register import (
     QuantumRegister,
     SQRT_HALF,
     Subsystem,
+    ZeroNormError,
     apply_bs,
+    basis_vectors,
     hadamard_spin,
     make_bell,
 )
 
 SPIN_NAME = "spin"
 AUX_NAME = "aux_pol"
+_PLUS = np.array([SQRT_HALF, SQRT_HALF], dtype=complex)
 
 
 class DetectorPair(enum.Enum):
@@ -160,10 +173,7 @@ def spin_readout(
     if rng is None:
         rng = np.random.default_rng()
     hadamard_spin(reg, spin_name)
-    reg.add_subsystem(
-        Subsystem(AUX_NAME, Kind.POLARIZATION),
-        np.array([SQRT_HALF, SQRT_HALF], dtype=complex),
-    )
+    reg.add_subsystem(Subsystem(AUX_NAME, Kind.POLARIZATION), _PLUS)
     scatter_photon(reg, AUX_NAME, spin_name, params, passes=1, ideal=ideal)
     outcome, _, _ = reg.measure(AUX_NAME, "da", rng)
     reg.remove_subsystem(AUX_NAME)
@@ -196,6 +206,114 @@ def classify(spin_changed: bool, detectors: DetectorPair) -> BellState:
     return BellState.PHI_PLUS if detectors.equal_numbered else BellState.PHI_MINUS
 
 
+# The analyzer's input: both photons' rails and polarizations, in this order.
+_INPUTS = (
+    Subsystem("a", Kind.SPATIAL),
+    Subsystem("b", Kind.SPATIAL),
+    Subsystem("a_pol", Kind.POLARIZATION),
+    Subsystem("b_pol", Kind.POLARIZATION),
+)
+
+
+@functools.lru_cache(maxsize=64)
+def _branch_maps(params: CavityParams | None, ideal: bool) -> np.ndarray:
+    """The analyzer's linear map onto each outcome branch, shape (8, 8, 2, 2, 2, 2).
+
+    Entry [(k, j, l), out, a, b, a_pol, b_pol] is the amplitude with which
+    the input ket |a, b, a_pol, b_pol> leaves the readout photon on outcome
+    k, photons a and b on detectors c(j+1) and d(l+1), and (a_pol, b_pol,
+    spin) in ket ``out``.  Each input ket runs through the stage functions;
+    the branches are projections instead of measurements.
+    """
+    readout_kets = basis_vectors(Kind.POLARIZATION, "da")
+    columns = []
+    for ket in np.eye(16, dtype=complex):
+        reg = QuantumRegister(_INPUTS, ket)
+        reg.add_subsystem(Subsystem(SPIN_NAME, Kind.SPIN), _PLUS)
+        parity_qnd(reg, SPIN_NAME, params, ideal)
+        hadamard_spin(reg, SPIN_NAME)
+        reg.add_subsystem(Subsystem(AUX_NAME, Kind.POLARIZATION), _PLUS)
+        scatter_photon(reg, AUX_NAME, SPIN_NAME, params, passes=1, ideal=ideal)
+        apply_bs(reg, "a")
+        apply_bs(reg, "b")
+        # Axes (a, b, a_pol+b_pol+spin, aux); project aux on the readout kets.
+        psi = reg.amplitudes.reshape(2, 2, 8, 2)
+        columns.append(np.einsum("xk,jlox->kjlo", readout_kets.conj(), psi))
+    return np.stack(columns, axis=-1).reshape(8, 8, 2, 2, 2, 2)
+
+
+class OutcomeDistribution:
+    """Exact outcome probabilities of one analyzer run on one input.
+
+    ``joint[k, j, l]`` is the probability that every photon arrives, the
+    readout photon gives k (1 flags a changed spin), and photons a and b
+    click detectors c(j+1) and d(l+1).  ``success`` is the sum of all eight,
+    the survival probability.  The three draws of a run choose between the
+    pairs of weights ``readout``, then ``photon_a[k]``, then
+    ``photon_b[k][j]``, each pair summing the joint entries below it.
+    """
+
+    def __init__(self, joint: np.ndarray):
+        self.joint = joint
+        self.photon_b = tuple(tuple(tuple(pair) for pair in rows) for rows in joint.tolist())
+        self.photon_a = tuple(tuple(b0 + b1 for b0, b1 in rows) for rows in self.photon_b)
+        self.readout = tuple(a0 + a1 for a0, a1 in self.photon_a)
+        self.success = self.readout[0] + self.readout[1]
+
+
+def _distribution(reg: QuantumRegister, maps: np.ndarray) -> OutcomeDistribution:
+    for name in (SPIN_NAME, AUX_NAME):
+        if any(s.name == name for s in reg.subsystems):
+            raise ValueError(f"subsystem {name!r} already present")
+    axes, inputs = [], []
+    present = {s.name for s in reg.subsystems}
+    for sub in _INPUTS:
+        if sub.kind is Kind.POLARIZATION and sub.name not in present:
+            inputs.append(0)  # a missing polarization enters as |R>
+        else:
+            reg.require_kind(sub.name, sub.kind)
+            axes.append(reg.axis(sub.name))
+            inputs.append(slice(None))
+    branch = maps[(slice(None), slice(None), *inputs)].reshape(8, 8, -1)
+    psi = np.moveaxis(reg.amplitudes.reshape([2] * reg.n), axes, range(len(axes)))
+    out = branch @ psi.reshape(branch.shape[-1], -1)
+    return OutcomeDistribution((out.real**2 + out.imag**2).sum(axis=(1, 2)).reshape(2, 2, 2))
+
+
+@functools.lru_cache(maxsize=256)
+def _label_distribution(
+    label: BellState, params: CavityParams | None, ideal: bool
+) -> OutcomeDistribution:
+    return _distribution(
+        make_bell(label, with_polarization="R"), _branch_maps(params, ideal)
+    )
+
+
+def outcome_distribution(
+    state: BellState | QuantumRegister,
+    params: CavityParams | None = None,
+    ideal: bool = True,
+) -> OutcomeDistribution:
+    """Exact joint distribution of the analyzer's outcomes on one input.
+
+    The input is read as in ``analyze``.  The branch maps are built once per
+    operating point (every ideal call shares one), and a Bell-state label's
+    distribution is cached with them.
+    """
+    point = (None, True) if ideal else (params, False)
+    if isinstance(state, BellState):
+        return _label_distribution(state, *point)
+    return _distribution(state, _branch_maps(*point))
+
+
+def _pick(weights: tuple[float, float], rng) -> int:
+    # QuantumRegister.measure's rule: one uniform against the conditional
+    # probability of outcome 0, and a pick of a zero-weight outcome flips.
+    w0, w1 = weights
+    outcome = 0 if rng.random() < w0 / (w0 + w1) else 1
+    return 1 - outcome if weights[outcome] == 0.0 else outcome
+
+
 def analyze(
     state: BellState | QuantumRegister,
     params: CavityParams | None = None,
@@ -204,40 +322,27 @@ def analyze(
 ) -> BsaRecord:
     """Run the full analyzer once on a Bell state or a prepared register.
 
-    A BellState label is expanded to the standard two-photon register with
-    |R> polarizations; a register is copied, and photons a and b get |R>
-    polarization subsystems if missing.  ``success_probability`` is the
-    register's squared norm at detection, which in the lossy model is the
-    chance that both photons and the readout photon actually arrived.
+    A BellState label stands for the standard two-photon state with |R>
+    polarizations; in a register, photons a and b without polarization
+    subsystems enter with |R>.  The register is not modified.  The outcome
+    is drawn from the exact joint distribution with three uniforms from
+    ``rng``: readout photon, photon a, photon b.  ``success_probability``
+    is the chance that both photons and the readout photon actually arrive.
     """
     if rng is None:
         rng = np.random.default_rng()
-    if isinstance(state, BellState):
-        reg = make_bell(state, with_polarization="R")
-    else:
-        reg = state.copy()
-        for photon in ("a", "b"):
-            pol = f"{photon}_pol"
-            if not any(s.name == pol for s in reg.subsystems):
-                reg.add_subsystem(
-                    Subsystem(pol, Kind.POLARIZATION),
-                    np.array([1.0, 0.0], dtype=complex),
-                )
-    reg.add_subsystem(
-        Subsystem(SPIN_NAME, Kind.SPIN),
-        np.array([SQRT_HALF, SQRT_HALF], dtype=complex),
-    )
-    parity_qnd(reg, SPIN_NAME, params, ideal)
-    changed, _ = spin_readout(reg, SPIN_NAME, params, ideal, rng)
-    apply_bs(reg, "a")
-    apply_bs(reg, "b")
-    success = reg.norm_squared()
-    pair = detect(reg, rng)
+    dist = outcome_distribution(state, params, ideal)
+    if not dist.success > 0.0:
+        raise ZeroNormError("no amplitude reaches the detectors")
+    k = _pick(dist.readout, rng)
+    j = _pick(dist.photon_a[k], rng)
+    pair = _DETECTOR_MAP[(j, _pick(dist.photon_b[k][j], rng))]
+    changed = k == 1
     return BsaRecord(
         spin_changed=changed,
         detectors=pair,
         inferred=classify(changed, pair),
-        success_probability=success,
+        success_probability=dist.success,
     )
 
 

@@ -15,7 +15,8 @@ and exp(i 0) for hot, which is the regime the analyzer is designed around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,6 +43,9 @@ class CavityParams:
     delta_x: float = 0.5
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if not (self.g >= 0.0):
             raise ValueError("g must be nonnegative")
         if not (self.kappa > 0.0):

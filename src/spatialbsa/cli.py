@@ -205,19 +205,14 @@ def cmd_bsa(args) -> int:
 
 def cmd_sweep(args) -> int:
     seed = args.seed if args.seed is not None else draw_seed()
-    try:
-        ks_list = tuple(float(v) for v in args.ks.split(",") if v.strip())
-        spec = SweepSpec(
-            g_min=args.g_min,
-            g_max=args.g_max,
-            steps=args.steps,
-            ks_list=ks_list,
-            gamma=args.gamma,
-            detuning=args.detuning,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    spec = SweepSpec(
+        g_min=args.g_min,
+        g_max=args.g_max,
+        steps=args.steps,
+        ks_list=tuple(float(v) for v in args.ks.split(",") if v.strip()),
+        gamma=args.gamma,
+        detuning=args.detuning,
+    )
     text = format_sweep_csv(sweep_points(spec), spec, seed)
     return _emit(text, resolve_out(args.out))
 
@@ -411,7 +406,11 @@ def build_parser() -> CliParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

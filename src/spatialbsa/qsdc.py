@@ -251,7 +251,8 @@ def run_session(config: QsdcConfig) -> SessionReport:
             transcript=transcript,
         )
 
-    remaining = [pos for pos in range(config.pair_count) if pos not in set(sampled)]
+    sampled_set = set(sampled)
+    remaining = [pos for pos in range(config.pair_count) if pos not in sampled_set]
     n_message = config.message_pair_count
     slot_picks = rng.choice(len(remaining), size=n_message, replace=False)
     message_positions = sorted(remaining[int(i)] for i in slot_picks)

@@ -45,6 +45,16 @@ def photon_spin_register(pol, spin):
     )
 
 
+class TestCavityParams:
+    @pytest.mark.parametrize(
+        "field", ["g", "kappa", "kappa_s", "gamma", "delta_c", "delta_x"]
+    )
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CavityParams(**{"g": 1.0, field: value})
+
+
 class TestReflection:
     def test_cold_response_at_default_detuning_is_minus_i(self):
         r0 = reflection(CavityParams(g=0.0), coupled=False)

@@ -294,3 +294,26 @@ class TestParser:
             cli.main(["--help"])
         assert exc.value.code == 0
         assert "precedence" in capsys.readouterr().out
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bsa", "phi+", "--seed", "-1"],
+            ["bsa", "phi+", "--lossy", "--gamma", "0", "--detuning", "0",
+             "--g-over-ktot", "0"],
+            ["bsa", "phi+", "--lossy", "--g-over-ktot", "1e308", "--ks-over-k", "1e308"],
+            ["bsa", "phi+", "--g-over-ktot", "inf"],
+            ["bsa", "phi+", "--lossy", "--detuning", "nan"],
+        ],
+        ids=["negative_seed", "degenerate_cavity", "overflowing_coupling",
+             "infinite_coupling", "nan_detuning"],
+    )
+    def test_bad_values_give_one_error_line(self, argv, capsys):
+        code, out, err = run_cli([*argv, "--trials", "2"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
