@@ -239,7 +239,9 @@ def _branch_maps(params: CavityParams | None, ideal: bool) -> np.ndarray:
         # Axes (a, b, a_pol+b_pol+spin, aux); project aux on the readout kets.
         psi = reg.amplitudes.reshape(2, 2, 8, 2)
         columns.append(np.einsum("xk,jlox->kjlo", readout_kets.conj(), psi))
-    return np.stack(columns, axis=-1).reshape(8, 8, 2, 2, 2, 2)
+    maps = np.stack(columns, axis=-1).reshape(8, 8, 2, 2, 2, 2)
+    maps.setflags(write=False)
+    return maps
 
 
 class OutcomeDistribution:
@@ -254,6 +256,7 @@ class OutcomeDistribution:
     """
 
     def __init__(self, joint: np.ndarray):
+        joint.setflags(write=False)
         self.joint = joint
         self.photon_b = tuple(tuple(tuple(pair) for pair in rows) for rows in joint.tolist())
         self.photon_a = tuple(tuple(b0 + b1 for b0, b1 in rows) for rows in self.photon_b)
@@ -262,11 +265,11 @@ class OutcomeDistribution:
 
 
 def _distribution(reg: QuantumRegister, maps: np.ndarray) -> OutcomeDistribution:
+    present = {s.name for s in reg.subsystems}
     for name in (SPIN_NAME, AUX_NAME):
-        if any(s.name == name for s in reg.subsystems):
+        if name in present:
             raise ValueError(f"subsystem {name!r} already present")
     axes, inputs = [], []
-    present = {s.name for s in reg.subsystems}
     for sub in _INPUTS:
         if sub.kind is Kind.POLARIZATION and sub.name not in present:
             inputs.append(0)  # a missing polarization enters as |R>
