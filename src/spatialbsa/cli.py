@@ -5,8 +5,8 @@ Three subcommands share one seeding convention: every command accepts
 source and recorded in the output metadata, so any emitted file can be
 reproduced exactly.
 
-Exit codes: 0 success, 1 usage or configuration errors, 2 when a session
-aborts its channel check.
+Exit codes: 0 success, 1 usage or configuration errors, each reported as
+one ``error:`` line on stderr, 2 when a session aborts its channel check.
 """
 
 from __future__ import annotations
@@ -303,7 +303,7 @@ def build_qsdc_config(args) -> QsdcConfig:
 def cmd_qsdc(args) -> int:
     try:
         config = build_qsdc_config(args)
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+    except (OSError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = run_session(config)

@@ -79,7 +79,8 @@ def registers(draw):
     """Two-rail photon registers with norm squared in (0, 1].
 
     Polarizations are either preset (possibly entangled with the rails) or
-    left for the analyzer to default, and the subsystem order is shuffled.
+    left for the analyzer to default, a spectator qubit the analyzer never
+    touches may ride along, and the subsystem order is shuffled.
     """
     subsystems = [Subsystem("a", Kind.SPATIAL), Subsystem("b", Kind.SPATIAL)]
     if draw(st.booleans()):
@@ -87,6 +88,8 @@ def registers(draw):
             Subsystem("a_pol", Kind.POLARIZATION),
             Subsystem("b_pol", Kind.POLARIZATION),
         ]
+    if draw(st.booleans()):
+        subsystems.append(Subsystem("spectator", Kind.SPATIAL))
     subsystems = draw(st.permutations(subsystems))
     dim = 2 ** len(subsystems)
     parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * dim, max_size=2 * dim))
