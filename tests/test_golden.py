@@ -4,7 +4,9 @@
 and lossy at two operating points, and two small `qsdc` reports with full
 transcripts, all recorded from the gate-by-gate analyzer.  Any rewrite of
 the analyzer must reproduce them: counts, detector pairs, flip counts and
-transcripts exactly, float summaries to a relative 1e-12.
+transcripts exactly, float summaries to a relative 1e-12.  The `qsdc`
+cases also pin their resolved `config` block, and one small `sweep` grid
+pins its full CSV text; both must match byte for byte.
 """
 
 import json
@@ -48,6 +50,21 @@ def test_qsdc_transcript_matches_golden(case, capsys):
     assert report["aborted"] == want["aborted"]
     for key in ("phase1_qber", "phase2_sample_error_rate"):
         assert report[key] == pytest.approx(want[key], rel=RTOL)
+
+
+@pytest.mark.parametrize("case", GOLDEN["qsdc"], ids=("clean", "eve_and_noise"))
+def test_qsdc_config_matches_golden(case, capsys):
+    _, payload = run_cli(case["argv"], capsys)
+    assert json.dumps(payload["config"], sort_keys=True) == json.dumps(
+        case["config"], sort_keys=True
+    )
+
+
+@pytest.mark.parametrize("case", GOLDEN["sweep"], ids=lambda c: " ".join(c["argv"][1:]))
+def test_sweep_csv_matches_golden(case, capsys):
+    code = cli.main(case["argv"])
+    assert code == 0
+    assert capsys.readouterr().out == case["csv"]
 
 
 def half_odd_register():
