@@ -2,119 +2,33 @@
 
 The package simulates a deterministic analyzer for the four Bell states of
 two dual-rail photons, scores it against realistic cavity parameters, and
-runs a two-step direct-communication protocol on top of it.
+runs a two-step direct-communication protocol on top of it.  The package
+namespace holds the entry points and the types they take, return or raise;
+the stage functions live in their modules.
 """
 
-from .cavity import (
-    CavityParams,
-    IDEAL_COLD,
-    IDEAL_HOT,
-    PhaseShifts,
-    operating_point,
-    phase_shifts,
-    reflection,
-    reflection_pair,
-    scatter_factors,
-    scatter_photon,
-)
-from .bsa import (
-    BsaRecord,
-    DecoherenceParams,
-    DetectorPair,
-    QualityPoint,
-    analyze,
-    classify,
-    decoherence_factor,
-    detect,
-    parity_qnd,
-    quality,
-    quality_from_moduli,
-    spin_readout,
-)
-from .qsdc import (
-    BELL_BY_OP,
-    BITS_BY_BELL,
-    BITS_BY_OP,
-    ChannelModel,
-    EveModel,
-    OP_BY_BITS,
-    QsdcConfig,
-    SessionReport,
-    apply_channel,
-    eve_intercept_resend,
-    phase1_sample_count,
-    run_session,
-    transcript_jsonl,
-)
-from .register import (
-    BellState,
-    EntangledSubsystemError,
-    Kind,
-    QuantumRegister,
-    RailOp,
-    Subsystem,
-    SubsystemKindError,
-    ZeroNormError,
-    apply_bs,
-    apply_spatial_unitary,
-    hadamard_spin,
-    make_bell,
-    measure,
-    phase_flip_correction,
-    pol_to_spatial,
-)
+from .bsa import BsaRecord, DetectorPair, QualityPoint, analyze, quality
+from .cavity import CavityParams, operating_point
+from .qsdc import ChannelModel, EveModel, QsdcConfig, SessionReport, run_session
+from .register import BellState, QuantumRegister, ZeroNormError, make_bell
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BELL_BY_OP",
-    "BITS_BY_BELL",
-    "BITS_BY_OP",
     "BellState",
     "BsaRecord",
     "CavityParams",
     "ChannelModel",
-    "DecoherenceParams",
     "DetectorPair",
-    "EntangledSubsystemError",
     "EveModel",
-    "IDEAL_COLD",
-    "IDEAL_HOT",
-    "Kind",
-    "OP_BY_BITS",
-    "PhaseShifts",
     "QsdcConfig",
     "QualityPoint",
     "QuantumRegister",
-    "RailOp",
     "SessionReport",
-    "Subsystem",
-    "SubsystemKindError",
     "ZeroNormError",
     "analyze",
-    "apply_bs",
-    "apply_channel",
-    "apply_spatial_unitary",
-    "classify",
-    "decoherence_factor",
-    "detect",
-    "eve_intercept_resend",
-    "hadamard_spin",
     "make_bell",
-    "measure",
     "operating_point",
-    "parity_qnd",
-    "phase1_sample_count",
-    "phase_flip_correction",
-    "phase_shifts",
-    "pol_to_spatial",
     "quality",
-    "quality_from_moduli",
-    "reflection",
-    "reflection_pair",
     "run_session",
-    "scatter_factors",
-    "scatter_photon",
-    "spin_readout",
-    "transcript_jsonl",
 ]

@@ -124,8 +124,6 @@ def parity_qnd(
     spin_name: str = SPIN_NAME,
     params: CavityParams | None = None,
     ideal: bool = True,
-    photons: tuple[tuple[str, str], ...] = (("a", "a_pol"), ("b", "b_pol")),
-    atol: float = 1e-9,
 ) -> QuantumRegister:
     """Imprint the rail parity of a photon pair onto the cavity spin.
 
@@ -136,13 +134,13 @@ def parity_qnd(
     """
     reg.require_kind(spin_name, Kind.SPIN)
     p_minus = reg.probabilities(spin_name, "x")[1]
-    if atol < p_minus < 1.0 - atol:
+    if 1e-9 < p_minus < 1.0 - 1e-9:
         raise ValueError(
             f"spin {spin_name!r} must start in |+> or |-> "
             f"(|-> weight {p_minus:.3g})"
         )
     factors = scatter_factors(params, ideal, passes=2)
-    for spatial_name, pol_name in photons:
+    for spatial_name, pol_name in (("a", "a_pol"), ("b", "b_pol")):
         reg.require_kind(spatial_name, Kind.SPATIAL)
         reg.require_kind(pol_name, Kind.POLARIZATION)
         # Rail 1 (index 0) scatters, rail 2 passes untouched.
@@ -154,6 +152,15 @@ def parity_qnd(
         correction[0, 1] = -1.0
         reg.apply_diagonal([spatial_name, pol_name], correction)
     return reg
+
+
+def _probe_spin(
+    reg: QuantumRegister, spin_name: str, params: CavityParams | None, ideal: bool
+) -> QuantumRegister:
+    """Hadamard-rotate the spin and bounce one linearly polarized photon off it once."""
+    hadamard_spin(reg, spin_name)
+    reg.add_subsystem(Subsystem(AUX_NAME, Kind.POLARIZATION), _PLUS)
+    return scatter_photon(reg, AUX_NAME, spin_name, params, passes=1, ideal=ideal)
 
 
 def spin_readout(
@@ -172,9 +179,7 @@ def spin_readout(
     """
     if rng is None:
         rng = np.random.default_rng()
-    hadamard_spin(reg, spin_name)
-    reg.add_subsystem(Subsystem(AUX_NAME, Kind.POLARIZATION), _PLUS)
-    scatter_photon(reg, AUX_NAME, spin_name, params, passes=1, ideal=ideal)
+    _probe_spin(reg, spin_name, params, ideal)
     outcome, _, _ = reg.measure(AUX_NAME, "da", rng)
     reg.remove_subsystem(AUX_NAME)
     return outcome == 1, reg
@@ -188,14 +193,10 @@ _DETECTOR_MAP = {
 }
 
 
-def detect(
-    reg: QuantumRegister,
-    rng,
-    photons: tuple[str, str] = ("a", "b"),
-) -> DetectorPair:
+def detect(reg: QuantumRegister, rng) -> DetectorPair:
     """Measure both spatial qubits after the splitters and name the click pair."""
-    a_out, _, _ = reg.measure(photons[0], "z", rng)
-    b_out, _, _ = reg.measure(photons[1], "z", rng)
+    a_out, _, _ = reg.measure("a", "z", rng)
+    b_out, _, _ = reg.measure("b", "z", rng)
     return _DETECTOR_MAP[(a_out, b_out)]
 
 
@@ -231,9 +232,7 @@ def _branch_maps(params: CavityParams | None, ideal: bool) -> np.ndarray:
         reg = QuantumRegister(_INPUTS, ket)
         reg.add_subsystem(Subsystem(SPIN_NAME, Kind.SPIN), _PLUS)
         parity_qnd(reg, SPIN_NAME, params, ideal)
-        hadamard_spin(reg, SPIN_NAME)
-        reg.add_subsystem(Subsystem(AUX_NAME, Kind.POLARIZATION), _PLUS)
-        scatter_photon(reg, AUX_NAME, SPIN_NAME, params, passes=1, ideal=ideal)
+        _probe_spin(reg, SPIN_NAME, params, ideal)
         apply_bs(reg, "a")
         apply_bs(reg, "b")
         # Axes (a, b, a_pol+b_pol+spin, aux); project aux on the readout kets.
@@ -366,13 +365,14 @@ def quality_from_moduli(r0: float, rh: float) -> tuple[float, float, float, floa
 
     f1_num = (r0_3 + rh_3 + r0_2 * rh + r0 * rh_2) ** 2
     f1_den = 4.0 * (r0_3 * r0_3 + rh_3 * rh_3 + r0_4 * rh_2 + r0_2 * rh_4)
+    f2_den = 8.0 * (r0_5 * r0_5 + rh_5 * rh_5 + r0_4 * r0_4 * rh_2 + r0_2 * rh_4 * rh_4)
+    if f1_den == 0.0 or f2_den == 0.0:
+        raise ValueError("degenerate parameters: the fidelities need nonzero reflection")
     f1 = f1_num / f1_den
 
     eta1 = 0.5 * r0_4 + 0.5 * rh_4
 
-    f2_first = (r0_5 + rh_5 + r0_4 * rh + r0 * rh_4) ** 2 / (
-        8.0 * (r0_5 * r0_5 + rh_5 * rh_5 + r0_4 * r0_4 * rh_2 + r0_2 * rh_4 * rh_4)
-    )
+    f2_first = (r0_5 + rh_5 + r0_4 * rh + r0 * rh_4) ** 2 / f2_den
     f2_second = (r0 + rh) ** 2 / (4.0 * (r0_2 + rh_2))
     f2 = f2_first + f2_second
 

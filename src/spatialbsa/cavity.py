@@ -103,7 +103,13 @@ def reflection(params: CavityParams, coupled: bool = True) -> complex:
     d_cavity = 0.5 * (params.kappa + params.kappa_s) - 1j * params.delta_c
     if not coupled:
         return (0.5 * params.kappa_s - 0.5 * params.kappa - 1j * params.delta_c) / d_cavity
-    denom = d_exciton * d_cavity + params.g * params.g
+    g = params.g
+    if 0.0 < abs(d_exciton) < 2.0**-900:
+        # Subnormal products lose bits and can push |r| above 1.  Scaling
+        # D_x by 2**1000 and g by 2**500 is exact and leaves the ratio as is.
+        d_exciton *= 2.0**1000
+        g *= 2.0**500
+    denom = d_exciton * d_cavity + g * g
     if denom == 0.0:
         raise ValueError("degenerate parameters: hot-cavity response is undefined")
     return 1.0 - params.kappa * d_exciton / denom
@@ -111,7 +117,7 @@ def reflection(params: CavityParams, coupled: bool = True) -> complex:
 
 @dataclass(frozen=True)
 class PhaseShifts:
-    """Reflection phases of the two responses and the angles built from them."""
+    """Reflection phases of the two responses and their difference."""
 
     phi_cold: float
     phi_hot: float
@@ -120,11 +126,6 @@ class PhaseShifts:
     def delta_phi(self) -> float:
         """Relative phase picked up between hot and cold reflection."""
         return self.phi_hot - self.phi_cold
-
-    @property
-    def faraday_angle(self) -> float:
-        """Polarization rotation angle for spin up; spin down gets the negative."""
-        return -0.5 * self.delta_phi
 
 
 def phase_shifts(params: CavityParams) -> PhaseShifts:

@@ -16,8 +16,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -102,25 +101,12 @@ class SweepSpec:
 
 
 def sweep_points(spec: SweepSpec) -> list:
-    """Evaluate the quality figures over the grid, rows ordered (ks, g).
-
-    Grid points are independent pure evaluations, so they run concurrently;
-    the output order is fixed by the task list, not by completion order.
-    """
-    grid = [
-        (ks, float(g))
+    """Evaluate the quality figures over the grid, rows ordered (ks, g)."""
+    return [
+        quality(operating_point(float(g), ks, spec.gamma, spec.detuning))
         for ks in sorted(spec.ks_list)
         for g in np.linspace(spec.g_min, spec.g_max, spec.steps)
     ]
-    with ThreadPoolExecutor() as pool:
-        return list(
-            pool.map(
-                lambda point: quality(
-                    operating_point(point[1], point[0], spec.gamma, spec.detuning)
-                ),
-                grid,
-            )
-        )
 
 
 def format_sweep_csv(points, spec: SweepSpec, seed: int) -> str:
@@ -221,16 +207,7 @@ def _load_config_file(path_text: str) -> dict:
     data = json.loads(Path(path_text).read_text())
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
-    known = {
-        "message_bits",
-        "pair_count",
-        "sample_fraction",
-        "eve_model",
-        "channel_model",
-        "seed",
-        "qber_abort_threshold",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(QsdcConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return data
@@ -238,7 +215,10 @@ def _load_config_file(path_text: str) -> dict:
 
 def _auto_pair_count(message_bits: str, sample_fraction: float) -> int:
     # Enough pairs that the message fits beside the security sample, with
-    # about as many phase-2 check pairs as message pairs.
+    # about as many phase-2 check pairs as message pairs.  Only a valid
+    # fraction is sized; QsdcConfig rejects any other.
+    if not 0.0 < sample_fraction < 1.0:
+        return 32
     need = 2 * (len(message_bits) // 2)
     return max(32, math.ceil(need / (1.0 - sample_fraction)))
 
@@ -303,27 +283,13 @@ def build_qsdc_config(args) -> QsdcConfig:
 def cmd_qsdc(args) -> int:
     try:
         config = build_qsdc_config(args)
-    except (OSError, TypeError) as exc:
+    except (OSError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = run_session(config)
     payload = {
         "command": "qsdc",
-        "config": {
-            "message_bits": config.message_bits,
-            "pair_count": config.pair_count,
-            "sample_fraction": config.sample_fraction,
-            "eve_model": {
-                "kind": config.eve_model.kind,
-                "fraction": config.eve_model.fraction,
-            },
-            "channel_model": {
-                "mode_flip_prob": config.channel_model.mode_flip_prob,
-                "phase_flip_prob": config.channel_model.phase_flip_prob,
-            },
-            "seed": config.seed,
-            "qber_abort_threshold": config.qber_abort_threshold,
-        },
+        "config": asdict(config),
         "report": {
             "phase1_qber": report.phase1_qber,
             "aborted": report.aborted,

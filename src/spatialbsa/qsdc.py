@@ -125,7 +125,7 @@ class QsdcConfig:
             raise ValueError("pair_count must be at least 1")
         if not (0.0 < self.sample_fraction < 1.0):
             raise ValueError("sample_fraction must lie strictly between 0 and 1")
-        if self.qber_abort_threshold < 0.0:
+        if not (self.qber_abort_threshold >= 0.0):
             raise ValueError("qber_abort_threshold must be nonnegative")
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError("seed must fit in 64 bits")

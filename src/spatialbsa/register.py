@@ -176,20 +176,6 @@ class QuantumRegister:
         self._set_tensor(np.moveaxis(psi, 0, k))
         return self
 
-    def apply_two(self, name_a: str, name_b: str, matrix) -> "QuantumRegister":
-        """Apply a 4x4 matrix to a pair of subsystems, in place.
-
-        The matrix acts on the ordered pair (name_a, name_b) with name_a as
-        the more significant bit of the 2-qubit index.
-        """
-        ka, kb = self.axis(name_a), self.axis(name_b)
-        if ka == kb:
-            raise ValueError("apply_two needs two distinct subsystems")
-        u = np.asarray(matrix, dtype=complex).reshape(2, 2, 2, 2)
-        psi = np.tensordot(u, self._tensor(), axes=([2, 3], [ka, kb]))
-        self._set_tensor(np.moveaxis(psi, [0, 1], [ka, kb]))
-        return self
-
     def apply_diagonal(self, names, diag) -> "QuantumRegister":
         """Multiply amplitudes by a diagonal factor over the named subsystems.
 
@@ -263,7 +249,7 @@ class QuantumRegister:
         self.amplitudes = np.kron(self.amplitudes, chi)
         return self
 
-    def remove_subsystem(self, name: str, atol: float = 1e-9) -> "QuantumRegister":
+    def remove_subsystem(self, name: str) -> "QuantumRegister":
         """Factor a product-state subsystem out of the register.
 
         Raises EntangledSubsystemError when the subsystem is entangled with
@@ -277,7 +263,7 @@ class QuantumRegister:
             raise ZeroNormError("cannot factor a subsystem out of a zero state")
         chi = m[best] / row_norms[best]
         rest = m @ chi.conj()
-        if not np.allclose(np.outer(rest, chi), m, atol=atol):
+        if not np.allclose(np.outer(rest, chi), m, atol=1e-9):
             raise EntangledSubsystemError(
                 f"subsystem {name!r} is entangled with the rest of the register"
             )
@@ -352,47 +338,3 @@ def hadamard_spin(reg: QuantumRegister, name: str) -> QuantumRegister:
     """Rotate a spin between its energy basis and the |up> +/- |down> pair."""
     reg.require_kind(name, Kind.SPIN)
     return reg.apply_one(name, HADAMARD)
-
-
-def phase_flip_correction(reg: QuantumRegister, name: str) -> QuantumRegister:
-    """Undo the sign a cavity pass leaves on |L>: alpha R + beta L -> alpha R - beta L."""
-    reg.require_kind(name, Kind.POLARIZATION)
-    return reg.apply_one(name, np.diag([1.0, -1.0]).astype(complex))
-
-
-def measure(reg: QuantumRegister, name: str, basis: str, rng):
-    """Module-level alias for QuantumRegister.measure."""
-    return reg.measure(name, basis, rng)
-
-
-def _build_pol_to_spatial_matrix() -> np.ndarray:
-    # In the linear basis the gadget is a polarizing splitter: H stays on
-    # rail 1, V moves to rail 2 and is rotated to H.  As a permutation over
-    # (pol, rail) indices ordered (H1, H2, V1, V2) it swaps H2 and V1; the
-    # circular-basis matrix follows by conjugating with the basis change.
-    perm = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
-    t = np.kron(HADAMARD, np.eye(2, dtype=complex))
-    return t @ perm @ t
-
-
-_POL_TO_SPATIAL = _build_pol_to_spatial_matrix()
-
-
-def pol_to_spatial(
-    reg: QuantumRegister, pol_name: str, spatial_name: str, atol: float = 1e-9
-) -> QuantumRegister:
-    """Transfer a photon's polarization qubit onto a fresh spatial qubit.
-
-    The photon must enter on rail 1.  Afterwards the spatial qubit carries
-    the former polarization state (mode1 for what was H, mode2 for what was
-    V) and the polarization is left in |H>, disentangled.
-    """
-    reg.require_kind(pol_name, Kind.POLARIZATION)
-    reg.require_kind(spatial_name, Kind.SPATIAL)
-    occupancy = reg.probabilities(spatial_name, "z")
-    if occupancy[1] > atol:
-        raise ValueError(
-            f"spatial qubit {spatial_name!r} must start in mode1 "
-            f"(mode2 weight {occupancy[1]:.3g})"
-        )
-    return reg.apply_two(pol_name, spatial_name, _POL_TO_SPATIAL)

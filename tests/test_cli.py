@@ -317,3 +317,34 @@ class TestErrorPaths:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class TestQsdcErrorPaths:
+    @pytest.mark.parametrize(
+        "argv, config_text, message",
+        [
+            (["--sample-fraction", "1.0"], None, "sample_fraction must lie strictly"),
+            (["--sample-fraction", "nan"], None, "sample_fraction must lie strictly"),
+            ([], '{"message_bits": "0101", "pair_count": 1e400}', "infinity"),
+            ([], '{"message_bits": "0101", "seed": 1e400}', "infinity"),
+            (["--pairs", "400", "--eve", "intercept_resend", "--qber-threshold", "nan",
+              "--seed", "3"], None, "qber_abort_threshold"),
+        ],
+        ids=["unit_sample_fraction", "nan_sample_fraction", "infinite_pair_count",
+             "infinite_seed", "nan_qber_threshold"],
+    )
+    def test_bad_values_give_one_error_line(
+        self, argv, config_text, message, tmp_path, capsys
+    ):
+        argv = ["qsdc", "--message", "0101", *argv]
+        if config_text is not None:
+            config = tmp_path / "session.json"
+            config.write_text(config_text)
+            argv += ["--config", str(config)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert message in err
+        assert "Traceback" not in err

@@ -163,6 +163,7 @@ class TestConfigValidation:
             {"message_bits": "01", "sample_fraction": 1.0},
             {"message_bits": "01", "qber_abort_threshold": -0.2},
             {"message_bits": "01", "seed": -1},
+            {"message_bits": "01", "qber_abort_threshold": float("nan")},
         ],
     )
     def test_bad_fields_rejected(self, kwargs):

@@ -17,9 +17,6 @@ from spatialbsa.register import (
     apply_spatial_unitary,
     hadamard_spin,
     make_bell,
-    measure,
-    phase_flip_correction,
-    pol_to_spatial,
 )
 
 BELL_VECTORS = {
@@ -175,64 +172,6 @@ class TestRailOps:
             apply_spatial_unitary(reg, "b_pol", RailOp.SWAP)
 
 
-class TestPolToSpatial:
-    @staticmethod
-    def fresh(pol_amps):
-        reg = QuantumRegister(
-            [Subsystem("p", Kind.POLARIZATION)], np.asarray(pol_amps, dtype=complex)
-        )
-        reg.add_subsystem(Subsystem("m", Kind.SPATIAL), [1.0, 0.0])
-        return reg
-
-    def test_h_polarization_stays_on_rail_one(self):
-        reg = self.fresh([SQRT_HALF, SQRT_HALF])
-        pol_to_spatial(reg, "p", "m")
-        expected = np.array([SQRT_HALF, 0.0, SQRT_HALF, 0.0], dtype=complex)
-        assert np.allclose(reg.amplitudes, expected, atol=1e-12)
-
-    def test_v_polarization_moves_to_rail_two(self):
-        reg = self.fresh([SQRT_HALF, -SQRT_HALF])
-        pol_to_spatial(reg, "p", "m")
-        expected = np.array([0.0, SQRT_HALF, 0.0, SQRT_HALF], dtype=complex)
-        assert np.allclose(reg.amplitudes, expected, atol=1e-12)
-
-    def test_polarization_ends_disentangled_in_h(self, rng):
-        for _ in range(20):
-            reg = self.fresh(random_state(rng, 1))
-            pol_to_spatial(reg, "p", "m")
-            assert reg.probabilities("p", "hv")[0] == pytest.approx(1.0, abs=1e-12)
-            reg.remove_subsystem("p")  # must factor out cleanly
-
-    def test_entangled_pair_transfers_to_spatial_bell_state(self):
-        # (RR + LL)/sqrt2 equals (HH + VV)/sqrt2, so the transfer should
-        # leave both polarizations in H and the rails in the phi+ state.
-        reg = QuantumRegister(
-            [Subsystem("ap", Kind.POLARIZATION), Subsystem("bp", Kind.POLARIZATION)],
-            BELL_VECTORS[BellState.PHI_PLUS].copy(),
-        )
-        reg.add_subsystem(Subsystem("a", Kind.SPATIAL), [1.0, 0.0])
-        reg.add_subsystem(Subsystem("b", Kind.SPATIAL), [1.0, 0.0])
-        pol_to_spatial(reg, "ap", "a")
-        pol_to_spatial(reg, "bp", "b")
-
-        h = np.array([SQRT_HALF, SQRT_HALF], dtype=complex)
-        bell = BELL_VECTORS[BellState.PHI_PLUS].reshape(2, 2)
-        expected = np.einsum("i,j,kl->ijkl", h, h, bell).reshape(-1)
-        expected_reg = QuantumRegister(list(reg.subsystems), expected)
-        assert reg.equal_up_to_global_phase(expected_reg, atol=1e-12)
-
-    def test_requires_rail_one_input(self):
-        reg = self.fresh([1.0, 0.0])
-        reg.apply_one("m", RAIL_OP_MATRICES[RailOp.SWAP])
-        with pytest.raises(ValueError):
-            pol_to_spatial(reg, "p", "m")
-
-    def test_kind_checks(self):
-        reg = self.fresh([1.0, 0.0])
-        with pytest.raises(SubsystemKindError):
-            pol_to_spatial(reg, "m", "p")
-
-
 class TestMeasurement:
     def test_collapse_correlates_bell_pair(self, rng):
         for _ in range(50):
@@ -311,11 +250,6 @@ class TestMeasurement:
         with pytest.raises(ValueError):
             reg.measure("a", "da", rng)  # circular-diagonal is polarization-only
 
-    def test_module_level_alias(self, rng):
-        reg = two_rail_register([1, 0, 0, 0])
-        outcome, _, p = measure(reg, "a", "z", rng)
-        assert outcome == 0 and p == pytest.approx(1.0)
-
 
 class TestSpinAndPolarizationHelpers:
     @staticmethod
@@ -348,19 +282,6 @@ class TestSpinAndPolarizationHelpers:
         reg = make_bell(BellState.PHI_PLUS)
         with pytest.raises(SubsystemKindError):
             hadamard_spin(reg, "a")
-
-    def test_phase_flip_correction_flips_left_component(self, rng):
-        state = random_state(rng, 1)
-        reg = QuantumRegister([Subsystem("p", Kind.POLARIZATION)], state.copy())
-        phase_flip_correction(reg, "p")
-        assert np.allclose(reg.amplitudes, [state[0], -state[1]], atol=1e-15)
-        phase_flip_correction(reg, "p")
-        assert np.allclose(reg.amplitudes, state, atol=1e-15)
-
-    def test_phase_flip_correction_kind_check(self):
-        reg = make_bell(BellState.PHI_PLUS)
-        with pytest.raises(SubsystemKindError):
-            phase_flip_correction(reg, "b")
 
 
 class TestAddRemove:
