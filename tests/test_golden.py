@@ -6,9 +6,14 @@ transcripts, all recorded from the gate-by-gate analyzer.  Any rewrite of
 the analyzer must reproduce them: counts, detector pairs, flip counts and
 transcripts exactly, float summaries to a relative 1e-12.  The `qsdc`
 cases also pin their resolved `config` block, and one small `sweep` grid
-pins its full CSV text; both must match byte for byte.
+pins its full CSV text; both must match byte for byte.  Four larger
+sessions are pinned by the SHA-256 of their sorted-key transcript JSON: the
+benchmark's seed-1 intercept-resend and clean runs, a noisy session with a
+30% eavesdropper that reaches phase 2, and one where the eavesdropper takes
+every photon in both directions.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -65,6 +70,16 @@ def test_sweep_csv_matches_golden(case, capsys):
     code = cli.main(case["argv"])
     assert code == 0
     assert capsys.readouterr().out == case["csv"]
+
+
+@pytest.mark.parametrize("case", GOLDEN["qsdc_digest"], ids=lambda c: c["name"])
+def test_qsdc_transcript_digest_matches_golden(case, capsys):
+    code, payload = run_cli(case["argv"], capsys)
+    transcript = payload["report"]["transcript"]
+    assert code == case["exit_code"]
+    assert len(transcript) == case["events"]
+    digest = hashlib.sha256(json.dumps(transcript, sort_keys=True).encode()).hexdigest()
+    assert digest == case["transcript_sha256"]
 
 
 def half_odd_register():
