@@ -27,6 +27,8 @@ photon a, detector of photon b).  An input's exact joint distribution over
 those eight branches is a contraction with these maps, cached per Bell-state
 label; a run then draws three uniforms, for the readout photon, photon a and
 photon b in that order, which is the draw order the stages themselves use.
+``analyze_pairs`` runs the ideal analyzer on every row of a pair array at
+once: one contraction with the same maps, and the same three-uniform pick.
 
 The module also scores the analyzer against realistic cavity amplitudes:
 fidelity and efficiency of the two measurement rounds as functions of the
@@ -51,6 +53,7 @@ from .register import (
     SQRT_HALF,
     Subsystem,
     ZeroNormError,
+    _pick,
     apply_bs,
     basis_vectors,
     hadamard_spin,
@@ -243,6 +246,33 @@ def _branch_maps(params: CavityParams | None, ideal: bool) -> np.ndarray:
     return maps
 
 
+def _branch_weights(joint: np.ndarray) -> np.ndarray:
+    """The 14 weights the three draws of a run compare, from joint (..., 2, 2, 2).
+
+    In order: ``readout`` (2), ``photon_a[k][j]`` (4) and ``photon_b[k][j][l]``
+    (8), each pair summing the joint entries below it.
+    """
+    photon_b = joint.reshape(*joint.shape[:-3], 8)
+    photon_a = photon_b[..., 0::2] + photon_b[..., 1::2]
+    readout = photon_a[..., 0::2] + photon_a[..., 1::2]
+    return np.concatenate([readout, photon_a, photon_b], axis=-1)
+
+
+def _pick_branch(weights, u_readout, u_a, u_b, base=0):
+    """Walk the three draws of a run down the flat branch weights.
+
+    ``weights`` holds the 14 weights of ``_branch_weights`` at offset
+    ``base``.  Called with a tuple, three floats and base 0 it picks one
+    run's (k, j, l); called with the rows' weights flattened, three arrays of
+    uniforms and ``base`` the row offsets, it picks every row's at once.
+    """
+    k = _pick(weights[base], weights[base + 1], u_readout)
+    i = base + 2 + 2 * k
+    j = _pick(weights[i], weights[i + 1], u_a)
+    i = base + 6 + 4 * k + 2 * j
+    return k, j, _pick(weights[i], weights[i + 1], u_b)
+
+
 class OutcomeDistribution:
     """Exact outcome probabilities of one analyzer run on one input.
 
@@ -251,16 +281,18 @@ class OutcomeDistribution:
     click detectors c(j+1) and d(l+1).  ``success`` is the sum of all eight,
     the survival probability.  The three draws of a run choose between the
     pairs of weights ``readout``, then ``photon_a[k]``, then
-    ``photon_b[k][j]``, each pair summing the joint entries below it.
+    ``photon_b[k][j]``, each pair summing the joint entries below it;
+    ``weights`` holds all 14 in that order.
     """
 
     def __init__(self, joint: np.ndarray):
         joint.setflags(write=False)
         self.joint = joint
-        self.photon_b = tuple(tuple(tuple(pair) for pair in rows) for rows in joint.tolist())
-        self.photon_a = tuple(tuple(b0 + b1 for b0, b1 in rows) for rows in self.photon_b)
-        self.readout = tuple(a0 + a1 for a0, a1 in self.photon_a)
-        self.success = self.readout[0] + self.readout[1]
+        self.weights = w = tuple(_branch_weights(joint).tolist())
+        self.readout = w[0:2]
+        self.photon_a = (w[2:4], w[4:6])
+        self.photon_b = ((w[6:8], w[8:10]), (w[10:12], w[12:14]))
+        self.success = w[0] + w[1]
 
 
 def _distribution(reg: QuantumRegister, maps: np.ndarray) -> OutcomeDistribution:
@@ -308,14 +340,6 @@ def outcome_distribution(
     return _distribution(state, _branch_maps(*point))
 
 
-def _pick(weights: tuple[float, float], rng) -> int:
-    # QuantumRegister.measure's rule: one uniform against the conditional
-    # probability of outcome 0, and a pick of a zero-weight outcome flips.
-    w0, w1 = weights
-    outcome = 0 if rng.random() < w0 / (w0 + w1) else 1
-    return 1 - outcome if weights[outcome] == 0.0 else outcome
-
-
 def analyze(
     state: BellState | QuantumRegister,
     params: CavityParams | None = None,
@@ -336,16 +360,46 @@ def analyze(
     dist = outcome_distribution(state, params, ideal)
     if not dist.success > 0.0:
         raise ZeroNormError("no amplitude reaches the detectors")
-    k = _pick(dist.readout, rng)
-    j = _pick(dist.photon_a[k], rng)
-    pair = _DETECTOR_MAP[(j, _pick(dist.photon_b[k][j], rng))]
-    changed = k == 1
+    k, j, l = _pick_branch(dist.weights, rng.random(), rng.random(), rng.random())
+    pair = _DETECTOR_MAP[(j, l)]
     return BsaRecord(
-        spin_changed=changed,
+        spin_changed=k,
         detectors=pair,
-        inferred=classify(changed, pair),
+        inferred=classify(k, pair),
         success_probability=dist.success,
     )
+
+
+# The Bell state each branch (k, j, l) identifies, at index 4k + 2j + l.
+_INFERRED = tuple(
+    classify(k, _DETECTOR_MAP[(j, l)]) for k in (False, True) for j in (0, 1) for l in (0, 1)
+)
+
+
+def analyze_pairs(psi: np.ndarray, uniforms: np.ndarray) -> list[BellState]:
+    """Run the ideal analyzer once on each row of a pair array.
+
+    ``psi`` has shape (n, 2, 2): pair, rail of photon a, rail of photon b,
+    with both polarizations |R>.  Row i's three uniforms ``uniforms[i]``
+    are used as ``analyze`` uses its three draws, and its exact distribution
+    comes from the same branch maps, so row i gets the Bell state that
+    ``analyze`` infers on that pair with those draws.
+    """
+    n = len(psi)
+    maps = _branch_maps(None, True)[..., 0, 0].reshape(64, 4)
+    # Square the real and imaginary parts of the (branch, out) amplitudes in
+    # place, then sum each pair and each branch's eight outputs.
+    parts = (psi.reshape(n, 4) @ maps.T).view(float)
+    parts **= 2
+    joint = parts.reshape(n, 8, 8, 2).sum(axis=3).sum(axis=2)
+    k, j, l = _pick_branch(
+        _branch_weights(joint.reshape(n, 2, 2, 2)).ravel(),
+        uniforms[:, 0],
+        uniforms[:, 1],
+        uniforms[:, 2],
+        base=14 * np.arange(n),
+    )
+    return [_INFERRED[i] for i in (4 * k + 2 * j + l).tolist()]
 
 
 def quality_from_moduli(r0: float, rh: float) -> tuple[float, float, float, float]:

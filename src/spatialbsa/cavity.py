@@ -99,10 +99,16 @@ def reflection(params: CavityParams, coupled: bool = True) -> complex:
 
     with D_x = gamma/2 - i delta_x and D_c = (kappa + kappa_s)/2 - i delta_c.
     """
+    kappa, kappa_s, delta_c = params.kappa, params.kappa_s, params.delta_c
+    if not coupled and max(kappa, kappa_s, abs(delta_c)) < 2.0**-900:
+        # Halving a subnormal rate loses bits, all of them at kappa = 5e-324,
+        # where D_c would vanish.  r_cold depends only on the ratios of the
+        # three, so scaling all by 2**1000 is exact and leaves it as is.
+        kappa, kappa_s, delta_c = (v * 2.0**1000 for v in (kappa, kappa_s, delta_c))
     d_exciton = 0.5 * params.gamma - 1j * params.delta_x
-    d_cavity = 0.5 * (params.kappa + params.kappa_s) - 1j * params.delta_c
+    d_cavity = 0.5 * (kappa + kappa_s) - 1j * delta_c
     if not coupled:
-        return (0.5 * params.kappa_s - 0.5 * params.kappa - 1j * params.delta_c) / d_cavity
+        return (0.5 * kappa_s - 0.5 * kappa - 1j * delta_c) / d_cavity
     g = params.g
     if 0.0 < abs(d_exciton) < 2.0**-900:
         # Subnormal products lose bits and can push |r| above 1.  Scaling
@@ -112,7 +118,7 @@ def reflection(params: CavityParams, coupled: bool = True) -> complex:
     denom = d_exciton * d_cavity + g * g
     if denom == 0.0:
         raise ValueError("degenerate parameters: hot-cavity response is undefined")
-    return 1.0 - params.kappa * d_exciton / denom
+    return 1.0 - kappa * d_exciton / denom
 
 
 @dataclass(frozen=True)

@@ -213,6 +213,16 @@ def _load_config_file(path_text: str) -> dict:
     return data
 
 
+def _whole_number(data: dict, key: str) -> int | None:
+    # JSON has one number type: a float must be integral, and true/false,
+    # which Python counts as ints, are not numbers here.  int() itself
+    # rejects inf and NaN.
+    value = data.get(key)
+    if isinstance(value, bool) or (isinstance(value, float) and value != int(value)):
+        raise ValueError(f"{key} must be a whole number, got {json.dumps(value)}")
+    return None if value is None else int(value)
+
+
 def _auto_pair_count(message_bits: str, sample_fraction: float) -> int:
     # Enough pairs that the message fits beside the security sample, with
     # about as many phase-2 check pairs as message pairs.  Only a valid
@@ -258,7 +268,7 @@ def build_qsdc_config(args) -> QsdcConfig:
         if args.sample_fraction is not None
         else float(merged.get("sample_fraction", 0.1))
     )
-    pair_count = args.pairs if args.pairs is not None else merged.get("pair_count")
+    pair_count = args.pairs if args.pairs is not None else _whole_number(merged, "pair_count")
     if pair_count is None:
         pair_count = _auto_pair_count(str(message), sample_fraction)
     threshold = (
@@ -266,16 +276,16 @@ def build_qsdc_config(args) -> QsdcConfig:
         if args.qber_threshold is not None
         else float(merged.get("qber_abort_threshold", 0.11))
     )
-    seed = args.seed if args.seed is not None else merged.get("seed")
+    seed = args.seed if args.seed is not None else _whole_number(merged, "seed")
     if seed is None:
         seed = draw_seed()
     return QsdcConfig(
         message_bits=str(message),
-        pair_count=int(pair_count),
+        pair_count=pair_count,
         sample_fraction=float(sample_fraction),
         eve_model=eve,
         channel_model=channel,
-        seed=int(seed),
+        seed=seed,
         qber_abort_threshold=float(threshold),
     )
 

@@ -24,7 +24,9 @@ while a photon is actually in transit.
 
 Every random choice flows from one seeded generator in a fixed order, so a
 session is a pure function of its config and the transcript is reproducible
-bit for bit.
+bit for bit.  The pairs live in one complex array of shape (pair_count, 2, 2)
+(pair, rail of photon a, rail of photon b).  Each phase first takes all its
+draws, in that order, and then applies them to its rows at once.
 """
 
 from __future__ import annotations
@@ -34,10 +36,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsa import analyze
-from .register import BellState, QuantumRegister, RailOp, apply_spatial_unitary, make_bell
+from .bsa import analyze_pairs
+from .register import HADAMARD, SQRT_HALF, BellState, RailOp, _pick
 
-TRAVEL_PHOTON = "a"
+# The largest session a config may ask for.  The pairs are allocated up
+# front, 64 bytes each, and the transcript holds an event per pair.
+MAX_PAIR_COUNT = 1_000_000
 
 OP_BY_BITS = {
     "00": RailOp.IDENTITY,
@@ -58,6 +62,14 @@ BELL_BY_OP = {
 BITS_BY_BELL = {bell: BITS_BY_OP[op] for op, bell in BELL_BY_OP.items()}
 
 _OP_ORDER = (RailOp.IDENTITY, RailOp.SWAP, RailOp.PHASE, RailOp.SWAP_PHASE)
+
+# Each rail operation as (swap the rails, then flip the sign of rail 2).
+_SWAP_PHASE = {
+    RailOp.IDENTITY: (False, False),
+    RailOp.SWAP: (True, False),
+    RailOp.PHASE: (False, True),
+    RailOp.SWAP_PHASE: (True, True),
+}
 
 
 @dataclass(frozen=True)
@@ -121,8 +133,8 @@ class QsdcConfig:
             raise ValueError("message_bits must be a nonempty string of 0s and 1s")
         if len(self.message_bits) % 2 != 0:
             raise ValueError("message_bits must have even length (2 bits per pair)")
-        if self.pair_count < 1:
-            raise ValueError("pair_count must be at least 1")
+        if not 1 <= self.pair_count <= MAX_PAIR_COUNT:
+            raise ValueError(f"pair_count must lie between 1 and {MAX_PAIR_COUNT}")
         if not (0.0 < self.sample_fraction < 1.0):
             raise ValueError("sample_fraction must lie strictly between 0 and 1")
         if not (self.qber_abort_threshold >= 0.0):
@@ -164,33 +176,116 @@ def transcript_jsonl(report: SessionReport) -> str:
     return "\n".join(json.dumps(event, sort_keys=True) for event in report.transcript)
 
 
-def eve_intercept_resend(reg: QuantumRegister, photon: str, rng) -> QuantumRegister:
-    """Intercept-resend attack on one photon's spatial qubit.
+def bell_pairs(n: int) -> np.ndarray:
+    """n copies of phi+ as one array of shape (n, 2, 2): pair, rail of a, rail of b."""
+    psi = np.zeros((n, 2, 2), dtype=complex)
+    psi[:, 0, 0] = psi[:, 1, 1] = SQRT_HALF
+    return psi
 
-    Eve measures in Z or X chosen uniformly and forwards the eigenstate she
-    found, which destroys any entanglement with the partner photon.
+
+def apply_rail_ops(psi: np.ndarray, swap, phase) -> np.ndarray:
+    """Swap photon a's rails on the rows ``swap`` selects, then flip the sign
+    of its rail 2 on the rows ``phase`` selects, in place.
+
+    Those two are the channel's errors and, composed, the four rail
+    operations of dense coding (see ``_SWAP_PHASE``).
     """
-    basis = "z" if rng.random() < 0.5 else "x"
-    reg.measure(photon, basis, rng)
-    return reg
+    psi[swap] = psi[swap, ::-1]
+    psi[phase, 1] = -psi[phase, 1]
+    return psi
 
 
-def apply_channel(
-    reg: QuantumRegister, photon: str, channel: ChannelModel, rng
-) -> QuantumRegister:
-    """Apply the channel's independent rail-swap and rail-phase errors."""
-    if rng.random() < channel.mode_flip_prob:
-        apply_spatial_unitary(reg, photon, RailOp.SWAP)
-    if rng.random() < channel.phase_flip_prob:
-        apply_spatial_unitary(reg, photon, RailOp.PHASE)
-    return reg
+def measure_photon(psi: np.ndarray, photon: str, x_basis, u) -> np.ndarray:
+    """Measure one photon of every row, collapsing the rows in place.
+
+    Row i measures in X where ``x_basis[i]`` holds and in Z otherwise, and
+    ``u[i]`` picks the outcome exactly as ``QuantumRegister.measure`` picks
+    it from one uniform; the collapsed row keeps its norm.  Returns the
+    outcomes as an int array.
+    """
+    t = psi if photon == "a" else psi.transpose(0, 2, 1)  # axis 1: measured rail
+    comp = t.copy()
+    h0, h1 = SQRT_HALF * t[x_basis, 0], SQRT_HALF * t[x_basis, 1]
+    comp[x_basis, 0], comp[x_basis, 1] = h0 + h1, h0 - h1
+    weights = (np.abs(comp) ** 2).sum(axis=2)
+    outcome = _pick(weights[:, 0], weights[:, 1], u).astype(int)
+    rows = np.arange(len(psi))
+    ket = np.where(x_basis[:, None], HADAMARD.real[outcome], np.eye(2)[outcome])
+    scale = np.sqrt(weights.sum(axis=1) / weights[rows, outcome])
+    t[...] = (ket[:, :, None] * comp[rows, outcome][:, None, :]) * scale[:, None, None]
+    return outcome
 
 
-def _transit(reg: QuantumRegister, config: QsdcConfig, rng) -> None:
-    # One trip of the travel photon through the channel, with Eve last.
-    apply_channel(reg, TRAVEL_PHOTON, config.channel_model, rng)
-    if config.eve_model.active and rng.random() < config.eve_model.fraction:
-        eve_intercept_resend(reg, TRAVEL_PHOTON, rng)
+def apply_channel(psi: np.ndarray, channel: ChannelModel, u) -> np.ndarray:
+    """Apply the channel's rail-swap and rail-phase errors to photon a of each
+    row; ``u[i]`` holds row i's two uniforms, swap first."""
+    return apply_rail_ops(psi, u[:, 0] < channel.mode_flip_prob, u[:, 1] < channel.phase_flip_prob)
+
+
+def eve_intercept_resend(psi: np.ndarray, u) -> np.ndarray:
+    """Intercept-resend attack on photon a of every row, in place.
+
+    Eve measures in Z where ``u[i, 0] < 0.5`` and in X otherwise, with
+    ``u[i, 1]`` as the outcome draw, and forwards the eigenstate she found,
+    which destroys any entanglement with the partner photon.
+    """
+    measure_photon(psi, "a", u[:, 0] >= 0.5, u[:, 1])
+    return psi
+
+
+def _draw_trips(rng, n: int, eve: EveModel, tail: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw the uniforms of n trips in a row, each followed by ``tail`` more.
+
+    A trip draws two channel uniforms, then Eve's coin if she is active,
+    then her basis and outcome if the coin falls below her fraction.
+    Returns the uniforms in draw order and each trip's offset into them.
+    Each block asks only for what the trips not yet parsed need at least,
+    so the generator ends exactly where one scalar draw at a time would.
+    """
+    short = 2 + eve.active + tail
+    if not eve.active or eve.fraction in (0.0, 1.0):
+        # No coin, or one whose fall is certain: a uniform in [0, 1) is
+        # always below 1 and never below 0.  Every trip has one length.
+        length = short + 2 * (eve.active and eve.fraction == 1.0)
+        return rng.random(n * length), length * np.arange(n)
+    u: list[float] = []
+    starts: list[int] = []
+    pos = 0
+    while len(starts) < n:
+        need = pos + (n - len(starts)) * short
+        if pos + 2 < len(u) and u[pos + 2] < eve.fraction:
+            need += 2
+        u += rng.random(need - len(u)).tolist()
+        while len(starts) < n and pos + 2 < len(u):
+            length = short + 2 * (u[pos + 2] < eve.fraction)
+            if pos + length > len(u):
+                break
+            starts.append(pos)
+            pos += length
+    return np.array(u), np.array(starts, dtype=int)
+
+
+def _trip_table(u: np.ndarray, starts: np.ndarray, eve: EveModel, tail: int):
+    """Gather drawn trips into columns, and Eve's interceptions.
+
+    Columns 0 and 1 are the channel uniforms, 2 and 3 Eve's basis and
+    outcome (NaN where she lets the photon pass), then the ``tail`` draws.
+    """
+    hit = np.zeros(len(starts), dtype=bool)
+    if eve.active:
+        hit = u[starts + 2] < eve.fraction
+    table = np.full((len(starts), 4 + tail), np.nan)
+    table[:, :2] = u[starts[:, None] + np.arange(2)]
+    table[hit, 2:4] = u[starts[hit, None] + np.arange(3, 5)]
+    after = starts + 2 + eve.active + 2 * hit
+    table[:, 4:] = u[after[:, None] + np.arange(tail)]
+    return table, hit
+
+
+def _transit(psi: np.ndarray, config: QsdcConfig, table: np.ndarray, hit) -> None:
+    # One trip of every row's travel photon through the channel, with Eve last.
+    apply_channel(psi, config.channel_model, table[:, :2])
+    psi[hit] = eve_intercept_resend(psi[hit], table[hit, 2:4])
 
 
 def run_session(config: QsdcConfig) -> SessionReport:
@@ -199,35 +294,36 @@ def run_session(config: QsdcConfig) -> SessionReport:
     The random-draw order is fixed: pair preparation and forward transit in
     pair order, then sampling positions, then per-sample basis and outcome
     draws, then phase-2 slot assignment, then per-pair check-operation,
-    return-transit and analyzer draws in pair order.
+    return-transit and analyzer draws in pair order.  Each phase takes its
+    draws in that order before it touches the pairs, which then evolve
+    together as rows of one array.
     """
     rng = np.random.default_rng(config.seed)
+    eve = config.eve_model
     transcript: list = []
 
-    pairs = []
-    for _ in range(config.pair_count):
-        reg = make_bell(BellState.PHI_PLUS)
-        _transit(reg, config, rng)
-        pairs.append(reg)
+    psi = bell_pairs(config.pair_count)
+    trips, hit = _trip_table(*_draw_trips(rng, config.pair_count, eve, tail=0), eve, tail=0)
+    _transit(psi, config, trips, hit)
 
     n_sample = phase1_sample_count(config)
-    sampled = sorted(
-        int(i) for i in rng.choice(config.pair_count, size=n_sample, replace=False)
-    )
+    sampled = np.sort(rng.choice(config.pair_count, size=n_sample, replace=False))
+    u = rng.random((n_sample, 3))
+    checked = psi[sampled]
+    x_basis = u[:, 0] >= 0.5
+    alice = measure_photon(checked, "a", x_basis, u[:, 1])
+    bob = measure_photon(checked, "b", x_basis, u[:, 2])
     errors = 0
-    for pos in sampled:
-        basis = "z" if rng.random() < 0.5 else "x"
-        alice, _, _ = pairs[pos].measure(TRAVEL_PHOTON, basis, rng)
-        bob, _, _ = pairs[pos].measure("b", basis, rng)
-        agree = alice == bob
+    for pos, x, a, b in zip(sampled.tolist(), x_basis.tolist(), alice.tolist(), bob.tolist()):
+        agree = a == b
         errors += 0 if agree else 1
         transcript.append(
             {
                 "event": "phase1_sample",
                 "pair": pos,
-                "basis": basis,
-                "alice": alice,
-                "bob": bob,
+                "basis": "x" if x else "z",
+                "alice": a,
+                "bob": b,
                 "agree": agree,
             }
         )
@@ -251,7 +347,7 @@ def run_session(config: QsdcConfig) -> SessionReport:
             transcript=transcript,
         )
 
-    sampled_set = set(sampled)
+    sampled_set = set(sampled.tolist())
     remaining = [pos for pos in range(config.pair_count) if pos not in sampled_set]
     n_message = config.message_pair_count
     slot_picks = rng.choice(len(remaining), size=n_message, replace=False)
@@ -261,19 +357,33 @@ def run_session(config: QsdcConfig) -> SessionReport:
         for k, pos in enumerate(message_positions)
     }
 
+    # Every check pair draws its operation before its trip and analyzer
+    # draws, so the trips are drawn in runs that each start at a check pair.
+    encoded = [bits_at.get(pos) for pos in remaining]
+    run_starts = [i for i, bits in enumerate(encoded) if bits is None or i == 0]
+    blocks, offsets, size = [], [], 0
+    for lo, hi in zip(run_starts, run_starts[1:] + [len(remaining)]):
+        if encoded[lo] is None:
+            encoded[lo] = BITS_BY_OP[_OP_ORDER[int(rng.integers(4))]]
+        u, starts = _draw_trips(rng, hi - lo, eve, tail=3)
+        blocks.append(u)
+        offsets.append(starts + size)
+        size += len(u)
+    trips, hit = _trip_table(np.concatenate(blocks), np.concatenate(offsets), eve, tail=3)
+
+    back = psi[remaining]
+    flips = np.array([_SWAP_PHASE[OP_BY_BITS[bits]] for bits in encoded], dtype=bool)
+    apply_rail_ops(back, flips[:, 0], flips[:, 1])
+    _transit(back, config, trips, hit)
+    inferred = analyze_pairs(back, trips[:, 4:])
+
     decoded: list[str] = []
     check_pairs = 0
     check_errors = 0
-    for pos in remaining:
-        if pos in bits_at:
-            role, encoded = "message", bits_at[pos]
-        else:
-            role, encoded = "check", BITS_BY_OP[_OP_ORDER[int(rng.integers(4))]]
-        apply_spatial_unitary(pairs[pos], TRAVEL_PHOTON, OP_BY_BITS[encoded])
-        _transit(pairs[pos], config, rng)
-        record = analyze(pairs[pos], ideal=True, rng=rng)
-        got = BITS_BY_BELL[record.inferred]
-        match = got == encoded
+    for pos, bits, bell in zip(remaining, encoded, inferred):
+        role = "message" if pos in bits_at else "check"
+        got = BITS_BY_BELL[bell]
+        match = got == bits
         if role == "message":
             decoded.append(got)
         else:
@@ -284,8 +394,8 @@ def run_session(config: QsdcConfig) -> SessionReport:
                 "event": "phase2_pair",
                 "pair": pos,
                 "role": role,
-                "encoded": encoded,
-                "inferred": record.inferred.value,
+                "encoded": bits,
+                "inferred": bell.value,
                 "decoded": got,
                 "match": match,
             }

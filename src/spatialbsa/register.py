@@ -120,6 +120,18 @@ def basis_vectors(kind: Kind, basis: str) -> np.ndarray:
         raise ValueError(f"no basis {basis!r} for kind {kind.value}") from None
 
 
+def _pick(w0, w1, u):
+    """Outcome 0 or 1 of one uniform ``u`` against the weights ``w0``, ``w1``.
+
+    The outcome is 1 when ``u`` reaches the conditional probability of 0;
+    a pick of a zero-weight outcome flips to the other one, a case only
+    floating-point corners reach.  That makes the rule ``u >= w0 / (w0 + w1)``
+    while ``w1`` is nonzero, and 0 otherwise.  It works elementwise, on
+    floats and on arrays alike.
+    """
+    return (u >= w0 / (w0 + w1)) & (w1 != 0.0)
+
+
 class QuantumRegister:
     """A pure state over an ordered list of named two-level subsystems."""
 
@@ -228,10 +240,7 @@ class QuantumRegister:
         comp = self._components(name, basis)
         weights = (np.abs(comp) ** 2).reshape(2, -1).sum(axis=1)
         p = weights / weights.sum()
-        outcome = 0 if rng.random() < p[0] else 1
-        if weights[outcome] == 0.0:
-            # Only reachable through floating-point corner cases.
-            outcome = 1 - outcome
+        outcome = int(_pick(weights[0], weights[1], rng.random()))
         branch = comp[outcome]
         scale = np.sqrt(norm2 / weights[outcome])
         psi = np.multiply.outer(vs[:, outcome], branch) * scale

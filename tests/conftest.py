@@ -8,8 +8,12 @@ class ScriptedRng:
     def __init__(self, draws):
         self._draws = list(draws)
 
-    def random(self):
-        return self._draws.pop(0)
+    def random(self, size=None):
+        if size is None:
+            return self._draws.pop(0)
+        block, self._draws = self._draws[:size], self._draws[size:]
+        assert len(block) == size, "script ran out of draws"
+        return np.array(block)
 
 
 @pytest.fixture

@@ -141,6 +141,54 @@ class TestReflection:
         assert params.ks_over_k == pytest.approx(0.7)
 
 
+TINY = 2.0**-900
+
+
+def cold_closed_form(kappa, kappa_s, delta_c):
+    return (0.5 * kappa_s - 0.5 * kappa - 1j * delta_c) / (0.5 * (kappa + kappa_s) - 1j * delta_c)
+
+
+class TestSubnormalColdReflection:
+    def test_smallest_kappa_reflects_with_minus_one(self):
+        params = CavityParams(g=1.0, kappa=5e-324, delta_c=0.0)
+        assert reflection(params, coupled=False) == -1.0
+
+    @pytest.mark.parametrize(
+        "kappa, kappa_s, delta_c, want",
+        [
+            (5e-324, 5e-324, 0.0, 0.0),
+            (1e-320, 0.0, 1e-320, 0.6 - 0.8j),
+            (3e-323, 0.0, -3e-323, 0.6 + 0.8j),
+        ],
+    )
+    def test_explicit_subnormal_rates(self, kappa, kappa_s, delta_c, want):
+        params = CavityParams(g=1.0, kappa=kappa, kappa_s=kappa_s, delta_c=delta_c)
+        assert reflection(params, coupled=False) == pytest.approx(want, abs=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kappa=st.floats(5e-324, TINY, exclude_max=True),
+        kappa_s=st.floats(0.0, TINY, exclude_max=True),
+        delta_c=st.floats(-TINY, TINY, exclude_min=True, exclude_max=True),
+    )
+    def test_tiny_rates_scale_exactly(self, kappa, kappa_s, delta_c):
+        params = CavityParams(g=1.0, kappa=kappa, kappa_s=kappa_s, delta_c=delta_c)
+        r = reflection(params, coupled=False)
+        scale = 2.0**1000
+        assert r == cold_closed_form(kappa * scale, kappa_s * scale, delta_c * scale)
+        assert abs(r) <= 1.0 + 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kappa=st.floats(TINY, 1e3),
+        kappa_s=st.floats(0.0, 1e3),
+        delta_c=st.floats(-1e3, 1e3),
+    )
+    def test_other_rates_use_the_closed_form_unscaled(self, kappa, kappa_s, delta_c):
+        params = CavityParams(g=1.0, kappa=kappa, kappa_s=kappa_s, delta_c=delta_c)
+        assert reflection(params, coupled=False) == cold_closed_form(kappa, kappa_s, delta_c)
+
+
 class TestPhaseShifts:
     def test_difference_and_rotation_angle_are_consistent(self, rng):
         for _ in range(100):

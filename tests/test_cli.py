@@ -329,9 +329,17 @@ class TestQsdcErrorPaths:
             ([], '{"message_bits": "0101", "seed": 1e400}', "infinity"),
             (["--pairs", "400", "--eve", "intercept_resend", "--qber-threshold", "nan",
               "--seed", "3"], None, "qber_abort_threshold"),
+            (["--sample-fraction", "0.9999999999999999"], None, "pair_count must lie"),
+            ([], '{"message_bits": "0101", "pair_count": 1e300}', "pair_count must lie"),
+            ([], '{"message_bits": "0101", "pair_count": 63.9}', "pair_count must be a whole"),
+            ([], '{"message_bits": "0101", "seed": 7.8}', "seed must be a whole"),
+            ([], '{"message_bits": "0101", "pair_count": true}', "pair_count must be a whole"),
+            ([], '{"message_bits": "0101", "seed": false}', "seed must be a whole"),
         ],
         ids=["unit_sample_fraction", "nan_sample_fraction", "infinite_pair_count",
-             "infinite_seed", "nan_qber_threshold"],
+             "infinite_seed", "nan_qber_threshold", "huge_auto_pair_count",
+             "huge_pair_count", "fractional_pair_count", "fractional_seed",
+             "boolean_pair_count", "boolean_seed"],
     )
     def test_bad_values_give_one_error_line(
         self, argv, config_text, message, tmp_path, capsys
@@ -348,3 +356,12 @@ class TestQsdcErrorPaths:
         assert err.count("\n") == 1
         assert message in err
         assert "Traceback" not in err
+
+    def test_integral_config_numbers_are_accepted(self, tmp_path, capsys):
+        config = tmp_path / "session.json"
+        config.write_text('{"message_bits": "0101", "pair_count": 64.0, "seed": 1e3}')
+        code, out, _ = run_cli(["qsdc", "--config", str(config)], capsys)
+        assert code == 0
+        resolved = json.loads(out)["config"]
+        assert (resolved["pair_count"], resolved["seed"]) == (64, 1000)
+        assert type(resolved["pair_count"]) is int and type(resolved["seed"]) is int

@@ -2,17 +2,26 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from spatialbsa.bsa import analyze
+from conftest import ScriptedRng
+from spatialbsa.bsa import analyze, analyze_pairs, outcome_distribution
 from spatialbsa.qsdc import (
     BITS_BY_BELL,
+    MAX_PAIR_COUNT,
+    OP_BY_BITS,
     ChannelModel,
     EveModel,
-    OP_BY_BITS,
     QsdcConfig,
     SessionReport,
+    _draw_trips,
+    _SWAP_PHASE,
+    _trip_table,
     apply_channel,
+    apply_rail_ops,
+    bell_pairs,
     eve_intercept_resend,
+    measure_photon,
     phase1_sample_count,
     run_session,
     transcript_jsonl,
@@ -28,10 +37,26 @@ from spatialbsa.register import (
 )
 
 
-def single_rail_register(amps):
-    return QuantumRegister(
-        [Subsystem("a", Kind.SPATIAL)], np.asarray(amps, dtype=complex)
-    )
+def travel_photon_rows(amps):
+    # Photon a in ``amps``, its partner on rail 1: one row of a pair array.
+    return np.einsum("i,j->ij", np.asarray(amps, dtype=complex), [1.0, 0.0])[None]
+
+
+def as_register(row):
+    subsystems = [Subsystem("a", Kind.SPATIAL), Subsystem("b", Kind.SPATIAL)]
+    return QuantumRegister(subsystems, row.reshape(4))
+
+
+# Keep scripted uniforms this far from the probability they are compared
+# with, so that rounding differences between two exact methods cannot flip
+# a draw.
+MARGIN = 1e-9
+
+
+def pair_states():
+    parts = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)
+    amps = parts.map(lambda p: np.array(p[:4]) + 1j * np.array(p[4:]))
+    return amps.filter(lambda a: np.linalg.norm(a) > 1e-3).map(lambda a: a / np.linalg.norm(a))
 
 
 def phase1_rate(report, basis):
@@ -64,32 +89,109 @@ class TestDenseCodingMaps:
                 assert BITS_BY_BELL[record.inferred] == bits
 
 
+class TestPairArray:
+    def test_rows_start_in_phi_plus(self):
+        psi = bell_pairs(3)
+        assert psi.shape == (3, 2, 2)
+        for row in psi:
+            assert np.array_equal(row.reshape(4), make_bell(BellState.PHI_PLUS).amplitudes)
+
+    @pytest.mark.parametrize("op", list(RailOp))
+    def test_rail_ops_match_the_register_gates(self, op):
+        want = make_bell(BellState.PHI_PLUS)
+        apply_spatial_unitary(want, "a", op)
+        swap, phase = _SWAP_PHASE[op]
+        psi = apply_rail_ops(bell_pairs(1), np.array([swap]), np.array([phase]))
+        assert np.array_equal(psi[0].reshape(4), want.amplitudes)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        amps=pair_states(),
+        photon=st.sampled_from(["a", "b"]),
+        basis=st.sampled_from(["z", "x"]),
+        u=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_measure_matches_the_register(self, amps, photon, basis, u):
+        reg = as_register(amps.copy())
+        assume(abs(u - reg.probabilities(photon, basis)[0]) >= MARGIN)
+        want, _, _ = reg.measure(photon, basis, ScriptedRng([u]))
+        psi = amps.reshape(1, 2, 2).copy()
+        got = measure_photon(psi, photon, np.array([basis == "x"]), np.array([u]))
+        assert got.tolist() == [want]
+        assert np.allclose(psi[0].reshape(4), reg.amplitudes, rtol=0.0, atol=1e-12)
+
+
+class TestTripDraws:
+    def test_trips_without_eve_draw_twice_each(self, scripted_rng):
+        rng = scripted_rng([0.1, 0.2, 0.3, 0.4, 0.5])
+        u, starts = _draw_trips(rng, 2, EveModel.none(), tail=0)
+        assert u.tolist() == [0.1, 0.2, 0.3, 0.4]
+        assert starts.tolist() == [0, 2]
+        assert rng._draws == [0.5]
+
+    def test_intercepted_trips_take_basis_and_outcome(self, scripted_rng):
+        # Trip 0: channel 0.9 0.9, coin 0.2 < 0.5 so basis 0.6 and outcome
+        # 0.7, then its tail draw 0.3.  Trip 1: coin 0.8 passes, tail 0.4.
+        draws = [0.9, 0.9, 0.2, 0.6, 0.7, 0.3, 0.1, 0.1, 0.8, 0.4, 0.55]
+        rng = scripted_rng(draws)
+        eve = EveModel.intercept_resend(0.5)
+        u, starts = _draw_trips(rng, 2, eve, tail=1)
+        assert rng._draws == [0.55]
+        table, hit = _trip_table(u, starts, eve, tail=1)
+        assert hit.tolist() == [True, False]
+        assert table[0].tolist() == [0.9, 0.9, 0.6, 0.7, 0.3]
+        assert table[1, :2].tolist() == [0.1, 0.1]
+        assert np.isnan(table[1, 2:4]).all()
+        assert table[1, 4] == 0.4
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        fraction=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
+        tail=st.integers(0, 3),
+        seed=st.integers(0, 2**32),
+    )
+    def test_block_draws_equal_scalar_draws(self, n, fraction, tail, seed):
+        eve = EveModel.intercept_resend(fraction)
+        block_rng = np.random.default_rng(seed)
+        u, starts = _draw_trips(block_rng, n, eve, tail)
+        scalar_rng = np.random.default_rng(seed)
+        want = []
+        for _ in range(n):
+            trip = [scalar_rng.random() for _ in range(3)]
+            if trip[2] < fraction:
+                trip += [scalar_rng.random(), scalar_rng.random()]
+            want += trip + [scalar_rng.random() for _ in range(tail)]
+        assert u.tolist() == want
+        assert block_rng.random() == scalar_rng.random()
+
+
 class TestEve:
-    def test_z_pick_leaves_rail_eigenstate_alone(self, scripted_rng):
-        reg = single_rail_register([1.0, 0.0])
-        eve_intercept_resend(reg, "a", scripted_rng([0.2, 0.9]))
-        assert np.allclose(reg.amplitudes, [1.0, 0.0], atol=1e-12)
+    def test_z_pick_leaves_rail_eigenstate_alone(self):
+        psi = travel_photon_rows([1.0, 0.0])
+        eve_intercept_resend(psi, np.array([[0.2, 0.9]]))
+        assert np.allclose(psi[0, :, 0], [1.0, 0.0], atol=1e-12)
 
-    def test_z_pick_collapses_superposition_both_ways(self, scripted_rng):
+    def test_z_pick_collapses_superposition_both_ways(self):
         sq = 1.0 / np.sqrt(2.0)
-        reg = single_rail_register([sq, sq])
-        eve_intercept_resend(reg, "a", scripted_rng([0.2, 0.25]))
-        assert np.allclose(np.abs(reg.amplitudes), [1.0, 0.0], atol=1e-12)
-        reg = single_rail_register([sq, sq])
-        eve_intercept_resend(reg, "a", scripted_rng([0.2, 0.75]))
-        assert np.allclose(np.abs(reg.amplitudes), [0.0, 1.0], atol=1e-12)
+        psi = travel_photon_rows([sq, sq])
+        eve_intercept_resend(psi, np.array([[0.2, 0.25]]))
+        assert np.allclose(np.abs(psi[0, :, 0]), [1.0, 0.0], atol=1e-12)
+        psi = travel_photon_rows([sq, sq])
+        eve_intercept_resend(psi, np.array([[0.2, 0.75]]))
+        assert np.allclose(np.abs(psi[0, :, 0]), [0.0, 1.0], atol=1e-12)
 
-    def test_x_pick_keeps_plus_superposition(self, scripted_rng):
+    def test_x_pick_keeps_plus_superposition(self):
         sq = 1.0 / np.sqrt(2.0)
-        reg = single_rail_register([sq, sq])
-        eve_intercept_resend(reg, "a", scripted_rng([0.7, 0.3]))
-        assert np.allclose(reg.amplitudes, [sq, sq], atol=1e-12)
+        psi = travel_photon_rows([sq, sq])
+        eve_intercept_resend(psi, np.array([[0.7, 0.3]]))
+        assert np.allclose(psi[0, :, 0], [sq, sq], atol=1e-12)
 
     def test_attack_breaks_pair_entanglement(self, rng):
-        reg = make_bell(BellState.PHI_PLUS)
-        eve_intercept_resend(reg, "a", rng)
-        # the pair is now a product state, so photon a factors out
-        reg.remove_subsystem("a")
+        psi = eve_intercept_resend(bell_pairs(4), rng.random((4, 2)))
+        # every row is now a product state, so photon a factors out
+        for row in psi:
+            as_register(row).remove_subsystem("a")
 
     def test_matched_basis_error_is_one_quarter_analytically(self):
         # Enumerate the full tree (check basis x Eve basis x Eve outcome)
@@ -120,31 +222,54 @@ class TestEve:
 
 class TestChannel:
     def test_identity_channel_draws_twice_and_does_nothing(self, scripted_rng):
-        reg = make_bell(BellState.PHI_PLUS)
-        before = reg.amplitudes.copy()
+        psi = bell_pairs(1)
+        before = psi.copy()
         rng = scripted_rng([0.3, 0.6])
-        apply_channel(reg, "a", ChannelModel(), rng)
-        assert np.array_equal(reg.amplitudes, before)
+        u, _ = _draw_trips(rng, 1, EveModel.none(), tail=0)
+        apply_channel(psi, ChannelModel(), u.reshape(1, 2))
+        assert np.array_equal(psi, before)
         assert rng._draws == []
 
-    def test_certain_mode_flip_swaps_rails(self, scripted_rng):
-        reg = single_rail_register([1.0, 0.0])
-        apply_channel(reg, "a", ChannelModel(mode_flip_prob=1.0), scripted_rng([0.99, 0.5]))
-        assert np.allclose(reg.amplitudes, [0.0, 1.0], atol=1e-12)
+    def test_certain_mode_flip_swaps_rails(self):
+        psi = travel_photon_rows([1.0, 0.0])
+        apply_channel(psi, ChannelModel(mode_flip_prob=1.0), np.array([[0.99, 0.5]]))
+        assert np.allclose(psi[0, :, 0], [0.0, 1.0], atol=1e-12)
 
-    def test_phase_flip_turns_phi_plus_into_phi_minus(self, scripted_rng):
-        reg = make_bell(BellState.PHI_PLUS)
-        apply_channel(reg, "a", ChannelModel(phase_flip_prob=1.0), scripted_rng([0.5, 0.5]))
-        assert reg.equal_up_to_global_phase(make_bell(BellState.PHI_MINUS), atol=1e-12)
+    def test_phase_flip_turns_phi_plus_into_phi_minus(self):
+        psi = apply_channel(bell_pairs(1), ChannelModel(phase_flip_prob=1.0), np.array([[0.5, 0.5]]))
+        assert as_register(psi[0]).equal_up_to_global_phase(
+            make_bell(BellState.PHI_MINUS), atol=1e-12
+        )
         # the analyzer then reads the identity encoding as the phase encoding
-        record = analyze(reg, rng=np.random.default_rng(0))
-        assert BITS_BY_BELL[record.inferred] == "10"
+        (inferred,) = analyze_pairs(psi, np.random.default_rng(0).random((1, 3)))
+        assert BITS_BY_BELL[inferred] == "10"
 
     @pytest.mark.parametrize("kwargs", [{"mode_flip_prob": -0.1},
                                         {"phase_flip_prob": 1.5}])
     def test_invalid_probabilities_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ChannelModel(**kwargs)
+
+
+class TestAnalyzePairs:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        amps=pair_states(),
+        uniforms=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=3, max_size=3),
+    )
+    def test_rows_match_analyze(self, amps, uniforms):
+        w = outcome_distribution(as_register(amps)).weights
+        u_readout, u_a, u_b = uniforms
+        assume(abs(u_readout - w[0] / (w[0] + w[1])) >= MARGIN)
+        k = int(u_readout >= w[0] / (w[0] + w[1]))
+        assume(abs(u_a - w[2 + 2 * k] / (w[2 + 2 * k] + w[3 + 2 * k])) >= MARGIN)
+        j = int(u_a >= w[2 + 2 * k] / (w[2 + 2 * k] + w[3 + 2 * k]))
+        i = 6 + 4 * k + 2 * j
+        if w[i] + w[i + 1] > 0.0:
+            assume(abs(u_b - w[i] / (w[i] + w[i + 1])) >= MARGIN)
+        want = analyze(as_register(amps), rng=ScriptedRng(uniforms)).inferred
+        (got,) = analyze_pairs(amps.reshape(1, 2, 2), np.array([uniforms]))
+        assert got is want
 
 
 class TestConfigValidation:
@@ -170,6 +295,11 @@ class TestConfigValidation:
         kwargs.setdefault("pair_count", 50)
         with pytest.raises(ValueError):
             QsdcConfig(**kwargs)
+
+    @pytest.mark.parametrize("pair_count", [MAX_PAIR_COUNT + 1, 1e300, float("nan")])
+    def test_pair_count_is_bounded(self, pair_count):
+        with pytest.raises(ValueError, match="pair_count must lie between"):
+            QsdcConfig(message_bits="01", pair_count=pair_count)
 
     def test_infeasible_pair_budget_rejected(self):
         with pytest.raises(ValueError):
@@ -284,6 +414,22 @@ class TestSessions:
         assert roles.count("check") == 30
         for event in report.transcript:
             json.dumps(event)  # every event must be plainly serializable
+
+    def test_events_hold_plain_python_values(self):
+        config = QsdcConfig(
+            message_bits="0110" * 8,
+            pair_count=200,
+            sample_fraction=0.3,
+            eve_model=EveModel.intercept_resend(0.3),
+            channel_model=ChannelModel(mode_flip_prob=0.05, phase_flip_prob=0.05),
+            qber_abort_threshold=1.0,
+            seed=9,
+        )
+        report = run_session(config)
+        assert report.transcript[-1]["event"] == "phase2_summary"
+        for event in report.transcript:
+            for value in event.values():
+                assert type(value) in (int, bool, str, float), (event, value)
 
     def test_transcript_jsonl_round_trip(self):
         config = QsdcConfig(message_bits="01", pair_count=30, sample_fraction=0.2, seed=5)
