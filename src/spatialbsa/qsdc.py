@@ -207,12 +207,14 @@ def measure_photon(psi: np.ndarray, photon: str, x_basis, u) -> np.ndarray:
     comp = t.copy()
     h0, h1 = SQRT_HALF * t[x_basis, 0], SQRT_HALF * t[x_basis, 1]
     comp[x_basis, 0], comp[x_basis, 1] = h0 + h1, h0 - h1
-    weights = (np.abs(comp) ** 2).sum(axis=2)
+    weights = np.abs(comp)
+    weights **= 2
+    weights = weights.sum(axis=2)
     outcome = _pick(weights[:, 0], weights[:, 1], u).astype(int)
     rows = np.arange(len(psi))
     ket = np.where(x_basis[:, None], HADAMARD.real[outcome], np.eye(2)[outcome])
-    scale = np.sqrt(weights.sum(axis=1) / weights[rows, outcome])
-    t[...] = (ket[:, :, None] * comp[rows, outcome][:, None, :]) * scale[:, None, None]
+    t[...] = ket[:, :, None] * comp[rows, outcome][:, None, :]
+    t *= np.sqrt(weights.sum(axis=1) / weights[rows, outcome])[:, None, None]
     return outcome
 
 
