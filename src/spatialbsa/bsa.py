@@ -387,8 +387,8 @@ def analyze_pairs(psi: np.ndarray, uniforms: np.ndarray) -> list[BellState]:
     """
     n = len(psi)
     maps = _branch_maps(None, True)[..., 0, 0].reshape(64, 4)
-    # Square the real and imaginary parts of the (branch, out) amplitudes in
-    # place, then sum each pair and each branch's eight outputs.
+    # The (n, 64) branch amplitudes are the largest array of a session, so
+    # their real and imaginary parts are squared in place.
     parts = (psi.reshape(n, 4) @ maps.T).view(float)
     parts **= 2
     joint = parts.reshape(n, 8, 8, 2).sum(axis=3).sum(axis=2)

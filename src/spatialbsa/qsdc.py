@@ -221,7 +221,8 @@ def measure_photon(psi: np.ndarray, photon: str, x_basis, u) -> np.ndarray:
 def apply_channel(psi: np.ndarray, channel: ChannelModel, u) -> np.ndarray:
     """Apply the channel's rail-swap and rail-phase errors to photon a of each
     row; ``u[i]`` holds row i's two uniforms, swap first."""
-    return apply_rail_ops(psi, u[:, 0] < channel.mode_flip_prob, u[:, 1] < channel.phase_flip_prob)
+    swap, phase = u[:, 0] < channel.mode_flip_prob, u[:, 1] < channel.phase_flip_prob
+    return apply_rail_ops(psi, swap, phase)
 
 
 def eve_intercept_resend(psi: np.ndarray, u) -> np.ndarray:

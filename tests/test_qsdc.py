@@ -236,7 +236,8 @@ class TestChannel:
         assert np.allclose(psi[0, :, 0], [0.0, 1.0], atol=1e-12)
 
     def test_phase_flip_turns_phi_plus_into_phi_minus(self):
-        psi = apply_channel(bell_pairs(1), ChannelModel(phase_flip_prob=1.0), np.array([[0.5, 0.5]]))
+        channel = ChannelModel(phase_flip_prob=1.0)
+        psi = apply_channel(bell_pairs(1), channel, np.array([[0.5, 0.5]]))
         assert as_register(psi[0]).equal_up_to_global_phase(
             make_bell(BellState.PHI_MINUS), atol=1e-12
         )
