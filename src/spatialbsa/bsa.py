@@ -295,6 +295,21 @@ class OutcomeDistribution:
         self.success = w[0] + w[1]
 
 
+def _joint(branch: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Branch probabilities of input columns: (m, 8) from ``cols`` (d, m).
+
+    ``branch`` (8, 8, d) maps the d input amplitudes to each branch's 8
+    output kets; a row of the result sums a column's squared moduli over
+    those kets.
+    """
+    out = cols.T @ branch.reshape(64, -1).T
+    # (m, 64) is the largest array of a session's phase 2, so its real and
+    # imaginary parts are squared in place.
+    parts = out.view(float)
+    parts **= 2
+    return parts.reshape(-1, 8, 8, 2).sum(axis=3).sum(axis=2)
+
+
 def _distribution(reg: QuantumRegister, maps: np.ndarray) -> OutcomeDistribution:
     present = {s.name for s in reg.subsystems}
     for name in (SPIN_NAME, AUX_NAME):
@@ -310,8 +325,8 @@ def _distribution(reg: QuantumRegister, maps: np.ndarray) -> OutcomeDistribution
             inputs.append(slice(None))
     branch = maps[(slice(None), slice(None), *inputs)].reshape(8, 8, -1)
     psi = np.moveaxis(reg.amplitudes.reshape([2] * reg.n), axes, range(len(axes)))
-    out = branch @ psi.reshape(branch.shape[-1], -1)
-    return OutcomeDistribution((out.real**2 + out.imag**2).sum(axis=(1, 2)).reshape(2, 2, 2))
+    joint = _joint(branch, psi.reshape(branch.shape[-1], -1)).sum(axis=0)
+    return OutcomeDistribution(joint.reshape(2, 2, 2))
 
 
 @functools.lru_cache(maxsize=256)
@@ -386,12 +401,7 @@ def analyze_pairs(psi: np.ndarray, uniforms: np.ndarray) -> list[BellState]:
     ``analyze`` infers on that pair with those draws.
     """
     n = len(psi)
-    maps = _branch_maps(None, True)[..., 0, 0].reshape(64, 4)
-    # The (n, 64) branch amplitudes are the largest array of a session, so
-    # their real and imaginary parts are squared in place.
-    parts = (psi.reshape(n, 4) @ maps.T).view(float)
-    parts **= 2
-    joint = parts.reshape(n, 8, 8, 2).sum(axis=3).sum(axis=2)
+    joint = _joint(_branch_maps(None, True)[..., 0, 0].reshape(8, 8, 4), psi.reshape(n, 4).T)
     k, j, l = _pick_branch(
         _branch_weights(joint.reshape(n, 2, 2, 2)).ravel(),
         uniforms[:, 0],

@@ -37,10 +37,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsa import analyze_pairs
-from .register import HADAMARD, SQRT_HALF, BellState, RailOp, _pick
+from .register import _RAIL_OP_MATRICES, HADAMARD, SQRT_HALF, BellState, RailOp, _pick
 
-# The largest session a config may ask for.  The pairs are allocated up
-# front, 64 bytes each, and the transcript holds an event per pair.
+# The largest session a config may ask for.  A session peaks at about
+# 1.9 KB per pair, in phase 2's analyzer contraction, and its transcript
+# keeps about 360 bytes per pair, so this bound holds one near 2 GB.
 MAX_PAIR_COUNT = 1_000_000
 
 OP_BY_BITS = {
@@ -62,14 +63,6 @@ BELL_BY_OP = {
 BITS_BY_BELL = {bell: BITS_BY_OP[op] for op, bell in BELL_BY_OP.items()}
 
 _OP_ORDER = (RailOp.IDENTITY, RailOp.SWAP, RailOp.PHASE, RailOp.SWAP_PHASE)
-
-# Each rail operation as (swap the rails, then flip the sign of rail 2).
-_SWAP_PHASE = {
-    RailOp.IDENTITY: (False, False),
-    RailOp.SWAP: (True, False),
-    RailOp.PHASE: (False, True),
-    RailOp.SWAP_PHASE: (True, True),
-}
 
 
 @dataclass(frozen=True)
@@ -183,16 +176,9 @@ def bell_pairs(n: int) -> np.ndarray:
     return psi
 
 
-def apply_rail_ops(psi: np.ndarray, swap, phase) -> np.ndarray:
-    """Swap photon a's rails on the rows ``swap`` selects, then flip the sign
-    of its rail 2 on the rows ``phase`` selects, in place.
-
-    Those two are the channel's errors and, composed, the four rail
-    operations of dense coding (see ``_SWAP_PHASE``).
-    """
-    psi[swap] = psi[swap, ::-1]
-    psi[phase, 1] = -psi[phase, 1]
-    return psi
+def encode_pairs(psi: np.ndarray, ops) -> np.ndarray:
+    """Apply row i's rail operation ``ops[i]`` to its photon a."""
+    return np.stack([_RAIL_OP_MATRICES[op] for op in ops]) @ psi
 
 
 def measure_photon(psi: np.ndarray, photon: str, x_basis, u) -> np.ndarray:
@@ -204,25 +190,29 @@ def measure_photon(psi: np.ndarray, photon: str, x_basis, u) -> np.ndarray:
     outcomes as an int array.
     """
     t = psi if photon == "a" else psi.transpose(0, 2, 1)  # axis 1: measured rail
-    comp = t.copy()
+    # Rotate the X rows into the measurement basis, in place.
     h0, h1 = SQRT_HALF * t[x_basis, 0], SQRT_HALF * t[x_basis, 1]
-    comp[x_basis, 0], comp[x_basis, 1] = h0 + h1, h0 - h1
-    weights = np.abs(comp)
+    t[x_basis, 0], t[x_basis, 1] = h0 + h1, h0 - h1
+    del h0, h1
+    weights = np.abs(t)
     weights **= 2
     weights = weights.sum(axis=2)
     outcome = _pick(weights[:, 0], weights[:, 1], u).astype(int)
     rows = np.arange(len(psi))
+    kept = t[rows, outcome]
     ket = np.where(x_basis[:, None], HADAMARD.real[outcome], np.eye(2)[outcome])
-    t[...] = ket[:, :, None] * comp[rows, outcome][:, None, :]
+    np.multiply(ket[:, :, None], kept[:, None, :], out=t)
     t *= np.sqrt(weights.sum(axis=1) / weights[rows, outcome])[:, None, None]
     return outcome
 
 
 def apply_channel(psi: np.ndarray, channel: ChannelModel, u) -> np.ndarray:
     """Apply the channel's rail-swap and rail-phase errors to photon a of each
-    row; ``u[i]`` holds row i's two uniforms, swap first."""
+    row, in place; ``u[i]`` holds row i's two uniforms, swap first."""
     swap, phase = u[:, 0] < channel.mode_flip_prob, u[:, 1] < channel.phase_flip_prob
-    return apply_rail_ops(psi, swap, phase)
+    psi[swap] = psi[swap, ::-1]
+    psi[phase, 1] = -psi[phase, 1]
+    return psi
 
 
 def eve_intercept_resend(psi: np.ndarray, u) -> np.ndarray:
@@ -242,29 +232,21 @@ def _draw_trips(rng, n: int, eve: EveModel, tail: int) -> tuple[np.ndarray, np.n
     A trip draws two channel uniforms, then Eve's coin if she is active,
     then her basis and outcome if the coin falls below her fraction.
     Returns the uniforms in draw order and each trip's offset into them.
-    Each block asks only for what the trips not yet parsed need at least,
-    so the generator ends exactly where one scalar draw at a time would.
     """
-    short = 2 + eve.active + tail
     if not eve.active or eve.fraction in (0.0, 1.0):
         # No coin, or one whose fall is certain: a uniform in [0, 1) is
-        # always below 1 and never below 0.  Every trip has one length.
-        length = short + 2 * (eve.active and eve.fraction == 1.0)
+        # always below 1 and never below 0.  Every trip has one length, so
+        # one block holds them all.
+        length = 2 + eve.active + tail + 2 * (eve.active and eve.fraction == 1.0)
         return rng.random(n * length), length * np.arange(n)
     u: list[float] = []
     starts: list[int] = []
-    pos = 0
-    while len(starts) < n:
-        need = pos + (n - len(starts)) * short
-        if pos + 2 < len(u) and u[pos + 2] < eve.fraction:
-            need += 2
-        u += rng.random(need - len(u)).tolist()
-        while len(starts) < n and pos + 2 < len(u):
-            length = short + 2 * (u[pos + 2] < eve.fraction)
-            if pos + length > len(u):
-                break
-            starts.append(pos)
-            pos += length
+    for _ in range(n):
+        starts.append(len(u))
+        u += [rng.random() for _ in range(3)]
+        if u[-1] < eve.fraction:
+            u += [rng.random(), rng.random()]
+        u += [rng.random() for _ in range(tail)]
     return np.array(u), np.array(starts, dtype=int)
 
 
@@ -288,7 +270,10 @@ def _trip_table(u: np.ndarray, starts: np.ndarray, eve: EveModel, tail: int):
 def _transit(psi: np.ndarray, config: QsdcConfig, table: np.ndarray, hit) -> None:
     # One trip of every row's travel photon through the channel, with Eve last.
     apply_channel(psi, config.channel_model, table[:, :2])
-    psi[hit] = eve_intercept_resend(psi[hit], table[hit, 2:4])
+    if hit.all():
+        eve_intercept_resend(psi, table[:, 2:4])
+    elif hit.any():
+        psi[hit] = eve_intercept_resend(psi[hit], table[hit, 2:4])
 
 
 def run_session(config: QsdcConfig) -> SessionReport:
@@ -374,9 +359,7 @@ def run_session(config: QsdcConfig) -> SessionReport:
         size += len(u)
     trips, hit = _trip_table(np.concatenate(blocks), np.concatenate(offsets), eve, tail=3)
 
-    back = psi[remaining]
-    flips = np.array([_SWAP_PHASE[OP_BY_BITS[bits]] for bits in encoded], dtype=bool)
-    apply_rail_ops(back, flips[:, 0], flips[:, 1])
+    back = encode_pairs(psi[remaining], [OP_BY_BITS[bits] for bits in encoded])
     _transit(back, config, trips, hit)
     inferred = analyze_pairs(back, trips[:, 4:])
 

@@ -15,11 +15,10 @@ from spatialbsa.qsdc import (
     QsdcConfig,
     SessionReport,
     _draw_trips,
-    _SWAP_PHASE,
     _trip_table,
     apply_channel,
-    apply_rail_ops,
     bell_pairs,
+    encode_pairs,
     eve_intercept_resend,
     measure_photon,
     phase1_sample_count,
@@ -100,8 +99,7 @@ class TestPairArray:
     def test_rail_ops_match_the_register_gates(self, op):
         want = make_bell(BellState.PHI_PLUS)
         apply_spatial_unitary(want, "a", op)
-        swap, phase = _SWAP_PHASE[op]
-        psi = apply_rail_ops(bell_pairs(1), np.array([swap]), np.array([phase]))
+        psi = encode_pairs(bell_pairs(1), [op])
         assert np.array_equal(psi[0].reshape(4), want.amplitudes)
 
     @settings(max_examples=40, deadline=None)
