@@ -177,8 +177,12 @@ def bell_pairs(n: int) -> np.ndarray:
 
 
 def encode_pairs(psi: np.ndarray, ops) -> np.ndarray:
-    """Apply row i's rail operation ``ops[i]`` to its photon a."""
-    return np.stack([_RAIL_OP_MATRICES[op] for op in ops]) @ psi
+    """Apply row i's rail operation ``ops[i]`` to its photon a, in place."""
+    ops = np.array(ops, dtype=object)
+    for op, matrix in _RAIL_OP_MATRICES.items():
+        rows = ops == op
+        psi[rows] = matrix @ psi[rows]
+    return psi
 
 
 def measure_photon(psi: np.ndarray, photon: str, x_basis, u) -> np.ndarray:
