@@ -10,7 +10,10 @@ pins its full CSV text; both must match byte for byte.  Four larger
 sessions are pinned by the SHA-256 of their sorted-key transcript JSON: the
 benchmark's seed-1 intercept-resend and clean runs, a noisy session with a
 30% eavesdropper that reaches phase 2, and one where the eavesdropper takes
-every photon in both directions.
+every photon in both directions.  The emitted `qsdc` text is pinned too, as
+the full stdout of the two small cases and as the SHA-256 of the four
+larger ones: indentation, key order and float text are part of the
+contract.
 """
 
 import hashlib
@@ -28,9 +31,14 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_outputs.json").read_text())
 RTOL = 1e-12
 
 
-def run_cli(argv, capsys):
+def run_cli_text(argv, capsys):
     code = cli.main(argv)
-    return code, json.loads(capsys.readouterr().out)
+    return code, capsys.readouterr().out
+
+
+def run_cli(argv, capsys):
+    code, out = run_cli_text(argv, capsys)
+    return code, json.loads(out)
 
 
 @pytest.mark.parametrize("case", GOLDEN["bsa"], ids=lambda c: " ".join(c["argv"][1:3]))
@@ -65,6 +73,13 @@ def test_qsdc_config_matches_golden(case, capsys):
     )
 
 
+@pytest.mark.parametrize("case", GOLDEN["qsdc"], ids=("clean", "eve_and_noise"))
+def test_qsdc_stdout_matches_golden(case, capsys):
+    code, out = run_cli_text(case["argv"], capsys)
+    assert code == case["exit_code"]
+    assert out == case["stdout"]
+
+
 @pytest.mark.parametrize("case", GOLDEN["sweep"], ids=lambda c: " ".join(c["argv"][1:]))
 def test_sweep_csv_matches_golden(case, capsys):
     code = cli.main(case["argv"])
@@ -74,12 +89,13 @@ def test_sweep_csv_matches_golden(case, capsys):
 
 @pytest.mark.parametrize("case", GOLDEN["qsdc_digest"], ids=lambda c: c["name"])
 def test_qsdc_transcript_digest_matches_golden(case, capsys):
-    code, payload = run_cli(case["argv"], capsys)
-    transcript = payload["report"]["transcript"]
+    code, out = run_cli_text(case["argv"], capsys)
+    transcript = json.loads(out)["report"]["transcript"]
     assert code == case["exit_code"]
     assert len(transcript) == case["events"]
     digest = hashlib.sha256(json.dumps(transcript, sort_keys=True).encode()).hexdigest()
     assert digest == case["transcript_sha256"]
+    assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]
 
 
 def half_odd_register():
