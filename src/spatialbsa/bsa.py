@@ -307,7 +307,10 @@ def _joint(branch: np.ndarray, cols: np.ndarray) -> np.ndarray:
     # imaginary parts are squared in place.
     parts = out.view(float)
     parts **= 2
-    return parts.reshape(-1, 8, 8, 2).sum(axis=3).sum(axis=2)
+    # A length-2 reduction is exactly re + im; numpy's sum over a last axis
+    # of two is a slow loop per row.
+    sq = parts.reshape(-1, 8, 8, 2)
+    return (sq[..., 0] + sq[..., 1]).sum(axis=2)
 
 
 def _distribution(reg: QuantumRegister, maps: np.ndarray) -> OutcomeDistribution:

@@ -290,6 +290,34 @@ def build_qsdc_config(args) -> QsdcConfig:
     )
 
 
+# One C-encoder pass lays out a whole transcript: its events are flat records
+# of scalars, so an item separator that carries a record key's indentation
+# serves both inside and between records, and only the record boundaries
+# need rewriting.  A JSON string holds no raw newline, so the boundary text
+# occurs nowhere else.
+_EVENT_INDENT = "\n" + 8 * " "
+_EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=("," + _EVENT_INDENT, ": "))
+
+
+def _qsdc_json(payload: dict) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)`` for a qsdc payload.
+
+    The pure-Python encoder that ``indent`` selects costs more than the
+    session on a large transcript; here it lays out only the small rest of
+    the payload.  The transcript must be a non-empty list of non-empty flat
+    records, as ``run_session`` makes it.  With sorted keys it is the last
+    value of the report, which is the payload's last value, so the last
+    ``[]`` of the small dump is its slot.
+    """
+    report = payload["report"]
+    head, _, tail = json.dumps(
+        {**payload, "report": {**report, "transcript": []}}, indent=2, sort_keys=True
+    ).rpartition("[]")
+    events = _EVENT_ENCODER.encode(report["transcript"])
+    body = events[2:-2].replace("}," + _EVENT_INDENT + "{", "\n      },\n      {" + _EVENT_INDENT)
+    return "".join((head, "[\n      {", _EVENT_INDENT, body, "\n      }\n    ]", tail))
+
+
 def cmd_qsdc(args) -> int:
     try:
         config = build_qsdc_config(args)
@@ -308,7 +336,7 @@ def cmd_qsdc(args) -> int:
             "transcript": report.transcript,
         },
     }
-    status = _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", resolve_out(args.out))
+    status = _emit(_qsdc_json(payload) + "\n", resolve_out(args.out))
     if status != 0:
         return status
     return 2 if report.aborted else 0

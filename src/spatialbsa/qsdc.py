@@ -39,9 +39,11 @@ import numpy as np
 from .bsa import analyze_pairs
 from .register import _RAIL_OP_MATRICES, HADAMARD, SQRT_HALF, BellState, RailOp, _pick
 
-# The largest session a config may ask for.  A session peaks at about
-# 1.9 KB per pair, in phase 2's analyzer contraction, and its transcript
-# keeps about 360 bytes per pair, so this bound holds one near 2 GB.
+# The largest session a config may ask for.  At the default sample
+# fraction a session peaks at about 1.9 KB per pair, in phase 2's analyzer
+# contraction, and the whole qsdc command, report text included, at the
+# same 1.9 KB; the transcript keeps about 340 bytes per pair.  So this
+# bound holds a command near 2 GB.
 MAX_PAIR_COUNT = 1_000_000
 
 OP_BY_BITS = {

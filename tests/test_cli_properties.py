@@ -1,4 +1,4 @@
-"""Property test over CLI argument vectors for all three subcommands.
+"""Property tests of the CLI: argument vectors and the qsdc report text.
 
 Every generated command must end with an exit code in {0, 1, 2} and no
 exception escaping ``cli.main``; a value error must come out as exactly one
@@ -6,6 +6,10 @@ exception escaping ``cli.main``; a value error must come out as exactly one
 at most 8, ``--pairs`` at most 64 and always given (without it the automatic
 pair count grows without bound as the sample fraction nears 1), messages of
 at most 8 bits.
+
+The qsdc report encoder must give the text of ``json.dumps(payload,
+indent=2, sort_keys=True)`` for any transcript of flat records, whatever
+their strings hold.
 """
 
 import contextlib
@@ -132,3 +136,46 @@ def test_cli_never_raises_and_reports_errors_on_one_line(argv, config):
         if not err.startswith("usage:"):
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Strings built from the pieces a layout rewrite could trip over, beside
+# arbitrary text (control characters and non-ASCII included).
+texts = st.lists(
+    st.one_of(
+        st.sampled_from(['"', "\\", "{", "}", "},", "\n", "[]", "},\n        {", "\u00e9\u2603"]),
+        st.text(max_size=4),
+    ),
+    max_size=4,
+).map("".join)
+scalars = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.sampled_from([-0.0, 1e300, math.nan, math.inf, -math.inf]),
+    st.booleans(),
+    st.none(),
+    texts,
+)
+records = st.dictionaries(texts, scalars, min_size=1, max_size=6)
+payloads = st.fixed_dictionaries(
+    {
+        "command": texts,
+        "config": st.dictionaries(
+            texts, st.one_of(scalars, st.dictionaries(texts, scalars, max_size=2)), max_size=4
+        ),
+        "report": st.fixed_dictionaries(
+            {
+                "phase1_qber": scalars,
+                "aborted": scalars,
+                "decoded_bits": scalars,
+                "phase2_sample_error_rate": scalars,
+                "transcript": st.lists(records, min_size=1, max_size=6),
+            }
+        ),
+    }
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload=payloads)
+def test_qsdc_report_text_equals_indented_dump(payload):
+    assert cli._qsdc_json(payload) == json.dumps(payload, indent=2, sort_keys=True)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import ScriptedRng
+from spatialbsa import bsa
 from spatialbsa.bsa import (
     SPIN_NAME,
     BsaRecord,
@@ -210,3 +211,38 @@ def test_zero_register_is_rejected(rng):
     )
     with pytest.raises(ZeroNormError):
         analyze(reg, rng=rng)
+
+
+def summed_joint(branch, cols):
+    """The two-axis ``.sum`` reduction ``_joint`` made before its re + im form."""
+    out = cols.T @ branch.reshape(64, -1).T
+    parts = out.view(float)
+    parts **= 2
+    return parts.reshape(-1, 8, 8, 2).sum(axis=3).sum(axis=2)
+
+
+@pytest.mark.parametrize("m", [1, 7, 4000])
+@pytest.mark.parametrize("point", [None, operating_point(2.4, 0.7)], ids=("ideal", "lossy"))
+def test_joint_reduction_matches_two_axis_sum(m, point):
+    maps = bsa._branch_maps(point, point is None)
+    gen = np.random.default_rng(m)
+    for branch, d in ((maps.reshape(8, 8, -1), 16), (maps[..., 0, 0].reshape(8, 8, 4), 4)):
+        cols = gen.normal(size=(d, m)) + 1j * gen.normal(size=(d, m))
+        assert np.array_equal(bsa._joint(branch, cols), summed_joint(branch, cols.copy()))
+
+
+@pytest.mark.parametrize("point", [None, operating_point(1.0, 0.7, detuning=0.2)])
+def test_register_with_extra_subsystem_keeps_its_joint(point, monkeypatch):
+    subsystems = [
+        Subsystem("b", Kind.SPATIAL),
+        Subsystem("spectator", Kind.SPATIAL),
+        Subsystem("a", Kind.SPATIAL),
+        Subsystem("a_pol", Kind.POLARIZATION),
+    ]
+    gen = np.random.default_rng(5)
+    amps = gen.normal(size=16) + 1j * gen.normal(size=16)
+    reg = QuantumRegister(subsystems, amps / np.linalg.norm(amps))
+    got = outcome_distribution(reg, point, point is None).joint
+    monkeypatch.setattr(bsa, "_joint", summed_joint)
+    want = outcome_distribution(reg, point, point is None).joint
+    assert np.array_equal(got, want)
