@@ -19,14 +19,14 @@ Together the flip bit and the detector pair identify the Bell state:
     unchanged, equal pair  -> phi+        changed, equal pair  -> psi+
     unchanged, mixed pair  -> phi-        changed, mixed pair  -> psi-
 
-``analyze`` does not run the stages gate by gate on every call.  The
-analyzer is a fixed linear map on the two photons' rails and polarizations,
-so the stage functions are driven once per operating point over the 16 input
-basis kets, giving one linear map per outcome branch (flip bit, detector of
-photon a, detector of photon b).  An input's exact joint distribution over
-those eight branches is a contraction with these maps, cached per Bell-state
-label; a run then draws three uniforms, for the readout photon, photon a and
-photon b in that order, which is the draw order the stages themselves use.
+``analyze`` does not run the stages gate by gate.  The analyzer is a fixed
+linear map that the cavity enters only through the cold and hot reflection
+amplitudes, so its map onto each outcome branch (flip bit, detector of
+photon a, detector of photon b) is built once per operating point by array
+algebra; ``parity_qnd`` and ``apply_bs`` stay as its register reference.
+An input's exact joint distribution over the eight branches is a
+contraction with these maps, cached per Bell-state label; a run then draws
+three uniforms, for the readout photon, photon a and photon b in that order.
 ``analyze_pairs`` runs the ideal analyzer on every row of a pair array at
 once: one contraction with the same maps, and the same three-uniform pick.
 
@@ -45,8 +45,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavityParams, reflection, scatter_factors, scatter_photon
+from .cavity import CavityParams, reflection, scatter_factors
 from .register import (
+    HADAMARD,
     BellState,
     Kind,
     QuantumRegister,
@@ -54,15 +55,12 @@ from .register import (
     Subsystem,
     ZeroNormError,
     _pick,
-    apply_bs,
     basis_vectors,
-    hadamard_spin,
     make_bell,
 )
 
 SPIN_NAME = "spin"
 AUX_NAME = "aux_pol"
-_PLUS = np.array([SQRT_HALF, SQRT_HALF], dtype=complex)
 
 
 class DetectorPair(enum.Enum):
@@ -122,6 +120,18 @@ class DecoherenceParams:
             raise ValueError("t2e must be positive")
 
 
+# Diagonal over (rail, polarization): the half-wave correction on rail 1
+# flips the sign of |L>.
+_HALF_WAVE = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex)
+
+
+def _double_pass(params: CavityParams | None, ideal: bool) -> np.ndarray:
+    """Factors over (rail, polarization, spin): rail 1 scatters twice, rail 2 flies by."""
+    diag = np.ones((2, 2, 2), dtype=complex)
+    diag[0] = scatter_factors(params, ideal, passes=2).reshape(2, 2)
+    return diag
+
+
 def parity_qnd(
     reg: QuantumRegister,
     spin_name: str = SPIN_NAME,
@@ -142,50 +152,13 @@ def parity_qnd(
             f"spin {spin_name!r} must start in |+> or |-> "
             f"(|-> weight {p_minus:.3g})"
         )
-    factors = scatter_factors(params, ideal, passes=2)
+    double_pass = _double_pass(params, ideal)
     for spatial_name, pol_name in (("a", "a_pol"), ("b", "b_pol")):
         reg.require_kind(spatial_name, Kind.SPATIAL)
         reg.require_kind(pol_name, Kind.POLARIZATION)
-        # Rail 1 (index 0) scatters, rail 2 passes untouched.
-        diag = np.ones((2, 2, 2), dtype=complex)
-        diag[0] = factors.reshape(2, 2)
-        reg.apply_diagonal([spatial_name, pol_name, spin_name], diag)
-        # Half-wave correction on the cavity rail flips the sign of |L>.
-        correction = np.ones((2, 2), dtype=complex)
-        correction[0, 1] = -1.0
-        reg.apply_diagonal([spatial_name, pol_name], correction)
+        reg.apply_diagonal([spatial_name, pol_name, spin_name], double_pass)
+        reg.apply_diagonal([spatial_name, pol_name], _HALF_WAVE)
     return reg
-
-
-def _probe_spin(
-    reg: QuantumRegister, spin_name: str, params: CavityParams | None, ideal: bool
-) -> QuantumRegister:
-    """Hadamard-rotate the spin and bounce one linearly polarized photon off it once."""
-    hadamard_spin(reg, spin_name)
-    reg.add_subsystem(Subsystem(AUX_NAME, Kind.POLARIZATION), _PLUS)
-    return scatter_photon(reg, AUX_NAME, spin_name, params, passes=1, ideal=ideal)
-
-
-def spin_readout(
-    reg: QuantumRegister,
-    spin_name: str = SPIN_NAME,
-    params: CavityParams | None = None,
-    ideal: bool = True,
-    rng=None,
-) -> tuple[bool, QuantumRegister]:
-    """Read whether the spin left the |+> state, using one auxiliary photon.
-
-    The spin is Hadamard-rotated, a linearly polarized photon makes a single
-    cavity pass, and the photon is measured in the circular-diagonal basis.
-    Outcome (|R> - i|L>)/sqrt2 flags a flipped spin.  The auxiliary photon is
-    removed again before returning.
-    """
-    if rng is None:
-        rng = np.random.default_rng()
-    _probe_spin(reg, spin_name, params, ideal)
-    outcome, _, _ = reg.measure(AUX_NAME, "da", rng)
-    reg.remove_subsystem(AUX_NAME)
-    return outcome == 1, reg
 
 
 _DETECTOR_MAP = {
@@ -194,13 +167,6 @@ _DETECTOR_MAP = {
     (1, 0): DetectorPair.C2D1,
     (1, 1): DetectorPair.C2D2,
 }
-
-
-def detect(reg: QuantumRegister, rng) -> DetectorPair:
-    """Measure both spatial qubits after the splitters and name the click pair."""
-    a_out, _, _ = reg.measure("a", "z", rng)
-    b_out, _, _ = reg.measure("b", "z", rng)
-    return _DETECTOR_MAP[(a_out, b_out)]
 
 
 def classify(spin_changed: bool, detectors: DetectorPair) -> BellState:
@@ -226,22 +192,26 @@ def _branch_maps(params: CavityParams | None, ideal: bool) -> np.ndarray:
     Entry [(k, j, l), out, a, b, a_pol, b_pol] is the amplitude with which
     the input ket |a, b, a_pol, b_pol> leaves the readout photon on outcome
     k, photons a and b on detectors c(j+1) and d(l+1), and (a_pol, b_pol,
-    spin) in ket ``out``.  Each input ket runs through the stage functions;
-    the branches are projections instead of measurements.
+    spin) in ket ``out``.  Every stage but the spin Hadamard and the readout
+    projection is a product over the axes (a, b, a_pol, b_pol, spin, readout
+    photon); they run in the order ``parity_qnd``, the probe and ``apply_bs``
+    apply them on a register, which fixes every bit of the result.
     """
-    readout_kets = basis_vectors(Kind.POLARIZATION, "da")
-    columns = []
-    for ket in np.eye(16, dtype=complex):
-        reg = QuantumRegister(_INPUTS, ket)
-        reg.add_subsystem(Subsystem(SPIN_NAME, Kind.SPIN), _PLUS)
-        parity_qnd(reg, SPIN_NAME, params, ideal)
-        _probe_spin(reg, SPIN_NAME, params, ideal)
-        apply_bs(reg, "a")
-        apply_bs(reg, "b")
-        # Axes (a, b, a_pol+b_pol+spin, aux); project aux on the readout kets.
-        psi = reg.amplitudes.reshape(2, 2, 8, 2)
-        columns.append(np.einsum("xk,jlox->kjlo", readout_kets.conj(), psi))
-    maps = np.stack(columns, axis=-1).reshape(8, 8, 2, 2, 2, 2)
+    rail = _double_pass(params, ideal)
+    # Parity pass, photon a then photon b, on a spin that enters in |+>.
+    psi = SQRT_HALF * rail[:, None, :, None, :] * _HALF_WAVE[:, None, :, None, None]
+    psi = psi * rail[None, :, None, :, :] * _HALF_WAVE[None, :, None, :, None]
+    # Probe: spin Hadamard, then one pass of a readout photon in |R> + |L>.
+    psi = np.moveaxis(np.tensordot(HADAMARD, psi, axes=([1], [4])), 0, 4)
+    probe = scatter_factors(params, ideal, passes=1).reshape(2, 2)  # (photon, spin)
+    psi = psi[..., None] * SQRT_HALF * probe.T
+    # Splitters, photon a then photon b: axes (j, l, a, b, a_pol, b_pol, spin, photon).
+    psi = HADAMARD.reshape(2, 1, 2, 1, 1, 1, 1, 1) * psi
+    psi = HADAMARD.reshape(1, 2, 1, 2, 1, 1, 1, 1) * psi
+    out = np.einsum("xk,...x->k...", basis_vectors(Kind.POLARIZATION, "da").conj(), psi)
+    # Polarizations leave as they entered: the map is zero off that diagonal.
+    maps = np.zeros((8, 8, 2, 2, 2, 2), dtype=complex)
+    np.einsum("kjlpqsabpq->kjlabpqs", maps.reshape((2,) * 10))[...] = out
     maps.setflags(write=False)
     return maps
 

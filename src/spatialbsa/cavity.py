@@ -20,8 +20,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .register import Kind, QuantumRegister
-
 IDEAL_COLD = complex(np.exp(-0.5j * np.pi))
 IDEAL_HOT = 1.0 + 0.0j
 
@@ -166,23 +164,3 @@ def scatter_factors(
     cold, hot = reflection_pair(params, ideal)
     return np.array([cold, hot, hot, cold], dtype=complex) ** passes
 
-
-def scatter_photon(
-    reg: QuantumRegister,
-    pol_name: str,
-    spin_name: str,
-    params: CavityParams | None = None,
-    passes: int = 1,
-    ideal: bool = True,
-) -> QuantumRegister:
-    """Bounce one photon off the cavity, entangling polarization with spin.
-
-    In the ideal model the joint amplitudes only pick up phases, so the norm
-    is preserved; with the lossy amplitudes the squared norm drops to the
-    survival probability of the photon.
-    """
-    reg.require_kind(pol_name, Kind.POLARIZATION)
-    reg.require_kind(spin_name, Kind.SPIN)
-    return reg.apply_diagonal(
-        [pol_name, spin_name], scatter_factors(params, ideal, passes)
-    )

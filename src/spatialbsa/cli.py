@@ -30,6 +30,10 @@ OUT_DIR_ENV = "SPATIALBSA_OUT_DIR"
 
 CSV_HEADER = "g_over_ktot,ks_over_k,abs_r0,abs_rh,F1,eta1,F2,eta2"
 
+# The largest sweep grid in rows (steps x ks values).  tracemalloc puts the sweep
+# command at about 840 bytes per row (20 000 and 40 000 steps x 3 ks), so ~1.7 GB.
+MAX_SWEEP_ROWS = 2_000_000
+
 _EPILOG = (
     "Configuration precedence: command-line flags override config-file values, "
     "which override built-in defaults.  If the environment variable "
@@ -98,6 +102,8 @@ class SweepSpec:
             raise ValueError("at least one ks_over_k value is required")
         if any(not math.isfinite(ks) or ks < 0.0 for ks in self.ks_list):
             raise ValueError("ks_over_k values must be finite and nonnegative")
+        if self.steps * len(self.ks_list) > MAX_SWEEP_ROWS:
+            raise ValueError(f"sweep must have at most {MAX_SWEEP_ROWS} rows (steps x ks values)")
 
 
 def sweep_points(spec: SweepSpec) -> list:
@@ -207,9 +213,17 @@ def _load_config_file(path_text: str) -> dict:
     data = json.loads(Path(path_text).read_text())
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
-    unknown = set(data) - {f.name for f in fields(QsdcConfig)}
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    # A null model counts as absent, as a null pair count or seed does.
+    for where, section, model in (
+        ("config", data, QsdcConfig),
+        ("eve_model", data.get("eve_model"), EveModel),
+        ("channel_model", data.get("channel_model"), ChannelModel),
+    ):
+        if section is not None and not isinstance(section, dict):
+            raise ValueError(f"{where} must be a JSON object or null")
+        unknown = set(section or {}) - {f.name for f in fields(model)}
+        if unknown:
+            raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
     return data
 
 

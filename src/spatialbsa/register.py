@@ -29,10 +29,6 @@ class SubsystemKindError(ValueError):
     """An operation was applied to a subsystem of the wrong kind."""
 
 
-class EntangledSubsystemError(ValueError):
-    """A subsystem could not be factored out of the register."""
-
-
 class ZeroNormError(ValueError):
     """The register carries no amplitude, so probabilities are undefined."""
 
@@ -106,7 +102,6 @@ _BASES = {
     },
     Kind.POLARIZATION: {
         "rl": np.eye(2, dtype=complex),
-        "hv": HADAMARD.copy(),
         "da": np.array([[1.0, 1.0], [1.0j, -1.0j]], dtype=complex) * SQRT_HALF,
     },
 }
@@ -258,28 +253,6 @@ class QuantumRegister:
         self.amplitudes = np.kron(self.amplitudes, chi)
         return self
 
-    def remove_subsystem(self, name: str) -> "QuantumRegister":
-        """Factor a product-state subsystem out of the register.
-
-        Raises EntangledSubsystemError when the subsystem is entangled with
-        the rest, since discarding it would need a density matrix.
-        """
-        k = self.axis(name)
-        m = np.moveaxis(self._tensor(), k, -1).reshape(-1, 2)
-        row_norms = np.linalg.norm(m, axis=1)
-        best = int(row_norms.argmax())
-        if row_norms[best] == 0.0:
-            raise ZeroNormError("cannot factor a subsystem out of a zero state")
-        chi = m[best] / row_norms[best]
-        rest = m @ chi.conj()
-        if not np.allclose(np.outer(rest, chi), m, atol=1e-9):
-            raise EntangledSubsystemError(
-                f"subsystem {name!r} is entangled with the rest of the register"
-            )
-        del self.subsystems[k]
-        self.amplitudes = rest
-        return self
-
     def equal_up_to_global_phase(self, other: "QuantumRegister", atol: float = 1e-9) -> bool:
         """True when both registers hold the same state modulo a global phase."""
         if [(s.name, s.kind) for s in self.subsystems] != [
@@ -342,8 +315,3 @@ def apply_spatial_unitary(reg: QuantumRegister, name: str, op: RailOp) -> Quantu
     reg.require_kind(name, Kind.SPATIAL)
     return reg.apply_one(name, _RAIL_OP_MATRICES[op])
 
-
-def hadamard_spin(reg: QuantumRegister, name: str) -> QuantumRegister:
-    """Rotate a spin between its energy basis and the |up> +/- |down> pair."""
-    reg.require_kind(name, Kind.SPIN)
-    return reg.apply_one(name, HADAMARD)

@@ -9,11 +9,10 @@ from spatialbsa.bsa import (
     analyze,
     classify,
     decoherence_factor,
-    detect,
+    outcome_distribution,
     parity_qnd,
     quality,
     quality_from_moduli,
-    spin_readout,
 )
 from spatialbsa.cavity import CavityParams, operating_point, reflection
 from spatialbsa.register import (
@@ -105,61 +104,62 @@ class TestParityCheck:
 
 
 class TestSpinReadout:
+    """The readout photon's verdict: k in the exact distribution, ``spin_changed`` in a run."""
+
     def test_plus_reads_unchanged(self, rng):
-        for _ in range(20):
-            reg = prepared_register(make_bell(BellState.PHI_PLUS).amplitudes)
-            changed, _ = spin_readout(reg, rng=rng)
-            assert changed is False
+        # An even-parity pair leaves the spin in |+>.
+        for label in (BellState.PHI_PLUS, BellState.PHI_MINUS):
+            assert outcome_distribution(label).readout[1] == pytest.approx(0.0, abs=1e-12)
+            for _ in range(20):
+                assert not analyze(label, rng=rng).spin_changed
 
     def test_minus_reads_changed(self, rng):
-        for _ in range(20):
-            reg = prepared_register(make_bell(BellState.PHI_PLUS).amplitudes)
-            reg.apply_one("spin", np.array([[1, 0], [0, -1]], dtype=complex))
-            changed, _ = spin_readout(reg, rng=rng)
-            assert changed is True
+        # An odd-parity pair flips the spin to |->.
+        for label in (BellState.PSI_PLUS, BellState.PSI_MINUS):
+            assert outcome_distribution(label).readout[0] == pytest.approx(0.0, abs=1e-12)
+            for _ in range(20):
+                assert analyze(label, rng=rng).spin_changed
 
     def test_auxiliary_photon_is_removed(self, rng):
-        reg = prepared_register(make_bell(BellState.PSI_PLUS).amplitudes)
+        # The spin and the readout photon exist only inside the analyzer.
+        reg = make_bell(BellState.PSI_PLUS, with_polarization="R")
         names_before = [s.name for s in reg.subsystems]
-        spin_readout(reg, rng=rng)
+        analyze(reg, rng=rng)
         assert [s.name for s in reg.subsystems] == names_before
 
     def test_balanced_superposition_reads_both_ways(self):
+        # Equal even and odd weight leaves the spin in |up>, half |+> and half |->.
+        reg = QuantumRegister(
+            [Subsystem("a", Kind.SPATIAL), Subsystem("b", Kind.SPATIAL)],
+            np.array([1.0, 1.0, 0.0, 0.0], dtype=complex) / np.sqrt(2),
+        )
+        assert outcome_distribution(reg).readout == pytest.approx((0.5, 0.5), abs=1e-12)
         rng = np.random.default_rng(7)
-        hits = 0
         trials = 2000
-        for _ in range(trials):
-            reg = prepared_register(make_bell(BellState.PHI_PLUS).amplitudes)
-            reg.apply_one("spin", np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2))
-            # spin now |up>: equal weights on |+> and |->
-            changed, _ = spin_readout(reg, rng=rng)
-            hits += 1 if changed else 0
+        hits = sum(analyze(reg, rng=rng).spin_changed for _ in range(trials))
         assert abs(hits / trials - 0.5) < 0.04
 
 
 class TestDetectAndClassify:
-    def test_basis_states_hit_their_detectors(self, rng):
+    def test_basis_states_hit_their_detectors(self, scripted_rng):
+        # After the splitters phi+ sits on rails (1, 1) and (2, 2), phi- on
+        # (1, 2) and (2, 1).  Photon a's draw picks its rail, photon b's rail
+        # follows, and rail j of photon a clicks c(j+1), rail l of b d(l+1).
         table = {
-            0: DetectorPair.C1D1,
-            1: DetectorPair.C1D2,
-            2: DetectorPair.C2D1,
-            3: DetectorPair.C2D2,
+            DetectorPair.C1D1: (BellState.PHI_PLUS, 0.25),
+            DetectorPair.C2D2: (BellState.PHI_PLUS, 0.75),
+            DetectorPair.C1D2: (BellState.PHI_MINUS, 0.25),
+            DetectorPair.C2D1: (BellState.PHI_MINUS, 0.75),
         }
-        for index, pair in table.items():
-            amps = np.zeros(4, dtype=complex)
-            amps[index] = 1.0
-            reg = QuantumRegister(
-                [Subsystem("a", Kind.SPATIAL), Subsystem("b", Kind.SPATIAL)], amps
-            )
-            assert detect(reg, rng) is pair
+        for pair, (label, u_a) in table.items():
+            assert analyze(label, rng=scripted_rng([0.5, u_a, 0.5])).detectors is pair
 
     def test_equal_pair_split_is_balanced(self):
         rng = np.random.default_rng(11)
         counts = {DetectorPair.C1D1: 0, DetectorPair.C2D2: 0}
         trials = 1000
         for _ in range(trials):
-            reg = make_bell(BellState.PHI_PLUS)
-            counts[detect(reg, rng)] += 1
+            counts[analyze(BellState.PHI_PLUS, rng=rng).detectors] += 1
         assert abs(counts[DetectorPair.C1D1] / trials - 0.5) < 0.05
 
     def test_classification_table(self):

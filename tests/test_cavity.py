@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from spatialbsa.bsa import parity_qnd
 from spatialbsa.cavity import (
     CavityParams,
     IDEAL_COLD,
@@ -11,7 +12,6 @@ from spatialbsa.cavity import (
     reflection,
     reflection_pair,
     scatter_factors,
-    scatter_photon,
 )
 from spatialbsa.register import (
     Kind,
@@ -42,6 +42,11 @@ def photon_spin_register(pol, spin):
     return QuantumRegister(
         [Subsystem("p", Kind.POLARIZATION), Subsystem("s", Kind.SPIN)], amps
     )
+
+
+def scatter(reg, params=None, passes=1, ideal=True):
+    """Bounce photon "p" off spin "s" once or twice, as the analyzer's stages do."""
+    return reg.apply_diagonal(["p", "s"], scatter_factors(params, ideal, passes))
 
 
 class TestCavityParams:
@@ -216,13 +221,13 @@ class TestPhaseShifts:
 class TestScatter:
     def test_single_pass_turns_linear_polarization_left_for_spin_up(self):
         reg = photon_spin_register([SQRT_HALF, SQRT_HALF], [1.0, 0.0])
-        scatter_photon(reg, "p", "s", passes=1, ideal=True)
+        scatter(reg)
         expected = photon_spin_register([SQRT_HALF, 1j * SQRT_HALF], [1.0, 0.0])
         assert reg.equal_up_to_global_phase(expected, atol=1e-12)
 
     def test_single_pass_turns_linear_polarization_right_for_spin_down(self):
         reg = photon_spin_register([SQRT_HALF, SQRT_HALF], [0.0, 1.0])
-        scatter_photon(reg, "p", "s", passes=1, ideal=True)
+        scatter(reg)
         expected = photon_spin_register([SQRT_HALF, -1j * SQRT_HALF], [0.0, 1.0])
         assert reg.equal_up_to_global_phase(expected, atol=1e-12)
 
@@ -231,7 +236,7 @@ class TestScatter:
             for spin in ([1.0, 0.0], [0.0, 1.0]):
                 reg = photon_spin_register(pol, spin)
                 expected = reg.copy()
-                scatter_photon(reg, "p", "s", passes=1, ideal=True)
+                scatter(reg)
                 assert reg.equal_up_to_global_phase(expected, atol=1e-12)
 
     def test_corrected_double_pass_flips_a_superposed_spin(self, rng):
@@ -242,7 +247,7 @@ class TestScatter:
             norm = np.hypot(abs(alpha), abs(beta))
             alpha, beta = alpha / norm, beta / norm
             reg = photon_spin_register([alpha, beta], [SQRT_HALF, SQRT_HALF])
-            scatter_photon(reg, "p", "s", passes=2, ideal=True)
+            scatter(reg, passes=2, ideal=True)
             reg.apply_diagonal(["p"], [1, -1])
             expected = photon_spin_register([alpha, beta], [SQRT_HALF, -SQRT_HALF])
             assert reg.equal_up_to_global_phase(expected, atol=1e-12)
@@ -256,9 +261,9 @@ class TestScatter:
             twice.amplitudes = amps.copy()
             once = photon_spin_register([1, 0], [1, 0])
             once.amplitudes = amps.copy()
-            scatter_photon(twice, "p", "s", params, passes=1, ideal=False)
-            scatter_photon(twice, "p", "s", params, passes=1, ideal=False)
-            scatter_photon(once, "p", "s", params, passes=2, ideal=False)
+            scatter(twice, params, passes=1, ideal=False)
+            scatter(twice, params, passes=1, ideal=False)
+            scatter(once, params, passes=2, ideal=False)
             assert np.allclose(twice.amplitudes, once.amplitudes, atol=1e-12)
 
     @settings(deadline=None)
@@ -269,7 +274,7 @@ class TestScatter:
         amps /= np.linalg.norm(amps)
         reg = photon_spin_register([1, 0], [1, 0])
         reg.amplitudes = amps
-        scatter_photon(reg, "p", "s", passes=passes, ideal=True)
+        scatter(reg, passes=passes, ideal=True)
         assert abs(reg.norm_squared() - 1.0) < 1e-12
 
     def test_lossy_scatter_never_gains_norm(self, rng):
@@ -279,13 +284,13 @@ class TestScatter:
             amps /= np.linalg.norm(amps)
             reg = photon_spin_register([1, 0], [1, 0])
             reg.amplitudes = amps
-            scatter_photon(reg, "p", "s", params, passes=1, ideal=False)
+            scatter(reg, params, passes=1, ideal=False)
             assert reg.norm_squared() <= 1.0 + 1e-12
 
     def test_survival_probability_matches_hot_modulus(self):
         params = CavityParams(g=2.4)
         reg = photon_spin_register([1.0, 0.0], [0.0, 1.0])
-        scatter_photon(reg, "p", "s", params, passes=1, ideal=False)
+        scatter(reg, params, passes=1, ideal=False)
         assert reg.norm_squared() == pytest.approx(abs(REFERENCE_HOT) ** 2, abs=1e-12)
 
     def test_factors_follow_selection_rules(self):
@@ -296,16 +301,28 @@ class TestScatter:
         assert factors[1] == hot and factors[2] == hot
 
     def test_unknown_subsystem_rejected(self):
-        reg = photon_spin_register([1, 0], [1, 0])
+        reg = QuantumRegister(
+            [Subsystem("q", Kind.POLARIZATION), Subsystem("s", Kind.SPIN)],
+            np.array([1.0, 0.0, 0.0, 0.0], dtype=complex),
+        )
         with pytest.raises(KeyError):
-            scatter_photon(reg, "nope", "s", passes=1, ideal=True)
+            scatter(reg)
 
     def test_wrong_kind_rejected(self):
-        reg = photon_spin_register([1, 0], [1, 0])
+        # The parity pass checks every kind before a photon meets the cavity:
+        # here photon a's polarization is declared a spin.
+        subsystems = [
+            Subsystem("a", Kind.SPATIAL),
+            Subsystem("b", Kind.SPATIAL),
+            Subsystem("a_pol", Kind.SPIN),
+            Subsystem("b_pol", Kind.POLARIZATION),
+            Subsystem("spin", Kind.SPIN),
+        ]
+        amps = np.zeros(32, dtype=complex)
+        amps[:2] = SQRT_HALF  # every photon qubit in state 0, the spin in |+>
         with pytest.raises(SubsystemKindError):
-            scatter_photon(reg, "s", "p", passes=1, ideal=True)
+            parity_qnd(QuantumRegister(subsystems, amps))
 
     def test_invalid_pass_count_rejected(self):
-        reg = photon_spin_register([1, 0], [1, 0])
         with pytest.raises(ValueError):
-            scatter_photon(reg, "p", "s", passes=3, ideal=True)
+            scatter_factors(None, ideal=True, passes=3)

@@ -149,6 +149,22 @@ class TestSweepCommand:
         assert code == 1
         assert "steps" in err
 
+    def test_oversized_grid_gives_one_error_line(self, capsys):
+        # Rejected before any grid point exists; unchecked, numpy would fail
+        # to allocate 3e15 rows and print a traceback.
+        code, out, err = self.run_sweep(capsys, ["--steps", "1000000000000000"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert "rows" in err
+
+    def test_grid_bound_counts_steps_times_ks_values(self):
+        half = cli.MAX_SWEEP_ROWS // 2
+        cli.SweepSpec(g_min=0.1, g_max=3.0, steps=half, ks_list=(0.0, 0.5))
+        with pytest.raises(ValueError, match="at most"):
+            cli.SweepSpec(g_min=0.1, g_max=3.0, steps=half + 1, ks_list=(0.0, 0.5))
+
     def test_unwritable_path_exits_one(self, capsys):
         code, _, err = self.run_sweep(
             capsys,
@@ -335,11 +351,20 @@ class TestQsdcErrorPaths:
             ([], '{"message_bits": "0101", "seed": 7.8}', "seed must be a whole"),
             ([], '{"message_bits": "0101", "pair_count": true}', "pair_count must be a whole"),
             ([], '{"message_bits": "0101", "seed": false}', "seed must be a whole"),
+            ([], '{"message_bits": "0101", "eve_model": {"knd": "intercept_resend"}}',
+             "unknown eve_model keys: ['knd']"),
+            ([], '{"message_bits": "0101", "channel_model": {"mode_flip": 0.5}}',
+             "unknown channel_model keys: ['mode_flip']"),
+            ([], '{"message_bits": "0101", "eve_model": "x"}',
+             "eve_model must be a JSON object"),
+            ([], '{"message_bits": "0101", "channel_model": [["mode_flip_prob", 0.5]]}',
+             "channel_model must be a JSON object"),
         ],
         ids=["unit_sample_fraction", "nan_sample_fraction", "infinite_pair_count",
              "infinite_seed", "nan_qber_threshold", "huge_auto_pair_count",
              "huge_pair_count", "fractional_pair_count", "fractional_seed",
-             "boolean_pair_count", "boolean_seed"],
+             "boolean_pair_count", "boolean_seed", "misspelled_eve_key",
+             "misspelled_channel_key", "string_eve_model", "list_channel_model"],
     )
     def test_bad_values_give_one_error_line(
         self, argv, config_text, message, tmp_path, capsys

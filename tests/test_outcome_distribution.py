@@ -1,10 +1,15 @@
 """The exact outcome distribution against the gate-by-gate analyzer it replaces.
 
-``gate_by_gate_analyze`` runs the stage functions on a copy of the input and
+``gate_by_gate_analyze`` runs the stages on a copy of the input register and
 samples each detection as a register measurement.  With the same scripted
 uniforms it must give the same record as ``analyze``, which draws from the
-exact joint distribution instead.
+exact joint distribution instead.  ``gate_by_gate_branch_maps`` steps the
+same stages over the 16 input kets, and the array-algebra branch maps must
+equal it bit for bit.
 """
+
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,17 +18,19 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import ScriptedRng
 from spatialbsa import bsa
 from spatialbsa.bsa import (
+    AUX_NAME,
     SPIN_NAME,
     BsaRecord,
+    DetectorPair,
     analyze,
     classify,
-    detect,
     outcome_distribution,
     parity_qnd,
-    spin_readout,
 )
-from spatialbsa.cavity import operating_point
+from spatialbsa.cavity import operating_point, scatter_factors
+from spatialbsa.cli import build_parser
 from spatialbsa.register import (
+    HADAMARD,
     BellState,
     Kind,
     QuantumRegister,
@@ -32,12 +39,29 @@ from spatialbsa.register import (
     SubsystemKindError,
     ZeroNormError,
     apply_bs,
+    basis_vectors,
     make_bell,
 )
 
 # Keep every scripted uniform this far from the conditional probability it
 # is compared with, so rounding differences cannot flip a draw.
 MARGIN = 1e-9
+
+PLUS = np.array([SQRT_HALF, SQRT_HALF], dtype=complex)
+
+INPUTS = (
+    Subsystem("a", Kind.SPATIAL),
+    Subsystem("b", Kind.SPATIAL),
+    Subsystem("a_pol", Kind.POLARIZATION),
+    Subsystem("b_pol", Kind.POLARIZATION),
+)
+
+
+def probe_spin(reg, params, ideal):
+    """Hadamard the spin and bounce one readout photon in |R> + |L> off it once."""
+    reg.apply_one(SPIN_NAME, HADAMARD)
+    reg.add_subsystem(Subsystem(AUX_NAME, Kind.POLARIZATION), PLUS)
+    reg.apply_diagonal([AUX_NAME, SPIN_NAME], scatter_factors(params, ideal, passes=1))
 
 
 def gate_by_gate_analyze(state, params=None, ideal=True, rng=None):
@@ -52,22 +76,40 @@ def gate_by_gate_analyze(state, params=None, ideal=True, rng=None):
                     Subsystem(pol, Kind.POLARIZATION),
                     np.array([1.0, 0.0], dtype=complex),
                 )
-    reg.add_subsystem(
-        Subsystem(SPIN_NAME, Kind.SPIN),
-        np.array([SQRT_HALF, SQRT_HALF], dtype=complex),
-    )
+    reg.add_subsystem(Subsystem(SPIN_NAME, Kind.SPIN), PLUS)
     parity_qnd(reg, SPIN_NAME, params, ideal)
-    changed, _ = spin_readout(reg, SPIN_NAME, params, ideal, rng)
+    probe_spin(reg, params, ideal)
+    # Outcome (|R> - i|L>)/sqrt2 of the readout photon flags a flipped spin.
+    changed = reg.measure(AUX_NAME, "da", rng)[0] == 1
     apply_bs(reg, "a")
     apply_bs(reg, "b")
     success = reg.norm_squared()
-    pair = detect(reg, rng)
+    a_out = reg.measure("a", "z", rng)[0]
+    b_out = reg.measure("b", "z", rng)[0]
+    pair = list(DetectorPair)[2 * a_out + b_out]
     return BsaRecord(
         spin_changed=changed,
         detectors=pair,
         inferred=classify(changed, pair),
         success_probability=success,
     )
+
+
+def gate_by_gate_branch_maps(params, ideal):
+    """The branch maps stepped ket by ket through a register, projected, not measured."""
+    readout_kets = basis_vectors(Kind.POLARIZATION, "da")
+    columns = []
+    for ket in np.eye(16, dtype=complex):
+        reg = QuantumRegister(INPUTS, ket)
+        reg.add_subsystem(Subsystem(SPIN_NAME, Kind.SPIN), PLUS)
+        parity_qnd(reg, SPIN_NAME, params, ideal)
+        probe_spin(reg, params, ideal)
+        apply_bs(reg, "a")
+        apply_bs(reg, "b")
+        # Axes (a, b, a_pol+b_pol+spin, aux); project aux on the readout kets.
+        psi = reg.amplitudes.reshape(2, 2, 8, 2)
+        columns.append(np.einsum("xk,jlox->kjlo", readout_kets.conj(), psi))
+    return np.stack(columns, axis=-1).reshape(8, 8, 2, 2, 2, 2)
 
 
 def conditional(weights):
@@ -111,6 +153,37 @@ operating_points = st.one_of(
         detuning=st.floats(0.05, 1.0),
     ),
 )
+
+
+def golden_operating_points():
+    """Every operating point a golden ``bsa`` report runs at, and the lossy default."""
+    golden = json.loads((Path(__file__).parent / "golden_outputs.json").read_text())
+    parser = build_parser()
+    points = {operating_point(2.4)}
+    for case in golden["bsa"]:
+        args = parser.parse_args(case["argv"])
+        point = operating_point(args.g_over_ktot, args.ks_over_k, args.gamma, args.detuning)
+        points.add(point if args.lossy else None)
+    return sorted(points, key=repr)
+
+
+def point_id(params):
+    return "ideal" if params is None else f"g={params.g_over_ktot:.3g},ks={params.ks_over_k:.3g}"
+
+
+@pytest.mark.parametrize("params", golden_operating_points(), ids=point_id)
+def test_branch_maps_equal_gate_by_gate_build_at_golden_points(params):
+    ideal = params is None
+    maps = bsa._branch_maps(params, ideal)
+    assert maps.shape == (8, 8, 2, 2, 2, 2)
+    assert np.array_equal(maps, gate_by_gate_branch_maps(params, ideal))
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=operating_points)
+def test_branch_maps_equal_gate_by_gate_build(params):
+    ideal = params is None
+    assert np.array_equal(bsa._branch_maps(params, ideal), gate_by_gate_branch_maps(params, ideal))
 
 
 @settings(max_examples=60, deadline=None)
