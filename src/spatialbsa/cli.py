@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -209,32 +209,44 @@ def cmd_sweep(args) -> int:
     return _emit(text, resolve_out(args.out))
 
 
-def _load_config_file(path_text: str) -> dict:
-    data = json.loads(Path(path_text).read_text())
-    if not isinstance(data, dict):
-        raise ValueError("config file must hold a JSON object")
-    # A null model counts as absent, as a null pair count or seed does.
-    for where, section, model in (
-        ("config", data, QsdcConfig),
-        ("eve_model", data.get("eve_model"), EveModel),
-        ("channel_model", data.get("channel_model"), ChannelModel),
-    ):
-        if section is not None and not isinstance(section, dict):
-            raise ValueError(f"{where} must be a JSON object or null")
-        unknown = set(section or {}) - {f.name for f in fields(model)}
-        if unknown:
-            raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
-    return data
+# Every key a config file may set, by section and field name: its JSON type
+# (str, float for any number, int for a whole number) and the qsdc flag that
+# overrides it.
+_CONFIG_KEYS = {
+    "config": {
+        "message_bits": (str, "message"),
+        "pair_count": (int, "pairs"),
+        "sample_fraction": (float, "sample_fraction"),
+        "seed": (int, "seed"),
+        "qber_abort_threshold": (float, "qber_threshold"),
+    },
+    "eve_model": {"kind": (str, "eve"), "fraction": (float, "eve_fraction")},
+    "channel_model": {
+        "mode_flip_prob": (float, "mode_flip_prob"),
+        "phase_flip_prob": (float, "phase_flip_prob"),
+    },
+}
+_JSON_NAMES = {str: "a string", float: "a number", int: "a whole number"}
 
 
-def _whole_number(data: dict, key: str) -> int | None:
-    # JSON has one number type: a float must be integral, and true/false,
-    # which Python counts as ints, are not numbers here.  int() itself
-    # rejects inf and NaN.
-    value = data.get(key)
-    if isinstance(value, bool) or (isinstance(value, float) and value != int(value)):
-        raise ValueError(f"{key} must be a whole number, got {json.dumps(value)}")
-    return None if value is None else int(value)
+def _typed(name: str, value, json_type: type):
+    """Check one config value against its key's JSON type and convert it once.
+
+    JSON numbers are Python's ints and floats, but not true/false, which
+    Python counts as ints; a whole number may be written as an integral float.
+    """
+    if json_type is str and isinstance(value, str):
+        return value
+    if json_type is not str and isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            converted = json_type(value)
+        except (OverflowError, ValueError) as exc:  # inf or NaN to int, a huge int to float
+            raise ValueError(f"{name}: {exc}") from None
+        if json_type is float or converted == value:
+            return converted
+    # A container is named, not printed: it may be large or deeply nested.
+    shown = {list: "an array", dict: "an object"}.get(type(value)) or json.dumps(value)
+    raise ValueError(f"{name} must be {_JSON_NAMES[json_type]}, got {shown}")
 
 
 def _auto_pair_count(message_bits: str, sample_fraction: float) -> int:
@@ -248,60 +260,46 @@ def _auto_pair_count(message_bits: str, sample_fraction: float) -> int:
 
 
 def build_qsdc_config(args) -> QsdcConfig:
-    """Assemble a QsdcConfig from defaults, config file, and flags."""
-    merged: dict = {}
-    if args.config is not None:
-        merged = _load_config_file(args.config)
+    """Assemble a QsdcConfig: a set flag wins, then a non-null file value, then the default."""
+    try:
+        data = {} if args.config is None else json.loads(Path(args.config).read_text())
+    except (OSError, RecursionError) as exc:  # a missing file, or nesting too deep to decode
+        raise ValueError(str(exc)) from None
+    if not isinstance(data, dict):
+        raise ValueError("config file must hold a JSON object")
+    values = {}
+    for where, keys in _CONFIG_KEYS.items():
+        section = data if where == "config" else data.get(where)
+        if section is None:  # a null model counts as absent, as every null key does
+            section = {}
+        if not isinstance(section, dict):
+            raise ValueError(f"{where} must be a JSON object or null")
+        nested = ("eve_model", "channel_model") if where == "config" else ()
+        unknown = set(section) - {*keys, *nested}
+        if unknown:
+            raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+        values[where] = {}
+        for key, (json_type, flag) in keys.items():
+            value = getattr(args, flag)
+            if value is None and section.get(key) is not None:
+                name = key if where == "config" else f"{where}.{key}"
+                value = _typed(name, section[key], json_type)
+            if value is not None:
+                values[where][key] = value
 
-    eve_map = dict(merged.get("eve_model") or {})
-    channel_map = dict(merged.get("channel_model") or {})
-    if args.eve is not None:
-        eve_map["kind"] = args.eve
-    if args.eve_fraction is not None:
-        eve_map["fraction"] = args.eve_fraction
-    if args.mode_flip_prob is not None:
-        channel_map["mode_flip_prob"] = args.mode_flip_prob
-    if args.phase_flip_prob is not None:
-        channel_map["phase_flip_prob"] = args.phase_flip_prob
-
-    kind = eve_map.get("kind", "none")
-    fraction = eve_map.get("fraction")
-    if fraction is None:
-        fraction = 1.0 if kind == "intercept_resend" else 0.0
-    eve = EveModel(kind=kind, fraction=float(fraction))
-    channel = ChannelModel(
-        mode_flip_prob=float(channel_map.get("mode_flip_prob", 0.0)),
-        phase_flip_prob=float(channel_map.get("phase_flip_prob", 0.0)),
-    )
-
-    message = args.message if args.message is not None else merged.get("message_bits")
-    if message is None:
+    eve = values["eve_model"]
+    if eve.get("kind") == "intercept_resend":
+        eve.setdefault("fraction", 1.0)
+    eve_model, channel_model = EveModel(**eve), ChannelModel(**values["channel_model"])
+    top = values["config"]
+    if "message_bits" not in top:
         raise ValueError("a message is required (--message or config file)")
-    sample_fraction = (
-        args.sample_fraction
-        if args.sample_fraction is not None
-        else float(merged.get("sample_fraction", 0.1))
-    )
-    pair_count = args.pairs if args.pairs is not None else _whole_number(merged, "pair_count")
-    if pair_count is None:
-        pair_count = _auto_pair_count(str(message), sample_fraction)
-    threshold = (
-        args.qber_threshold
-        if args.qber_threshold is not None
-        else float(merged.get("qber_abort_threshold", 0.11))
-    )
-    seed = args.seed if args.seed is not None else _whole_number(merged, "seed")
-    if seed is None:
-        seed = draw_seed()
-    return QsdcConfig(
-        message_bits=str(message),
-        pair_count=pair_count,
-        sample_fraction=float(sample_fraction),
-        eve_model=eve,
-        channel_model=channel,
-        seed=seed,
-        qber_abort_threshold=float(threshold),
-    )
+    if "pair_count" not in top:
+        fraction = top.get("sample_fraction", QsdcConfig.sample_fraction)
+        top["pair_count"] = _auto_pair_count(top["message_bits"], fraction)
+    if "seed" not in top:
+        top["seed"] = draw_seed()
+    return QsdcConfig(**top, eve_model=eve_model, channel_model=channel_model)
 
 
 # One C-encoder pass lays out a whole transcript: its events are flat records
@@ -333,11 +331,7 @@ def _qsdc_json(payload: dict) -> str:
 
 
 def cmd_qsdc(args) -> int:
-    try:
-        config = build_qsdc_config(args)
-    except (OSError, TypeError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    config = build_qsdc_config(args)
     report = run_session(config)
     payload = {
         "command": "qsdc",

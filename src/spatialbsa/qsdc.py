@@ -136,6 +136,10 @@ class QsdcConfig:
             raise ValueError("qber_abort_threshold must be nonnegative")
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError("seed must fit in 64 bits")
+        for name in ("pair_count", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         n_sample = phase1_sample_count(self)
         if n_sample < 1:
             raise ValueError("sample_fraction rounds to zero sampled pairs")

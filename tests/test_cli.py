@@ -1,4 +1,6 @@
+import copy
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from spatialbsa import cli
 from spatialbsa.bsa import quality
 from spatialbsa.cavity import operating_point
+from spatialbsa.qsdc import ChannelModel, EveModel, QsdcConfig
 
 
 def run_cli(argv, capsys):
@@ -359,12 +362,26 @@ class TestQsdcErrorPaths:
              "eve_model must be a JSON object"),
             ([], '{"message_bits": "0101", "channel_model": [["mode_flip_prob", 0.5]]}',
              "channel_model must be a JSON object"),
+            ([], "[" * 100_000 + "]" * 100_000, "maximum recursion depth"),
+            ([], '{"sample_fraction": "0.2"}', 'sample_fraction must be a number, got "0.2"'),
+            ([], '{"sample_fraction": [0.2]}', "sample_fraction must be a number, got an array"),
+            ([], '{"sample_fraction": 1' + 400 * "0" + "}", "sample_fraction: int too large"),
+            ([], '{"qber_abort_threshold": "1e9"}', "qber_abort_threshold must be a number"),
+            ([], '{"pair_count": "64"}', 'pair_count must be a whole number, got "64"'),
+            ([], '{"eve_model": {"kind": "intercept_resend", "fraction": "0.5"}}',
+             "eve_model.fraction must be a number"),
+            ([], '{"eve_model": {"kind": {}}}', "eve_model.kind must be a string, got an object"),
+            ([], '{"channel_model": {"mode_flip_prob": true}}',
+             "channel_model.mode_flip_prob must be a number, got true"),
         ],
         ids=["unit_sample_fraction", "nan_sample_fraction", "infinite_pair_count",
              "infinite_seed", "nan_qber_threshold", "huge_auto_pair_count",
              "huge_pair_count", "fractional_pair_count", "fractional_seed",
              "boolean_pair_count", "boolean_seed", "misspelled_eve_key",
-             "misspelled_channel_key", "string_eve_model", "list_channel_model"],
+             "misspelled_channel_key", "string_eve_model", "list_channel_model",
+             "deep_nesting", "string_sample_fraction", "list_sample_fraction",
+             "huge_int_sample_fraction", "string_qber_threshold", "string_pair_count",
+             "string_eve_fraction", "object_eve_kind", "boolean_mode_flip"],
     )
     def test_bad_values_give_one_error_line(
         self, argv, config_text, message, tmp_path, capsys
@@ -390,3 +407,87 @@ class TestQsdcErrorPaths:
         resolved = json.loads(out)["config"]
         assert (resolved["pair_count"], resolved["seed"]) == (64, 1000)
         assert type(resolved["pair_count"]) is int and type(resolved["seed"]) is int
+
+    def test_number_message_is_rejected(self, tmp_path, capsys):
+        config = tmp_path / "session.json"
+        config.write_text('{"message_bits": 1010}')
+        code, out, err = run_cli(["qsdc", "--config", str(config)], capsys)
+        assert (code, out, err) == (1, "", "error: message_bits must be a string, got 1010\n")
+
+    def test_null_keys_count_as_absent(self, tmp_path, capsys):
+        nulls = tmp_path / "nulls.json"
+        nulls.write_text(
+            json.dumps(
+                {
+                    "message_bits": "0101",
+                    "pair_count": None,
+                    "sample_fraction": None,
+                    "seed": 4,
+                    "qber_abort_threshold": None,
+                    "eve_model": {"kind": None, "fraction": None},
+                    "channel_model": {"mode_flip_prob": None, "phase_flip_prob": None},
+                }
+            )
+        )
+        plain = tmp_path / "plain.json"
+        plain.write_text('{"message_bits": "0101", "seed": 4}')
+        runs = [run_cli(["qsdc", "--config", str(path)], capsys) for path in (nulls, plain)]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0
+
+
+# One valid value for every settable key, by section, and the file both runs
+# of a key share (with that key left out of the flag run's file).
+SETTINGS = {
+    "config": {
+        "message_bits": "1001",
+        "pair_count": 96,
+        "sample_fraction": 0.25,
+        "seed": 11,
+        "qber_abort_threshold": 0.3,
+    },
+    "eve_model": {"kind": "none", "fraction": 0.05},
+    "channel_model": {"mode_flip_prob": 0.01, "phase_flip_prob": 0.02},
+}
+BASE_CONFIG = {
+    "message_bits": "0110",
+    "pair_count": 80,
+    "seed": 5,
+    "eve_model": {"kind": "intercept_resend", "fraction": 0.0},
+}
+SECTIONS = {"config": QsdcConfig, "eve_model": EveModel, "channel_model": ChannelModel}
+SETTABLE = [
+    (where, f.name)
+    for where, model in SECTIONS.items()
+    for f in fields(model)
+    if f.name not in SECTIONS
+]
+
+
+class TestConfigFileAndFlags:
+    def test_every_settable_field_has_a_table_entry(self):
+        assert sorted(SETTABLE) == sorted(
+            (where, key) for where, keys in cli._CONFIG_KEYS.items() for key in keys
+        )
+
+    @pytest.mark.parametrize("where, key", SETTABLE, ids=[k for _, k in SETTABLE])
+    def test_file_value_and_flag_agree(self, where, key, tmp_path, capsys):
+        value = SETTINGS[where][key]
+        _, flag = cli._CONFIG_KEYS[where][key]
+
+        def section_of(data):
+            return data if where == "config" else data.setdefault(where, {})
+
+        by_file, by_flag = copy.deepcopy(BASE_CONFIG), copy.deepcopy(BASE_CONFIG)
+        section_of(by_file)[key] = value
+        section_of(by_flag).pop(key, None)
+        runs = []
+        for name, data, extra in (
+            ("file.json", by_file, []),
+            ("flag.json", by_flag, [f"--{flag.replace('_', '-')}={value}"]),
+        ):
+            path = tmp_path / name
+            path.write_text(json.dumps(data))
+            runs.append(run_cli(["qsdc", "--config", str(path), *extra], capsys))
+        assert runs[0] == runs[1]
+        assert runs[0][0] in (0, 2) and runs[0][1]

@@ -5,7 +5,8 @@ exception escaping ``cli.main``; a value error must come out as exactly one
 ``error:`` line.  Workloads stay tiny: ``--trials`` at most 4, ``--steps``
 at most 8, ``--pairs`` at most 64 and always given (without it the automatic
 pair count grows without bound as the sample fraction nears 1), messages of
-at most 8 bits.
+at most 8 bits.  A qsdc config file whose one bad key holds a value of the
+wrong JSON type must exit 1 with one ``error:`` line naming that key.
 
 The qsdc report encoder must give the text of ``json.dumps(payload,
 indent=2, sort_keys=True)`` for any transcript of flat records, whatever
@@ -136,6 +137,52 @@ def test_cli_never_raises_and_reports_errors_on_one_line(argv, config):
         if not err.startswith("usage:"):
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Each settable config key by section, with its JSON type: "string",
+# "number", or "whole" (a number with an integral value).
+KEY_TYPES = {
+    ("config", "message_bits"): "string",
+    ("config", "pair_count"): "whole",
+    ("config", "sample_fraction"): "number",
+    ("config", "seed"): "whole",
+    ("config", "qber_abort_threshold"): "number",
+    ("eve_model", "kind"): "string",
+    ("eve_model", "fraction"): "number",
+    ("channel_model", "mode_flip_prob"): "number",
+    ("channel_model", "phase_flip_prob"): "number",
+}
+numeric_strings = st.one_of(
+    st.sampled_from(["0.2", "64", "1e3", "NaN", "true"]),
+    st.floats(allow_nan=False).map(repr),
+    st.integers().map(str),
+)
+containers = st.one_of(
+    st.lists(st.one_of(numbers, st.booleans(), numeric_strings), max_size=2),
+    st.dictionaries(st.text(max_size=3), numbers, max_size=2),
+)
+non_numbers = st.one_of(numeric_strings, st.booleans(), containers)
+wrong_values = {
+    "string": st.one_of(numbers, st.integers(), st.booleans(), containers),
+    "number": non_numbers,
+    "whole": non_numbers,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), where_key=st.sampled_from(sorted(KEY_TYPES)))
+def test_config_value_of_wrong_json_type_is_one_error_line(data, where_key):
+    where, key = where_key
+    value = data.draw(wrong_values[KEY_TYPES[where_key]], label="value")
+    config = {"message_bits": "0101", "pair_count": 64, "seed": 1}
+    (config if where == "config" else config.setdefault(where, {}))[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "session.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_main(["qsdc", f"--config={path}"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert key in err
 
 
 # Strings built from the pieces a layout rewrite could trip over, beside

@@ -288,12 +288,22 @@ class TestConfigValidation:
             {"message_bits": "01", "qber_abort_threshold": -0.2},
             {"message_bits": "01", "seed": -1},
             {"message_bits": "01", "qber_abort_threshold": float("nan")},
+            {"message_bits": "01", "seed": 3.7},
+            {"message_bits": "01", "seed": 3.0},
+            {"message_bits": "01", "seed": True},
+            {"message_bits": "01", "pair_count": 64.0},
+            {"message_bits": "01", "pair_count": np.float64(64.0)},
+            {"message_bits": "01", "pair_count": True},
         ],
     )
     def test_bad_fields_rejected(self, kwargs):
         kwargs.setdefault("pair_count", 50)
         with pytest.raises(ValueError):
             QsdcConfig(**kwargs)
+
+    def test_numpy_integers_are_whole_numbers(self):
+        config = QsdcConfig(message_bits="01", pair_count=np.int64(50), seed=np.uint64(3))
+        assert run_session(config).decoded_bits == "01"
 
     @pytest.mark.parametrize("pair_count", [MAX_PAIR_COUNT + 1, 1e300, float("nan")])
     def test_pair_count_is_bounded(self, pair_count):
