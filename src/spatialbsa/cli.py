@@ -89,6 +89,8 @@ class SweepSpec:
     detuning: float = 0.5
 
     def __post_init__(self):
+        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise ValueError("steps must be at least 2")
         for value in (self.g_min, self.g_max, self.gamma, self.detuning):

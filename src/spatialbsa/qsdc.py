@@ -140,6 +140,10 @@ class QsdcConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name, model in (("eve_model", EveModel), ("channel_model", ChannelModel)):
+            value = getattr(self, name)
+            if not isinstance(value, model):
+                raise ValueError(f"{name} must be a {model.__name__}, got {value!r}")
         n_sample = phase1_sample_count(self)
         if n_sample < 1:
             raise ValueError("sample_fraction rounds to zero sampled pairs")
@@ -236,54 +240,39 @@ def eve_intercept_resend(psi: np.ndarray, u) -> np.ndarray:
     return psi
 
 
-def _draw_trips(rng, n: int, eve: EveModel, tail: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw the uniforms of n trips in a row, each followed by ``tail`` more.
+def _draw_trips(rng, n: int, eve: EveModel, tail: int) -> np.ndarray:
+    """Draw n trips in a row, each followed by ``tail`` more uniforms.
 
-    A trip draws two channel uniforms, then Eve's coin if she is active,
-    then her basis and outcome if the coin falls below her fraction.
-    Returns the uniforms in draw order and each trip's offset into them.
+    Returns one row per trip holding its draws in draw order: the two
+    channel uniforms, then Eve's coin if she is active, then her basis and
+    outcome if her fraction is above 0 (NaN where the coin spared the
+    photon), then the ``tail`` draws as the last columns.
     """
+    width = 2 + eve.active + 2 * (eve.active and eve.fraction > 0.0) + tail
     if not eve.active or eve.fraction in (0.0, 1.0):
         # No coin, or one whose fall is certain: a uniform in [0, 1) is
         # always below 1 and never below 0.  Every trip has one length, so
         # one block holds them all.
-        length = 2 + eve.active + tail + 2 * (eve.active and eve.fraction == 1.0)
-        return rng.random(n * length), length * np.arange(n)
-    u: list[float] = []
-    starts: list[int] = []
+        return rng.random(n * width).reshape(n, width)
+    rows = []
     for _ in range(n):
-        starts.append(len(u))
-        u += [rng.random() for _ in range(3)]
-        if u[-1] < eve.fraction:
-            u += [rng.random(), rng.random()]
-        u += [rng.random() for _ in range(tail)]
-    return np.array(u), np.array(starts, dtype=int)
+        row = [rng.random() for _ in range(3)]
+        row += [rng.random(), rng.random()] if row[2] < eve.fraction else [np.nan, np.nan]
+        rows.append(row + [rng.random() for _ in range(tail)])
+    return np.array(rows)
 
 
-def _trip_table(u: np.ndarray, starts: np.ndarray, eve: EveModel, tail: int):
-    """Gather drawn trips into columns, and Eve's interceptions.
-
-    Columns 0 and 1 are the channel uniforms, 2 and 3 Eve's basis and
-    outcome (NaN where she lets the photon pass), then the ``tail`` draws.
-    """
-    hit = np.zeros(len(starts), dtype=bool)
-    if eve.active:
-        hit = u[starts + 2] < eve.fraction
-    table = np.full((len(starts), 4 + tail), np.nan)
-    table[:, :2] = u[starts[:, None] + np.arange(2)]
-    table[hit, 2:4] = u[starts[hit, None] + np.arange(3, 5)]
-    after = starts + 2 + eve.active + 2 * hit
-    table[:, 4:] = u[after[:, None] + np.arange(tail)]
-    return table, hit
-
-
-def _transit(psi: np.ndarray, config: QsdcConfig, table: np.ndarray, hit) -> None:
+def _transit(psi: np.ndarray, config: QsdcConfig, trips: np.ndarray) -> None:
     # One trip of every row's travel photon through the channel, with Eve last.
-    apply_channel(psi, config.channel_model, table[:, :2])
+    apply_channel(psi, config.channel_model, trips[:, :2])
+    eve = config.eve_model
+    if not eve.active:
+        return
+    hit = trips[:, 2] < eve.fraction
     if hit.all():
-        eve_intercept_resend(psi, table[:, 2:4])
+        eve_intercept_resend(psi, trips[:, 3:5])
     elif hit.any():
-        psi[hit] = eve_intercept_resend(psi[hit], table[hit, 2:4])
+        psi[hit] = eve_intercept_resend(psi[hit], trips[hit, 3:5])
 
 
 def run_session(config: QsdcConfig) -> SessionReport:
@@ -294,15 +283,16 @@ def run_session(config: QsdcConfig) -> SessionReport:
     draws, then phase-2 slot assignment, then per-pair check-operation,
     return-transit and analyzer draws in pair order.  Each phase takes its
     draws in that order before it touches the pairs, which then evolve
-    together as rows of one array.
+    together as rows of one array.  Each transit's draws form one row of a
+    trip table (``_draw_trips``); phase 2 stacks its runs' tables, and the
+    analyzer reads their last three columns.
     """
     rng = np.random.default_rng(config.seed)
     eve = config.eve_model
     transcript: list = []
 
     psi = bell_pairs(config.pair_count)
-    trips, hit = _trip_table(*_draw_trips(rng, config.pair_count, eve, tail=0), eve, tail=0)
-    _transit(psi, config, trips, hit)
+    _transit(psi, config, _draw_trips(rng, config.pair_count, eve, tail=0))
 
     n_sample = phase1_sample_count(config)
     sampled = np.sort(rng.choice(config.pair_count, size=n_sample, replace=False))
@@ -359,19 +349,16 @@ def run_session(config: QsdcConfig) -> SessionReport:
     # draws, so the trips are drawn in runs that each start at a check pair.
     encoded = [bits_at.get(pos) for pos in remaining]
     run_starts = [i for i, bits in enumerate(encoded) if bits is None or i == 0]
-    blocks, offsets, size = [], [], 0
+    blocks = []
     for lo, hi in zip(run_starts, run_starts[1:] + [len(remaining)]):
         if encoded[lo] is None:
             encoded[lo] = BITS_BY_OP[_OP_ORDER[int(rng.integers(4))]]
-        u, starts = _draw_trips(rng, hi - lo, eve, tail=3)
-        blocks.append(u)
-        offsets.append(starts + size)
-        size += len(u)
-    trips, hit = _trip_table(np.concatenate(blocks), np.concatenate(offsets), eve, tail=3)
+        blocks.append(_draw_trips(rng, hi - lo, eve, tail=3))
+    trips = np.concatenate(blocks)
 
     back = encode_pairs(psi[remaining], [OP_BY_BITS[bits] for bits in encoded])
-    _transit(back, config, trips, hit)
-    inferred = analyze_pairs(back, trips[:, 4:])
+    _transit(back, config, trips)
+    inferred = analyze_pairs(back, trips[:, -3:])
 
     decoded: list[str] = []
     check_pairs = 0

@@ -294,6 +294,46 @@ class TestQuality:
         assert point.ks_over_k == pytest.approx(0.7)
 
 
+class TestClosedFormGap:
+    """The exact analyzer against the closed-form fidelities, uncompensated.
+
+    Accuracy is P(inferred = input | every photon arrives).  The closed
+    forms read only |r0| and |rh|, while the sign check also sees the phase
+    difference of the two reflections, so the two disagree: by a few
+    percent at the CLI default point, and completely on resonance, where
+    the analyzer is a coin flip yet F1 and F2 stay near 1.
+    """
+
+    @staticmethod
+    def accuracy(label, params):
+        dist = outcome_distribution(label, params, ideal=False)
+        hits = sum(
+            dist.joint[k, j, l]
+            for k in (0, 1)
+            for j in (0, 1)
+            for l in (0, 1)
+            if classify(bool(k), DetectorPair[f"C{j + 1}D{l + 1}"]) is label
+        )
+        return hits / dist.success
+
+    @pytest.mark.parametrize(
+        "detuning, phi_acc, psi_acc, f2, f1",
+        [
+            (0.5, 0.973820, 0.989678, 0.999798, 0.999888),
+            (0.0, 0.499926, 0.500000, 0.999831, 0.999906),
+        ],
+    )
+    def test_measured_gap(self, detuning, phi_acc, psi_acc, f2, f1):
+        params = operating_point(2.4, 0.0, detuning=detuning)
+        for label in (BellState.PHI_PLUS, BellState.PHI_MINUS):
+            assert self.accuracy(label, params) == pytest.approx(phi_acc, abs=1e-5)
+        for label in (BellState.PSI_PLUS, BellState.PSI_MINUS):
+            assert self.accuracy(label, params) == pytest.approx(psi_acc, abs=1e-5)
+        point = quality(params)
+        assert point.F2 == pytest.approx(f2, abs=1e-5)
+        assert point.F1 == pytest.approx(f1, abs=1e-5)
+
+
 class TestDecoherence:
     def test_equal_gap_and_coherence_time(self):
         value = decoherence_factor(DecoherenceParams(delta_t=5.0, t2e=5.0))

@@ -168,6 +168,15 @@ class TestSweepCommand:
         with pytest.raises(ValueError, match="at most"):
             cli.SweepSpec(g_min=0.1, g_max=3.0, steps=half + 1, ks_list=(0.0, 0.5))
 
+    @pytest.mark.parametrize("steps", [3.0, np.float64(3.0), True])
+    def test_non_integer_steps_rejected(self, steps):
+        with pytest.raises(ValueError, match="steps must be an integer"):
+            cli.SweepSpec(g_min=0.1, g_max=3.0, steps=steps, ks_list=(0.0,))
+
+    def test_numpy_integer_steps_accepted(self):
+        spec = cli.SweepSpec(g_min=0.1, g_max=3.0, steps=np.int64(3), ks_list=(0.0,))
+        assert len(cli.sweep_points(spec)) == 3
+
     def test_unwritable_path_exits_one(self, capsys):
         code, _, err = self.run_sweep(
             capsys,

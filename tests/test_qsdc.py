@@ -15,7 +15,6 @@ from spatialbsa.qsdc import (
     QsdcConfig,
     SessionReport,
     _draw_trips,
-    _trip_table,
     apply_channel,
     bell_pairs,
     encode_pairs,
@@ -122,9 +121,8 @@ class TestPairArray:
 class TestTripDraws:
     def test_trips_without_eve_draw_twice_each(self, scripted_rng):
         rng = scripted_rng([0.1, 0.2, 0.3, 0.4, 0.5])
-        u, starts = _draw_trips(rng, 2, EveModel.none(), tail=0)
-        assert u.tolist() == [0.1, 0.2, 0.3, 0.4]
-        assert starts.tolist() == [0, 2]
+        trips = _draw_trips(rng, 2, EveModel.none(), tail=0)
+        assert trips.tolist() == [[0.1, 0.2], [0.3, 0.4]]
         assert rng._draws == [0.5]
 
     def test_intercepted_trips_take_basis_and_outcome(self, scripted_rng):
@@ -132,15 +130,27 @@ class TestTripDraws:
         # 0.7, then its tail draw 0.3.  Trip 1: coin 0.8 passes, tail 0.4.
         draws = [0.9, 0.9, 0.2, 0.6, 0.7, 0.3, 0.1, 0.1, 0.8, 0.4, 0.55]
         rng = scripted_rng(draws)
-        eve = EveModel.intercept_resend(0.5)
-        u, starts = _draw_trips(rng, 2, eve, tail=1)
+        trips = _draw_trips(rng, 2, EveModel.intercept_resend(0.5), tail=1)
         assert rng._draws == [0.55]
-        table, hit = _trip_table(u, starts, eve, tail=1)
-        assert hit.tolist() == [True, False]
-        assert table[0].tolist() == [0.9, 0.9, 0.6, 0.7, 0.3]
-        assert table[1, :2].tolist() == [0.1, 0.1]
-        assert np.isnan(table[1, 2:4]).all()
-        assert table[1, 4] == 0.4
+        assert trips[0].tolist() == [0.9, 0.9, 0.2, 0.6, 0.7, 0.3]
+        assert trips[1, :3].tolist() == [0.1, 0.1, 0.8]
+        assert np.isnan(trips[1, 3:5]).all()
+        assert trips[1, 5] == 0.4
+
+    @pytest.mark.parametrize(
+        "eve, width",
+        [
+            (EveModel.none(), 2),
+            (EveModel.intercept_resend(0.0), 3),
+            (EveModel.intercept_resend(1.0), 5),
+            (EveModel.intercept_resend(0.5), 5),
+        ],
+    )
+    def test_row_layout(self, scripted_rng, eve, width):
+        # Each trip draws its row in column order; the tail comes last.
+        draws = [0.1 * (k + 1) for k in range(width + 2)]
+        trips = _draw_trips(scripted_rng(list(draws)), 1, eve, tail=2)
+        assert trips.tolist() == [draws]
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -152,15 +162,17 @@ class TestTripDraws:
     def test_block_draws_equal_scalar_draws(self, n, fraction, tail, seed):
         eve = EveModel.intercept_resend(fraction)
         block_rng = np.random.default_rng(seed)
-        u, starts = _draw_trips(block_rng, n, eve, tail)
+        trips = _draw_trips(block_rng, n, eve, tail)
         scalar_rng = np.random.default_rng(seed)
         want = []
         for _ in range(n):
             trip = [scalar_rng.random() for _ in range(3)]
             if trip[2] < fraction:
                 trip += [scalar_rng.random(), scalar_rng.random()]
-            want += trip + [scalar_rng.random() for _ in range(tail)]
-        assert u.tolist() == want
+            elif fraction > 0.0:
+                trip += [np.nan, np.nan]
+            want.append(trip + [scalar_rng.random() for _ in range(tail)])
+        np.testing.assert_array_equal(trips, want)
         assert block_rng.random() == scalar_rng.random()
 
 
@@ -223,8 +235,7 @@ class TestChannel:
         psi = bell_pairs(1)
         before = psi.copy()
         rng = scripted_rng([0.3, 0.6])
-        u, _ = _draw_trips(rng, 1, EveModel.none(), tail=0)
-        apply_channel(psi, ChannelModel(), u.reshape(1, 2))
+        apply_channel(psi, ChannelModel(), _draw_trips(rng, 1, EveModel.none(), tail=0))
         assert np.array_equal(psi, before)
         assert rng._draws == []
 
@@ -294,6 +305,9 @@ class TestConfigValidation:
             {"message_bits": "01", "pair_count": 64.0},
             {"message_bits": "01", "pair_count": np.float64(64.0)},
             {"message_bits": "01", "pair_count": True},
+            {"message_bits": "01", "eve_model": None},
+            {"message_bits": "01", "eve_model": "none"},
+            {"message_bits": "01", "channel_model": None},
         ],
     )
     def test_bad_fields_rejected(self, kwargs):
