@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cavity import CavityParams, reflection, scatter_factors
+from .cavity import CavityParams, check_number, reflection, scatter_factors
 from .register import (
     HADAMARD,
     BellState,
@@ -114,6 +114,8 @@ class DecoherenceParams:
     t2e: float
 
     def __post_init__(self):
+        check_number("delta_t", self.delta_t)
+        check_number("t2e", self.t2e)
         if not (self.delta_t > 0.0):
             raise ValueError("delta_t must be positive")
         if not (self.t2e > 0.0):
@@ -358,20 +360,16 @@ def analyze(
     )
 
 
-# The Bell state each branch (k, j, l) identifies, at index 4k + 2j + l.
-_INFERRED = tuple(
-    classify(k, _DETECTOR_MAP[(j, l)]) for k in (False, True) for j in (0, 1) for l in (0, 1)
-)
-
-
-def analyze_pairs(psi: np.ndarray, uniforms: np.ndarray) -> list[BellState]:
+def analyze_pairs(psi: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Run the ideal analyzer once on each row of a pair array.
 
     ``psi`` has shape (n, 2, 2): pair, rail of photon a, rail of photon b,
     with both polarizations |R>.  Row i's three uniforms ``uniforms[i]``
     are used as ``analyze`` uses its three draws, and its exact distribution
     comes from the same branch maps, so row i gets the Bell state that
-    ``analyze`` infers on that pair with those draws.
+    ``analyze`` infers on that pair with those draws, as an int code: a
+    mixed detector pair adds 2 (minus sign) and a changed spin 1 (odd
+    parity), so phi+, psi+, phi- and psi- read 0, 1, 2 and 3.
     """
     n = len(psi)
     joint = _joint(_branch_maps(None, True)[..., 0, 0].reshape(8, 8, 4), psi.reshape(n, 4).T)
@@ -382,7 +380,7 @@ def analyze_pairs(psi: np.ndarray, uniforms: np.ndarray) -> list[BellState]:
         uniforms[:, 2],
         base=14 * np.arange(n),
     )
-    return [_INFERRED[i] for i in (4 * k + 2 * j + l).tolist()]
+    return 2 * (j ^ l) + k
 
 
 def quality_from_moduli(r0: float, rh: float) -> tuple[float, float, float, float]:

@@ -16,12 +16,23 @@ and exp(i 0) for hot, which is the regime the analyzer is designed around.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 IDEAL_COLD = complex(np.exp(-0.5j * np.pi))
 IDEAL_HOT = 1.0 + 0.0j
+
+
+def check_number(name: str, value, whole: bool = False) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is a real number.
+
+    Python's and numpy's ints and floats pass, but a bool does not; with
+    ``whole`` only the ints pass.  Configs run this before any range check.
+    """
+    kinds = (int, np.integer) if whole else (float, int, np.floating, np.integer)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValueError(f"{name} must be {'an integer' if whole else 'a number'}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,9 +52,11 @@ class CavityParams:
     delta_x: float = 0.5
 
     def __post_init__(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite")
+        for name, value in vars(self).items():
+            if type(value) is not float:  # a sweep builds one per row: keep floats cheap
+                check_number(name, value)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if not (self.g >= 0.0):
             raise ValueError("g must be nonnegative")
         if not (self.kappa > 0.0):

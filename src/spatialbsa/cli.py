@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .bsa import DetectorPair, analyze, quality
-from .cavity import operating_point
+from .cavity import check_number, operating_point
 from .qsdc import ChannelModel, EveModel, QsdcConfig, run_session
 from .register import BellState
 
@@ -89,12 +89,12 @@ class SweepSpec:
     detuning: float = 0.5
 
     def __post_init__(self):
-        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
-            raise ValueError(f"steps must be an integer, got {self.steps!r}")
+        check_number("steps", self.steps, whole=True)
         if self.steps < 2:
             raise ValueError("steps must be at least 2")
-        for value in (self.g_min, self.g_max, self.gamma, self.detuning):
-            if not math.isfinite(value):
+        for name in ("g_min", "g_max", "gamma", "detuning"):
+            check_number(name, getattr(self, name))
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError("sweep ranges must be finite")
         if not (self.g_min < self.g_max):
             raise ValueError("g range must satisfy min < max")
@@ -102,6 +102,8 @@ class SweepSpec:
             raise ValueError("g must be nonnegative")
         if not self.ks_list:
             raise ValueError("at least one ks_over_k value is required")
+        for ks in self.ks_list:
+            check_number("ks_over_k", ks)
         if any(not math.isfinite(ks) or ks < 0.0 for ks in self.ks_list):
             raise ValueError("ks_over_k values must be finite and nonnegative")
         if self.steps * len(self.ks_list) > MAX_SWEEP_ROWS:
@@ -327,8 +329,10 @@ def _qsdc_json(payload: dict) -> str:
     head, _, tail = json.dumps(
         {**payload, "report": {**report, "transcript": []}}, indent=2, sort_keys=True
     ).rpartition("[]")
-    events = _EVENT_ENCODER.encode(report["transcript"])
-    body = events[2:-2].replace("}," + _EVENT_INDENT + "{", "\n      },\n      {" + _EVENT_INDENT)
+    # Sliced in one expression, so the encoder's text is freed before the replace.
+    body = _EVENT_ENCODER.encode(report["transcript"])[2:-2].replace(
+        "}," + _EVENT_INDENT + "{", "\n      },\n      {" + _EVENT_INDENT
+    )
     return "".join((head, "[\n      {", _EVENT_INDENT, body, "\n      }\n    ]", tail))
 
 

@@ -14,8 +14,12 @@ two phases:
 * Phase 2, dense coding: Alice encodes two bits on each surviving travel
   photon with one of the four rail operations, mixes in check pairs carrying
   random known operations, and returns the sequence.  Bob identifies each
-  pair's Bell state with the analyzer and inverts the bit mapping; the check
-  pairs, announced afterwards, give an in-message error estimate.
+  pair's Bell state with the analyzer, which reads the bits straight back;
+  the check pairs, announced afterwards, give an in-message error estimate.
+
+The bit pair b0 b1 travels as the code c = 2*b0 + b1.  Alice encodes it with
+the channel's rail flip: she swaps photon a's rails where c is odd and then
+negates its rail 2 where c >= 2, taking phi+ to phi+, psi+, phi- or psi-.
 
 An optional eavesdropper intercepts travel photons, measures the spatial
 qubit in a random Z/X basis and resends the eigenstate; an optional channel
@@ -37,7 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsa import analyze_pairs
-from .register import _RAIL_OP_MATRICES, HADAMARD, SQRT_HALF, BellState, RailOp, _pick
+from .cavity import check_number
+from .register import HADAMARD, SQRT_HALF, _pick
 
 # The largest session a config may ask for.  At the default sample
 # fraction a session peaks at about 1.9 KB per pair, in phase 2's analyzer
@@ -46,25 +51,11 @@ from .register import _RAIL_OP_MATRICES, HADAMARD, SQRT_HALF, BellState, RailOp,
 # bound holds a command near 2 GB.
 MAX_PAIR_COUNT = 1_000_000
 
-OP_BY_BITS = {
-    "00": RailOp.IDENTITY,
-    "01": RailOp.SWAP,
-    "10": RailOp.PHASE,
-    "11": RailOp.SWAP_PHASE,
-}
-BITS_BY_OP = {op: bits for bits, op in OP_BY_BITS.items()}
-
-# Acting on one photon of phi+, each rail operation lands on its own Bell
-# state, so Bob's analyzer outcome decodes straight back to the bit pair.
-BELL_BY_OP = {
-    RailOp.IDENTITY: BellState.PHI_PLUS,
-    RailOp.SWAP: BellState.PSI_PLUS,
-    RailOp.PHASE: BellState.PHI_MINUS,
-    RailOp.SWAP_PHASE: BellState.PSI_MINUS,
-}
-BITS_BY_BELL = {bell: BITS_BY_OP[op] for op, bell in BELL_BY_OP.items()}
-
-_OP_ORDER = (RailOp.IDENTITY, RailOp.SWAP, RailOp.PHASE, RailOp.SWAP_PHASE)
+# The dense-coding alphabet in code order: code c = 2*b0 + b1 carries the
+# bits CODE_BITS[c] and turns phi+ into CODE_BELL[c].  b1 is the swap, which
+# makes the parity odd, and b0 the phase, which makes the sign minus.
+CODE_BITS = ("00", "01", "10", "11")
+CODE_BELL = ("phi+", "psi+", "phi-", "psi-")
 
 
 @dataclass(frozen=True)
@@ -77,6 +68,7 @@ class EveModel:
     def __post_init__(self):
         if self.kind not in ("none", "intercept_resend"):
             raise ValueError(f"unknown eve model {self.kind!r}")
+        check_number("eve fraction", self.fraction)
         if not (0.0 <= self.fraction <= 1.0):
             raise ValueError("eve fraction must lie in [0, 1]")
         if self.kind == "none" and self.fraction != 0.0:
@@ -103,10 +95,9 @@ class ChannelModel:
     phase_flip_prob: float = 0.0
 
     def __post_init__(self):
-        for label, p in (
-            ("mode_flip_prob", self.mode_flip_prob),
-            ("phase_flip_prob", self.phase_flip_prob),
-        ):
+        for label in ("mode_flip_prob", "phase_flip_prob"):
+            p = getattr(self, label)
+            check_number(label, p)
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"{label} must lie in [0, 1]")
 
@@ -124,22 +115,23 @@ class QsdcConfig:
     qber_abort_threshold: float = 0.11
 
     def __post_init__(self):
-        if not self.message_bits or set(self.message_bits) - {"0", "1"}:
+        bits = self.message_bits
+        if not isinstance(bits, str) or not bits or set(bits) - {"0", "1"}:
             raise ValueError("message_bits must be a nonempty string of 0s and 1s")
         if len(self.message_bits) % 2 != 0:
             raise ValueError("message_bits must have even length (2 bits per pair)")
+        for name in ("pair_count", "sample_fraction", "seed", "qber_abort_threshold"):
+            check_number(name, getattr(self, name))
         if not 1 <= self.pair_count <= MAX_PAIR_COUNT:
             raise ValueError(f"pair_count must lie between 1 and {MAX_PAIR_COUNT}")
         if not (0.0 < self.sample_fraction < 1.0):
             raise ValueError("sample_fraction must lie strictly between 0 and 1")
         if not (self.qber_abort_threshold >= 0.0):
             raise ValueError("qber_abort_threshold must be nonnegative")
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValueError("seed must fit in 64 bits")
         for name in ("pair_count", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            check_number(name, getattr(self, name), whole=True)
+        if not (0 <= self.seed < 2**64):
+            raise ValueError("seed must fit in 64 bits")
         for name, model in (("eve_model", EveModel), ("channel_model", ChannelModel)):
             value = getattr(self, name)
             if not isinstance(value, model):
@@ -186,12 +178,12 @@ def bell_pairs(n: int) -> np.ndarray:
     return psi
 
 
-def encode_pairs(psi: np.ndarray, ops) -> np.ndarray:
-    """Apply row i's rail operation ``ops[i]`` to its photon a, in place."""
-    ops = np.array(ops, dtype=object)
-    for op, matrix in _RAIL_OP_MATRICES.items():
-        rows = ops == op
-        psi[rows] = matrix @ psi[rows]
+def flip_rails(psi: np.ndarray, swap, phase) -> np.ndarray:
+    """Swap photon a's rails in the rows where ``swap`` holds, then negate its
+    rail 2 where ``phase`` holds, in place: the channel's two errors, which
+    together make the four dense-coding operations."""
+    psi[swap] = psi[swap, ::-1]
+    psi[phase, 1] = -psi[phase, 1]
     return psi
 
 
@@ -223,10 +215,7 @@ def measure_photon(psi: np.ndarray, photon: str, x_basis, u) -> np.ndarray:
 def apply_channel(psi: np.ndarray, channel: ChannelModel, u) -> np.ndarray:
     """Apply the channel's rail-swap and rail-phase errors to photon a of each
     row, in place; ``u[i]`` holds row i's two uniforms, swap first."""
-    swap, phase = u[:, 0] < channel.mode_flip_prob, u[:, 1] < channel.phase_flip_prob
-    psi[swap] = psi[swap, ::-1]
-    psi[phase, 1] = -psi[phase, 1]
-    return psi
+    return flip_rails(psi, u[:, 0] < channel.mode_flip_prob, u[:, 1] < channel.phase_flip_prob)
 
 
 def eve_intercept_resend(psi: np.ndarray, u) -> np.ndarray:
@@ -285,7 +274,8 @@ def run_session(config: QsdcConfig) -> SessionReport:
     draws in that order before it touches the pairs, which then evolve
     together as rows of one array.  Each transit's draws form one row of a
     trip table (``_draw_trips``); phase 2 stacks its runs' tables, and the
-    analyzer reads their last three columns.
+    analyzer reads their last three columns.  Phase 2 keeps each pair's bit
+    pair as an int code and its role as a bool.
     """
     rng = np.random.default_rng(config.seed)
     eve = config.eve_model
@@ -335,52 +325,45 @@ def run_session(config: QsdcConfig) -> SessionReport:
             transcript=transcript,
         )
 
-    sampled_set = set(sampled.tolist())
-    remaining = [pos for pos in range(config.pair_count) if pos not in sampled_set]
+    remaining = np.delete(np.arange(config.pair_count), sampled)
     n_message = config.message_pair_count
     slot_picks = rng.choice(len(remaining), size=n_message, replace=False)
-    message_positions = sorted(remaining[int(i)] for i in slot_picks)
-    bits_at = {
-        pos: config.message_bits[2 * k : 2 * k + 2]
-        for k, pos in enumerate(message_positions)
-    }
+    is_message = np.zeros(len(remaining), dtype=bool)
+    is_message[slot_picks] = True
+    # The message goes into its slots in order, one code per bit pair.
+    bits = np.frombuffer(config.message_bits.encode(), dtype=np.uint8) - ord("0")
+    codes = np.zeros(len(remaining), dtype=int)
+    codes[is_message] = 2 * bits[0::2] + bits[1::2]
 
-    # Every check pair draws its operation before its trip and analyzer
-    # draws, so the trips are drawn in runs that each start at a check pair.
-    encoded = [bits_at.get(pos) for pos in remaining]
-    run_starts = [i for i, bits in enumerate(encoded) if bits is None or i == 0]
+    # Every check pair draws its code before its trip and analyzer draws,
+    # so the trips are drawn in runs that each start at a check pair.
+    bounds = [0, *(np.flatnonzero(~is_message[1:]) + 1).tolist(), len(remaining)]
     blocks = []
-    for lo, hi in zip(run_starts, run_starts[1:] + [len(remaining)]):
-        if encoded[lo] is None:
-            encoded[lo] = BITS_BY_OP[_OP_ORDER[int(rng.integers(4))]]
+    for lo, hi in zip(bounds, bounds[1:]):
+        if not is_message[lo]:
+            codes[lo] = rng.integers(4)
         blocks.append(_draw_trips(rng, hi - lo, eve, tail=3))
     trips = np.concatenate(blocks)
 
-    back = encode_pairs(psi[remaining], [OP_BY_BITS[bits] for bits in encoded])
+    back = flip_rails(psi[remaining], codes % 2 == 1, codes >= 2)
     _transit(back, config, trips)
-    inferred = analyze_pairs(back, trips[:, -3:])
+    got = analyze_pairs(back, trips[:, -3:])
 
-    decoded: list[str] = []
-    check_pairs = 0
-    check_errors = 0
-    for pos, bits, bell in zip(remaining, encoded, inferred):
-        role = "message" if pos in bits_at else "check"
-        got = BITS_BY_BELL[bell]
-        match = got == bits
-        if role == "message":
-            decoded.append(got)
-        else:
-            check_pairs += 1
-            check_errors += 0 if match else 1
+    match = got == codes
+    check_pairs = len(remaining) - n_message
+    check_errors = int(np.count_nonzero(~match & ~is_message))
+    for pos, message, code, inferred, ok in zip(
+        remaining.tolist(), is_message.tolist(), codes.tolist(), got.tolist(), match.tolist()
+    ):
         transcript.append(
             {
                 "event": "phase2_pair",
                 "pair": pos,
-                "role": role,
-                "encoded": bits,
-                "inferred": bell.value,
-                "decoded": got,
-                "match": match,
+                "role": "message" if message else "check",
+                "encoded": CODE_BITS[code],
+                "inferred": CODE_BELL[inferred],
+                "decoded": CODE_BITS[inferred],
+                "match": ok,
             }
         )
     error_rate = check_errors / check_pairs if check_pairs else 0.0
@@ -396,7 +379,7 @@ def run_session(config: QsdcConfig) -> SessionReport:
     return SessionReport(
         phase1_qber=qber,
         aborted=False,
-        decoded_bits="".join(decoded),
+        decoded_bits="".join(CODE_BITS[c] for c in got[is_message].tolist()),
         phase2_sample_error_rate=error_rate,
         transcript=transcript,
     )

@@ -317,14 +317,20 @@ class TestClosedFormGap:
         return hits / dist.success
 
     @pytest.mark.parametrize(
-        "detuning, phi_acc, psi_acc, f2, f1",
+        "ks, detuning, phi_acc, psi_acc, f2, f1",
         [
-            (0.5, 0.973820, 0.989678, 0.999798, 0.999888),
-            (0.0, 0.499926, 0.500000, 0.999831, 0.999906),
+            (0.0, 0.5, 0.973820, 0.989678, 0.999798, 0.999888),
+            (0.0, 0.0, 0.499926, 0.500000, 0.999831, 0.999906),
+            # Near the two detunings where the phase difference is pi/2,
+            # at the rounded values ROADMAP lists
+            (0.0, 0.5534, 0.959216, 0.999883, 0.999790, 0.999883),
+            (0.0, 2.0224, 0.318314, 0.992948, 0.987612, 0.992940),
+            # Side leakage at the CLI default detuning
+            (0.7, 0.5, 0.704198, 0.693394, 0.721865, 0.696063),
         ],
     )
-    def test_measured_gap(self, detuning, phi_acc, psi_acc, f2, f1):
-        params = operating_point(2.4, 0.0, detuning=detuning)
+    def test_measured_gap(self, ks, detuning, phi_acc, psi_acc, f2, f1):
+        params = operating_point(2.4, ks, detuning=detuning)
         for label in (BellState.PHI_PLUS, BellState.PHI_MINUS):
             assert self.accuracy(label, params) == pytest.approx(phi_acc, abs=1e-5)
         for label in (BellState.PSI_PLUS, BellState.PSI_MINUS):
@@ -353,7 +359,9 @@ class TestDecoherence:
         assert all(b < a for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("kwargs", [{"delta_t": 0.0, "t2e": 1.0},
-                                        {"delta_t": 1.0, "t2e": -2.0}])
+                                        {"delta_t": 1.0, "t2e": -2.0},
+                                        {"delta_t": "1", "t2e": 2.0},
+                                        {"delta_t": 1.0, "t2e": None}])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
             DecoherenceParams(**kwargs)

@@ -131,6 +131,11 @@ class TestReflection:
             {"g": 1.0, "kappa": 0.0},
             {"g": 1.0, "kappa_s": -0.2},
             {"g": 1.0, "gamma": -0.5},
+            # wrong types are named, not compared: a str, None and a bool
+            {"g": "1"},
+            {"g": 1.0, "kappa": None},
+            {"g": True},
+            {"g": np.bool_(True)},
         ],
     )
     def test_invalid_params_rejected(self, kwargs):

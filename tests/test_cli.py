@@ -173,6 +173,21 @@ class TestSweepCommand:
         with pytest.raises(ValueError, match="steps must be an integer"):
             cli.SweepSpec(g_min=0.1, g_max=3.0, steps=steps, ks_list=(0.0,))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"g_min": "1"},
+            {"g_max": None},
+            {"gamma": True},
+            {"detuning": "0.5"},
+            {"ks_list": (0.0, "0.3")},
+        ],
+    )
+    def test_non_number_fields_rejected(self, bad):
+        kwargs = {"g_min": 0.1, "g_max": 3.0, "steps": 3, "ks_list": (0.0,), **bad}
+        with pytest.raises(ValueError, match="must be a number"):
+            cli.SweepSpec(**kwargs)
+
     def test_numpy_integer_steps_accepted(self):
         spec = cli.SweepSpec(g_min=0.1, g_max=3.0, steps=np.int64(3), ks_list=(0.0,))
         assert len(cli.sweep_points(spec)) == 3

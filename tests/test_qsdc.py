@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import ScriptedRng
 from spatialbsa.bsa import analyze, analyze_pairs, outcome_distribution
 from spatialbsa.qsdc import (
-    BITS_BY_BELL,
+    CODE_BELL,
+    CODE_BITS,
     MAX_PAIR_COUNT,
-    OP_BY_BITS,
     ChannelModel,
     EveModel,
     QsdcConfig,
@@ -17,8 +17,8 @@ from spatialbsa.qsdc import (
     _draw_trips,
     apply_channel,
     bell_pairs,
-    encode_pairs,
     eve_intercept_resend,
+    flip_rails,
     measure_photon,
     phase1_sample_count,
     run_session,
@@ -67,24 +67,33 @@ def phase1_rate(report, basis):
     return sum(0 if e["agree"] else 1 for e in events) / len(events)
 
 
+def encode(psi, codes):
+    # Alice's encoding: code c swaps photon a's rails where c is odd and
+    # negates its rail 2 where c is 2 or 3.
+    codes = np.asarray(codes)
+    return flip_rails(psi, codes % 2 == 1, codes >= 2)
+
+
 class TestDenseCodingMaps:
     def test_bit_op_bell_tables_are_consistent(self):
-        assert OP_BY_BITS["00"] is RailOp.IDENTITY
-        assert OP_BY_BITS["01"] is RailOp.SWAP
-        assert OP_BY_BITS["10"] is RailOp.PHASE
-        assert OP_BY_BITS["11"] is RailOp.SWAP_PHASE
-        assert BITS_BY_BELL[BellState.PHI_PLUS] == "00"
-        assert BITS_BY_BELL[BellState.PSI_PLUS] == "01"
-        assert BITS_BY_BELL[BellState.PHI_MINUS] == "10"
-        assert BITS_BY_BELL[BellState.PSI_MINUS] == "11"
+        # A bit pair's code is the pair read as a binary number.
+        assert [int(bits, 2) for bits in CODE_BITS] == [0, 1, 2, 3]
+        bells = [BellState.from_string(label) for label in CODE_BELL]
+        assert bells == [
+            BellState.PHI_PLUS,
+            BellState.PSI_PLUS,
+            BellState.PHI_MINUS,
+            BellState.PSI_MINUS,
+        ]
+        # The second bit is the swap, which makes the parity odd.
+        assert [bell.even_parity for bell in bells] == [True, False, True, False]
 
     def test_round_trip_identity_all_values_all_seeds(self):
-        for bits, op in OP_BY_BITS.items():
+        for code in range(4):
             for seed in range(5):
-                reg = make_bell(BellState.PHI_PLUS)
-                apply_spatial_unitary(reg, "a", op)
+                reg = as_register(encode(bell_pairs(1), [code])[0])
                 record = analyze(reg, rng=np.random.default_rng(seed))
-                assert BITS_BY_BELL[record.inferred] == bits
+                assert record.inferred.value == CODE_BELL[code]
 
 
 class TestPairArray:
@@ -96,9 +105,10 @@ class TestPairArray:
 
     @pytest.mark.parametrize("op", list(RailOp))
     def test_rail_ops_match_the_register_gates(self, op):
+        code = list(RailOp).index(op)  # RailOp lists the operations in code order
         want = make_bell(BellState.PHI_PLUS)
         apply_spatial_unitary(want, "a", op)
-        psi = encode_pairs(bell_pairs(1), [op])
+        psi = encode(bell_pairs(1), [code])
         assert np.array_equal(psi[0].reshape(4), want.amplitudes)
 
     @settings(max_examples=40, deadline=None)
@@ -252,10 +262,14 @@ class TestChannel:
         )
         # the analyzer then reads the identity encoding as the phase encoding
         (inferred,) = analyze_pairs(psi, np.random.default_rng(0).random((1, 3)))
-        assert BITS_BY_BELL[inferred] == "10"
+        assert inferred == 2
+        assert CODE_BITS[inferred] == "10"
 
     @pytest.mark.parametrize("kwargs", [{"mode_flip_prob": -0.1},
-                                        {"phase_flip_prob": 1.5}])
+                                        {"phase_flip_prob": 1.5},
+                                        {"mode_flip_prob": None},
+                                        {"phase_flip_prob": "0.1"},
+                                        {"mode_flip_prob": True}])
     def test_invalid_probabilities_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ChannelModel(**kwargs)
@@ -279,7 +293,7 @@ class TestAnalyzePairs:
             assume(abs(u_b - w[i] / (w[i] + w[i + 1])) >= MARGIN)
         want = analyze(as_register(amps), rng=ScriptedRng(uniforms)).inferred
         (got,) = analyze_pairs(amps.reshape(1, 2, 2), np.array([uniforms]))
-        assert got is want
+        assert BellState.from_string(CODE_BELL[got]) is want
 
 
 class TestConfigValidation:
@@ -308,6 +322,14 @@ class TestConfigValidation:
             {"message_bits": "01", "eve_model": None},
             {"message_bits": "01", "eve_model": "none"},
             {"message_bits": "01", "channel_model": None},
+            # wrong-typed scalars are named before any range comparison
+            {"message_bits": 1010},
+            {"message_bits": "01", "sample_fraction": "0.2"},
+            {"message_bits": "01", "qber_abort_threshold": None},
+            {"message_bits": "01", "pair_count": "50"},
+            {"message_bits": "01", "seed": None},
+            {"message_bits": "01", "seed": float("inf")},
+            {"message_bits": "01", "sample_fraction": np.bool_(True)},
         ],
     )
     def test_bad_fields_rejected(self, kwargs):
@@ -339,6 +361,9 @@ class TestConfigValidation:
             EveModel(kind="intercept_resend", fraction=1.5)
         with pytest.raises(ValueError):
             EveModel(kind="none", fraction=0.5)
+        for fraction in ("0.5", None, True):
+            with pytest.raises(ValueError, match="fraction must be a number"):
+                EveModel(kind="intercept_resend", fraction=fraction)
         assert not EveModel.none().active
         assert EveModel.intercept_resend().fraction == 1.0
 

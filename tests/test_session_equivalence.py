@@ -13,9 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from spatialbsa.bsa import analyze
 from spatialbsa.qsdc import (
-    BITS_BY_BELL,
-    BITS_BY_OP,
-    OP_BY_BITS,
     ChannelModel,
     EveModel,
     QsdcConfig,
@@ -25,7 +22,18 @@ from spatialbsa.qsdc import (
 )
 from spatialbsa.register import BellState, RailOp, apply_spatial_unitary, make_bell
 
+# The dense-coding alphabet, kept apart from the session's own tables: the
+# check operation drawn as i is OP_ORDER[i], and each operation on phi+
+# lands on the Bell state that decodes back to its bits.
 OP_ORDER = (RailOp.IDENTITY, RailOp.SWAP, RailOp.PHASE, RailOp.SWAP_PHASE)
+OP_BY_BITS = dict(zip(("00", "01", "10", "11"), OP_ORDER))
+BITS_BY_OP = {op: bits for bits, op in OP_BY_BITS.items()}
+BITS_BY_BELL = {
+    BellState.PHI_PLUS: "00",
+    BellState.PSI_PLUS: "01",
+    BellState.PHI_MINUS: "10",
+    BellState.PSI_MINUS: "11",
+}
 
 
 def transit(reg, config, rng):
