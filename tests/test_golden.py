@@ -4,7 +4,8 @@
 and lossy at two operating points, and two small `qsdc` reports with full
 transcripts, all recorded from the gate-by-gate analyzer.  Any rewrite of
 the analyzer must reproduce them: counts, detector pairs, flip counts and
-transcripts exactly, float summaries to a relative 1e-12.  The `qsdc`
+transcripts exactly, float summaries to a relative 1e-12.  Each `bsa`
+report's full stdout is pinned by its SHA-256 as well.  The `qsdc`
 cases also pin their resolved `config` block, and one small `sweep` grid
 pins its full CSV text; both must match byte for byte.  Four larger
 sessions are pinned by the SHA-256 of their sorted-key transcript JSON: the
@@ -43,7 +44,8 @@ def run_cli(argv, capsys):
 
 @pytest.mark.parametrize("case", GOLDEN["bsa"], ids=lambda c: " ".join(c["argv"][1:3]))
 def test_bsa_report_matches_golden(case, capsys):
-    code, report = run_cli(case["argv"], capsys)
+    code, out = run_cli_text(case["argv"], capsys)
+    report = json.loads(out)
     assert code == 0
     assert report["counts"] == case["counts"]
     assert report["detectors"] == case["detectors"]
@@ -51,6 +53,7 @@ def test_bsa_report_matches_golden(case, capsys):
     assert report["mean_success_probability"] == pytest.approx(
         case["mean_success_probability"], rel=RTOL
     )
+    assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]
 
 
 @pytest.mark.parametrize("case", GOLDEN["qsdc"], ids=("clean", "eve_and_noise"))
