@@ -64,16 +64,12 @@ AUX_NAME = "aux_pol"
 
 
 class DetectorPair(enum.Enum):
-    """Which detector clicked for photon a (c side) and photon b (d side)."""
+    """Detectors c(j+1) and d(l+1) clicked for photons a and b, in order of 2*j + l."""
 
     C1D1 = "c1d1"
     C1D2 = "c1d2"
     C2D1 = "c2d1"
     C2D2 = "c2d2"
-
-    @property
-    def equal_numbered(self) -> bool:
-        return self in (DetectorPair.C1D1, DetectorPair.C2D2)
 
 
 @dataclass(frozen=True)
@@ -161,21 +157,6 @@ def parity_qnd(
         reg.apply_diagonal([spatial_name, pol_name, spin_name], double_pass)
         reg.apply_diagonal([spatial_name, pol_name], _HALF_WAVE)
     return reg
-
-
-_DETECTOR_MAP = {
-    (0, 0): DetectorPair.C1D1,
-    (0, 1): DetectorPair.C1D2,
-    (1, 0): DetectorPair.C2D1,
-    (1, 1): DetectorPair.C2D2,
-}
-
-
-def classify(spin_changed: bool, detectors: DetectorPair) -> BellState:
-    """Map the flip bit and detector pair to the identified Bell state."""
-    if spin_changed:
-        return BellState.PSI_PLUS if detectors.equal_numbered else BellState.PSI_MINUS
-    return BellState.PHI_PLUS if detectors.equal_numbered else BellState.PHI_MINUS
 
 
 # The analyzer's input: both photons' rails and polarizations, in this order.
@@ -351,7 +332,7 @@ def analyze(
     if not dist.success > 0.0:
         raise ZeroNormError("no amplitude reaches the detectors")
     k, j, l = _pick_branch(dist.weights, rng.random(), rng.random(), rng.random())
-    pair = _DETECTOR_MAP[(j, l)]
+    pair = _DETECTOR_PAIRS[2 * j + l]
     return BsaRecord(
         spin_changed=k,
         detectors=pair,
@@ -360,16 +341,26 @@ def analyze(
     )
 
 
+# Flip bit k on detectors c(j+1), d(l+1) is the outcome code 2 * (j ^ l) + k: a mixed
+# pair adds 2 (minus sign), a changed spin 1 (odd parity).  CODE_BELL names its state.
+CODE_BELL = ("phi+", "psi+", "phi-", "psi-")
+_DETECTOR_PAIRS = tuple(DetectorPair)
+
+
+def classify(spin_changed: bool, detectors: DetectorPair) -> BellState:
+    """Map the flip bit and detector pair to the identified Bell state."""
+    j, l = divmod(_DETECTOR_PAIRS.index(detectors), 2)
+    return BellState(CODE_BELL[2 * (j ^ l) + spin_changed])
+
+
 def analyze_pairs(psi: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Run the ideal analyzer once on each row of a pair array.
 
     ``psi`` has shape (n, 2, 2): pair, rail of photon a, rail of photon b,
     with both polarizations |R>.  Row i's three uniforms ``uniforms[i]``
     are used as ``analyze`` uses its three draws, and its exact distribution
-    comes from the same branch maps, so row i gets the Bell state that
-    ``analyze`` infers on that pair with those draws, as an int code: a
-    mixed detector pair adds 2 (minus sign) and a changed spin 1 (odd
-    parity), so phi+, psi+, phi- and psi- read 0, 1, 2 and 3.
+    comes from the same branch maps, so row i gets the code of the Bell
+    state that ``analyze`` infers on that pair with those draws.
     """
     n = len(psi)
     joint = _joint(_branch_maps(None, True)[..., 0, 0].reshape(8, 8, 4), psi.reshape(n, 4).T)

@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsa import DetectorPair, analyze, quality
+from .bsa import CODE_BELL, DetectorPair, _pick_branch, outcome_distribution, quality
 from .cavity import check_number, operating_point
 from .qsdc import ChannelModel, EveModel, QsdcConfig, run_session
-from .register import BellState
+from .register import BellState, ZeroNormError
 
 OUT_DIR_ENV = "SPATIALBSA_OUT_DIR"
 
@@ -33,6 +33,10 @@ CSV_HEADER = "g_over_ktot,ks_over_k,abs_r0,abs_rh,F1,eta1,F2,eta2"
 # The largest sweep grid in rows (steps x ks values).  tracemalloc puts the sweep
 # command at about 840 bytes per row (20 000 and 40 000 steps x 3 ks), so ~1.7 GB.
 MAX_SWEEP_ROWS = 2_000_000
+
+# The most bsa trials.  tracemalloc puts the command, whose draws are one block,
+# at about 66 bytes per trial (200 000 and 2 000 000 trials), so ~1.3 GB.
+MAX_BSA_TRIALS = 20_000_000
 
 _EPILOG = (
     "Configuration precedence: command-line flags override config-file values, "
@@ -100,6 +104,8 @@ class SweepSpec:
             raise ValueError("g range must satisfy min < max")
         if self.g_min < 0.0:
             raise ValueError("g must be nonnegative")
+        if not isinstance(self.ks_list, (tuple, list)):
+            raise ValueError(f"ks_list must be a tuple or list, got {type(self.ks_list).__name__}")
         if not self.ks_list:
             raise ValueError("at least one ks_over_k value is required")
         for ks in self.ks_list:
@@ -169,16 +175,20 @@ def cmd_bsa(args) -> int:
     rng = np.random.default_rng(seed)
     label = BellState.from_string(args.state)
     params = operating_point(args.g_over_ktot, args.ks_over_k, args.gamma, args.detuning)
-    counts = {m.value: 0 for m in BellState}
-    detector_counts = {d.value: 0 for d in DetectorPair}
-    changed = 0
-    success_total = 0.0
+    if args.trials > MAX_BSA_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_BSA_TRIALS}")
+    dist = outcome_distribution(label, params, ideal=not args.lossy)
+    if not dist.success > 0.0:
+        raise ZeroNormError("no amplitude reaches the detectors")
+    # Row i holds trial i's three draws, the doubles that as many scalar draws give.
+    u = rng.random((args.trials, 3))
+    k, j, l = _pick_branch(np.asarray(dist.weights), *u.T)
+    codes = np.bincount(2 * (j ^ l) + k, minlength=4)
+    pairs = np.bincount(2 * j + l, minlength=4)
+    # Summed one trial at a time, left to right: the goldens pin the last bit.
+    success, success_total = dist.success, 0.0
     for _ in range(args.trials):
-        record = analyze(label, params=params, ideal=not args.lossy, rng=rng)
-        counts[record.inferred.value] += 1
-        detector_counts[record.detectors.value] += 1
-        changed += 1 if record.spin_changed else 0
-        success_total += record.success_probability
+        success_total += success
     report = {
         "command": "bsa",
         "state": label.value,
@@ -191,9 +201,9 @@ def cmd_bsa(args) -> int:
             "gamma": args.gamma,
             "detuning": args.detuning,
         },
-        "counts": counts,
-        "detectors": detector_counts,
-        "spin_changed_count": changed,
+        "counts": dict(zip(CODE_BELL, codes.tolist())),
+        "detectors": {d.value: n for d, n in zip(DetectorPair, pairs.tolist())},
+        "spin_changed_count": int(codes[1::2].sum()),
         "mean_success_probability": success_total / args.trials,
     }
     return _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", resolve_out(args.out))

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsa import analyze_pairs
+from .bsa import CODE_BELL, analyze_pairs
 from .cavity import check_number
 from .register import HADAMARD, SQRT_HALF, _pick
 
@@ -55,7 +55,6 @@ MAX_PAIR_COUNT = 1_000_000
 # bits CODE_BITS[c] and turns phi+ into CODE_BELL[c].  b1 is the swap, which
 # makes the parity odd, and b0 the phase, which makes the sign minus.
 CODE_BITS = ("00", "01", "10", "11")
-CODE_BELL = ("phi+", "psi+", "phi-", "psi-")
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,24 @@ class TestBsaCommand:
         assert isinstance(seed_a, int)
         assert seed_a != seed_b
 
+    def test_trials_above_the_bound_give_one_error_line(self, capsys, monkeypatch):
+        # The count is rejected before the analyzer runs; were the bound
+        # missing, the stub stops the command before its block draw.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the trials bound was not checked")
+
+        monkeypatch.setattr(cli, "outcome_distribution", no_draw)
+        argv = ["bsa", "phi+", "--trials", str(cli.MAX_BSA_TRIALS + 1), "--seed", "1"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: trials must be at most {cli.MAX_BSA_TRIALS}\n"
+
+    def test_trials_bound_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_BSA_TRIALS", 5)
+        assert run_cli(["bsa", "phi+", "--trials", "5", "--seed", "1"], capsys)[0] == 0
+        assert run_cli(["bsa", "phi+", "--trials", "6", "--seed", "1"], capsys)[0] == 1
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "bsa.json"
         code, out, _ = run_cli(
@@ -187,6 +205,11 @@ class TestSweepCommand:
         kwargs = {"g_min": 0.1, "g_max": 3.0, "steps": 3, "ks_list": (0.0,), **bad}
         with pytest.raises(ValueError, match="must be a number"):
             cli.SweepSpec(**kwargs)
+
+    @pytest.mark.parametrize("ks_list", [5, 0.3])
+    def test_non_sequence_ks_list_rejected(self, ks_list):
+        with pytest.raises(ValueError, match="ks_list must be a tuple or list"):
+            cli.SweepSpec(0.1, 3.0, 3, ks_list)
 
     def test_numpy_integer_steps_accepted(self):
         spec = cli.SweepSpec(g_min=0.1, g_max=3.0, steps=np.int64(3), ks_list=(0.0,))
@@ -349,9 +372,11 @@ class TestErrorPaths:
             ["bsa", "phi+", "--lossy", "--g-over-ktot", "1e308", "--ks-over-k", "1e308"],
             ["bsa", "phi+", "--g-over-ktot", "inf"],
             ["bsa", "phi+", "--lossy", "--detuning", "nan"],
+            ["bsa", "phi+", "--lossy", "--g-over-ktot", "0", "--ks-over-k", "1",
+             "--detuning", "0"],
         ],
         ids=["negative_seed", "degenerate_cavity", "overflowing_coupling",
-             "infinite_coupling", "nan_detuning"],
+             "infinite_coupling", "nan_detuning", "no_surviving_amplitude"],
     )
     def test_bad_values_give_one_error_line(self, argv, capsys):
         code, out, err = run_cli([*argv, "--trials", "2"], capsys)

@@ -8,6 +8,9 @@ pair count grows without bound as the sample fraction nears 1), messages of
 at most 8 bits.  A qsdc config file whose one bad key holds a value of the
 wrong JSON type must exit 1 with one ``error:`` line naming that key.
 
+``bsa`` draws all its trials as one block; its report must equal, bit for
+bit, what one ``analyze`` call per trial on the command's generator gives.
+
 The qsdc report encoder must give the text of ``json.dumps(payload,
 indent=2, sort_keys=True)`` for any transcript of flat records, whatever
 their strings hold.
@@ -20,9 +23,13 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from spatialbsa import cli
+from spatialbsa.bsa import DetectorPair, analyze
+from spatialbsa.cavity import operating_point
+from spatialbsa.register import BellState, ZeroNormError
 
 SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, 0.0, 1.0, -1.0, 0.5, 1e308, 5e-324)
 numbers = st.one_of(
@@ -137,6 +144,50 @@ def test_cli_never_raises_and_reports_errors_on_one_line(argv, config):
         if not err.startswith("usage:"):
             assert out == ""
             assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def per_trial_bsa(label, params, ideal, trials, seed):
+    """The bsa report fields as one analyzer run per trial counts them."""
+    rng = np.random.default_rng(seed)
+    counts = {m.value: 0 for m in BellState}
+    detectors = {d.value: 0 for d in DetectorPair}
+    changed = 0
+    success_total = 0.0
+    for _ in range(trials):
+        record = analyze(label, params=params, ideal=ideal, rng=rng)
+        counts[record.inferred.value] += 1
+        detectors[record.detectors.value] += 1
+        changed += 1 if record.spin_changed else 0
+        success_total += record.success_probability
+    return counts, detectors, changed, success_total / trials
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    label=st.sampled_from(list(BellState)),
+    ideal=st.booleans(),
+    point=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 2.0), st.floats(0.01, 1.0),
+                    st.floats(-3.0, 3.0)),
+    trials=st.integers(1, 300),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(label=BellState.PHI_PLUS, ideal=False, point=(0.0, 1.0, 0.1, 0.0), trials=5, seed=1)
+def test_bsa_block_draw_matches_per_trial_loop(label, ideal, point, trials, seed):
+    g, ks, gamma, detuning = point
+    argv = ["bsa", label.value, "--ideal" if ideal else "--lossy", f"--trials={trials}",
+            f"--g-over-ktot={g!r}", f"--ks-over-k={ks!r}", f"--gamma={gamma!r}",
+            f"--detuning={detuning!r}", f"--seed={seed}"]
+    code, out, err = run_main(argv)
+    try:
+        want = per_trial_bsa(label, operating_point(g, ks, gamma, detuning), ideal, trials, seed)
+    except ZeroNormError as exc:
+        assert (code, out, err) == (1, "", f"error: {exc}\n")
+        return
+    report = json.loads(out)
+    assert code == 0
+    got = (report["counts"], report["detectors"], report["spin_changed_count"],
+           report["mean_success_probability"])
+    assert got == want
 
 
 # Each settable config key by section, with its JSON type: "string",

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import ScriptedRng
-from spatialbsa.bsa import analyze, analyze_pairs, outcome_distribution
+from spatialbsa.bsa import CODE_BELL, analyze, analyze_pairs, outcome_distribution
 from spatialbsa.qsdc import (
-    CODE_BELL,
     CODE_BITS,
     MAX_PAIR_COUNT,
     ChannelModel,
