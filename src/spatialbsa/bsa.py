@@ -232,19 +232,16 @@ class OutcomeDistribution:
     ``joint[k, j, l]`` is the probability that every photon arrives, the
     readout photon gives k (1 flags a changed spin), and photons a and b
     click detectors c(j+1) and d(l+1).  ``success`` is the sum of all eight,
-    the survival probability.  The three draws of a run choose between the
-    pairs of weights ``readout``, then ``photon_a[k]``, then
-    ``photon_b[k][j]``, each pair summing the joint entries below it;
-    ``weights`` holds all 14 in that order.
+    the survival probability.  ``weights`` holds the 14 weights of
+    ``_branch_weights`` that the three draws of a run choose between: the
+    readout photon's ``[0:2]``, photon a's ``[2:4]`` or ``[4:6]`` after
+    k = 0 or 1, and photon b's pairs in ``[6:14]``.
     """
 
     def __init__(self, joint: np.ndarray):
         joint.setflags(write=False)
         self.joint = joint
         self.weights = w = tuple(_branch_weights(joint).tolist())
-        self.readout = w[0:2]
-        self.photon_a = (w[2:4], w[4:6])
-        self.photon_b = ((w[6:8], w[8:10]), (w[10:12], w[12:14]))
         self.success = w[0] + w[1]
 
 

@@ -27,12 +27,18 @@ IDEAL_HOT = 1.0 + 0.0j
 def check_number(name: str, value, whole: bool = False) -> None:
     """Raise a ValueError naming ``name`` unless ``value`` is a real number.
 
-    Python's and numpy's ints and floats pass, but a bool does not; with
-    ``whole`` only the ints pass.  Configs run this before any range check.
+    Python's and numpy's ints and floats pass, but a bool does not, nor a
+    Python int too large for a float; with ``whole`` only the ints pass, of
+    any size.  Configs run this before any range check.
     """
     kinds = (int, np.integer) if whole else (float, int, np.floating, np.integer)
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise ValueError(f"{name} must be {'an integer' if whole else 'a number'}, got {value!r}")
+    if not whole and isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be a number within float range") from None
 
 
 @dataclass(frozen=True)

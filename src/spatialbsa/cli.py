@@ -34,8 +34,9 @@ CSV_HEADER = "g_over_ktot,ks_over_k,abs_r0,abs_rh,F1,eta1,F2,eta2"
 # command at about 840 bytes per row (20 000 and 40 000 steps x 3 ks), so ~1.7 GB.
 MAX_SWEEP_ROWS = 2_000_000
 
-# The most bsa trials.  tracemalloc puts the command, whose draws are one block,
-# at about 66 bytes per trial (200 000 and 2 000 000 trials), so ~1.3 GB.
+# The most bsa trials.  tracemalloc puts the command at about 66 bytes per trial
+# (200 000 and 2 000 000 trials), in the pick over its one draw block; the success
+# sum's 8 bytes a trial come later, below that peak.  So ~1.3 GB.
 MAX_BSA_TRIALS = 20_000_000
 
 _EPILOG = (
@@ -173,7 +174,7 @@ def parse_sweep_csv(text: str) -> list[dict]:
 def cmd_bsa(args) -> int:
     seed = args.seed if args.seed is not None else draw_seed()
     rng = np.random.default_rng(seed)
-    label = BellState.from_string(args.state)
+    label = BellState(args.state)
     params = operating_point(args.g_over_ktot, args.ks_over_k, args.gamma, args.detuning)
     if args.trials > MAX_BSA_TRIALS:
         raise ValueError(f"trials must be at most {MAX_BSA_TRIALS}")
@@ -185,10 +186,9 @@ def cmd_bsa(args) -> int:
     k, j, l = _pick_branch(np.asarray(dist.weights), *u.T)
     codes = np.bincount(2 * (j ^ l) + k, minlength=4)
     pairs = np.bincount(2 * j + l, minlength=4)
-    # Summed one trial at a time, left to right: the goldens pin the last bit.
-    success, success_total = dist.success, 0.0
-    for _ in range(args.trials):
-        success_total += success
+    # Summed one trial at a time, left to right, in place: the goldens pin the last bit.
+    success = np.full(args.trials, dist.success)
+    np.add.accumulate(success, out=success)
     report = {
         "command": "bsa",
         "state": label.value,
@@ -204,7 +204,7 @@ def cmd_bsa(args) -> int:
         "counts": dict(zip(CODE_BELL, codes.tolist())),
         "detectors": {d.value: n for d, n in zip(DetectorPair, pairs.tolist())},
         "spin_changed_count": int(codes[1::2].sum()),
-        "mean_success_probability": success_total / args.trials,
+        "mean_success_probability": float(success[-1]) / args.trials,
     }
     return _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", resolve_out(args.out))
 

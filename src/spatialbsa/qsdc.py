@@ -190,9 +190,11 @@ def measure_photon(psi: np.ndarray, photon: str, x_basis, u) -> np.ndarray:
     """Measure one photon of every row, collapsing the rows in place.
 
     Row i measures in X where ``x_basis[i]`` holds and in Z otherwise, and
-    ``u[i]`` picks the outcome exactly as ``QuantumRegister.measure`` picks
-    it from one uniform; the collapsed row keeps its norm.  Returns the
-    outcomes as an int array.
+    ``u[i]`` picks the outcome by ``_pick``, cumulative-probability inversion
+    of one uniform; the collapsed row is the outcome's basis ket times the
+    partner's conditional state, scaled to keep the row's norm, so loss
+    survives the collapse.  This is the package's one measurement rule.
+    Returns the outcomes as an int array.
     """
     t = psi if photon == "a" else psi.transpose(0, 2, 1)  # axis 1: measured rail
     # Rotate the X rows into the measurement basis, in place.

@@ -5,6 +5,9 @@ subsystems.  Indexing is big-endian in subsystem order: the first subsystem
 is the most significant bit of the flat index.  Amplitudes are not forced to
 unit norm; a squared norm below one encodes the survival probability of a
 photon that has met lossy optics, so norm bookkeeping is part of the state.
+A register is the analyzer's input and the reference its exact branch maps
+are checked against; it is never measured.  A session's measurement
+collapse runs on pair arrays, in ``qsdc.measure_photon``, by ``_pick``.
 
 Subsystems come in three kinds with fixed basis conventions:
 
@@ -55,38 +58,6 @@ class BellState(enum.Enum):
     PSI_PLUS = "psi+"
     PSI_MINUS = "psi-"
 
-    @property
-    def even_parity(self) -> bool:
-        """True when both photons occupy the same-numbered rail."""
-        return self in (BellState.PHI_PLUS, BellState.PHI_MINUS)
-
-    @classmethod
-    def from_string(cls, text: str) -> "BellState":
-        for member in cls:
-            if member.value == text:
-                return member
-        raise ValueError(f"unknown Bell state label {text!r}")
-
-
-class RailOp(enum.Enum):
-    """Single-photon operations on the two spatial rails.
-
-    These four operations move a shared Bell state anywhere in the Bell
-    basis while touching only one photon, which is what dense coding needs.
-    """
-
-    IDENTITY = "identity"
-    SWAP = "swap"
-    PHASE = "phase"
-    SWAP_PHASE = "swap_phase"
-
-
-_RAIL_OP_MATRICES = {
-    RailOp.IDENTITY: np.eye(2, dtype=complex),
-    RailOp.SWAP: np.array([[0, 1], [1, 0]], dtype=complex),
-    RailOp.PHASE: np.array([[1, 0], [0, -1]], dtype=complex),
-    RailOp.SWAP_PHASE: np.array([[0, 1], [-1, 0]], dtype=complex),
-}
 
 # Measurement bases per kind.  Columns are the basis kets expressed in the
 # subsystem's native basis.  "da" is the circular-diagonal pair
@@ -163,9 +134,6 @@ class QuantumRegister:
                 f"subsystem {name!r} is {sub.kind.value}, expected {kind.value}"
             )
 
-    def copy(self) -> "QuantumRegister":
-        return QuantumRegister(list(self.subsystems), self.amplitudes.copy())
-
     def norm_squared(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
@@ -205,42 +173,12 @@ class QuantumRegister:
         Probabilities are conditioned on the register's current norm, so they
         sum to one even when the state has been attenuated by lossy optics.
         """
-        norm2 = self.norm_squared()
-        if norm2 <= 0.0:
+        if self.norm_squared() <= 0.0:
             raise ZeroNormError("cannot take probabilities of a zero state")
-        comp = self._components(name, basis)
+        vs = basis_vectors(self.subsystem(name).kind, basis)
+        comp = np.tensordot(vs.conj().T, self._tensor(), axes=([1], [self.axis(name)]))
         p = (np.abs(comp) ** 2).reshape(2, -1).sum(axis=1)
         return p / p.sum()
-
-    def _components(self, name: str, basis: str) -> np.ndarray:
-        vs = basis_vectors(self.subsystem(name).kind, basis)
-        k = self.axis(name)
-        return np.tensordot(vs.conj().T, self._tensor(), axes=([1], [k]))
-
-    def measure(self, name: str, basis: str, rng) -> tuple[int, "QuantumRegister", float]:
-        """Projectively measure one subsystem, collapsing the register.
-
-        The outcome index (0 or 1, ordering the basis kets) is chosen by
-        cumulative-probability inversion of a single uniform draw from
-        ``rng``.  The collapsed register keeps its pre-measurement norm, so
-        accumulated loss survives the collapse; on a unit-norm register this
-        is ordinary renormalization.  Returns (outcome, register, the
-        conditional probability of the chosen outcome).
-        """
-        norm2 = self.norm_squared()
-        if norm2 <= 0.0:
-            raise ZeroNormError("cannot measure a zero state")
-        k = self.axis(name)
-        vs = basis_vectors(self.subsystem(name).kind, basis)
-        comp = self._components(name, basis)
-        weights = (np.abs(comp) ** 2).reshape(2, -1).sum(axis=1)
-        p = weights / weights.sum()
-        outcome = int(_pick(weights[0], weights[1], rng.random()))
-        branch = comp[outcome]
-        scale = np.sqrt(norm2 / weights[outcome])
-        psi = np.multiply.outer(vs[:, outcome], branch) * scale
-        self._set_tensor(np.moveaxis(psi, 0, k))
-        return outcome, self, float(p[outcome])
 
     def add_subsystem(self, sub: Subsystem, state) -> "QuantumRegister":
         """Tensor a fresh subsystem onto the end of the register."""
@@ -252,16 +190,6 @@ class QuantumRegister:
         self.subsystems.append(sub)
         self.amplitudes = np.kron(self.amplitudes, chi)
         return self
-
-    def equal_up_to_global_phase(self, other: "QuantumRegister", atol: float = 1e-9) -> bool:
-        """True when both registers hold the same state modulo a global phase."""
-        if [(s.name, s.kind) for s in self.subsystems] != [
-            (s.name, s.kind) for s in other.subsystems
-        ]:
-            return False
-        overlap = abs(np.vdot(self.amplitudes, other.amplitudes))
-        scale = np.linalg.norm(self.amplitudes) * np.linalg.norm(other.amplitudes)
-        return bool(abs(overlap - scale) <= atol)
 
 
 _BELL_AMPLITUDES = {
@@ -308,10 +236,4 @@ def apply_bs(reg: QuantumRegister, name: str) -> QuantumRegister:
     """
     reg.require_kind(name, Kind.SPATIAL)
     return reg.apply_one(name, HADAMARD)
-
-
-def apply_spatial_unitary(reg: QuantumRegister, name: str, op: RailOp) -> QuantumRegister:
-    """Apply one of the four rail operations to a spatial qubit."""
-    reg.require_kind(name, Kind.SPATIAL)
-    return reg.apply_one(name, _RAIL_OP_MATRICES[op])
 

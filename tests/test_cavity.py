@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from conftest import same_up_to_global_phase
 from spatialbsa.bsa import parity_qnd
 from spatialbsa.cavity import (
     CavityParams,
@@ -136,6 +137,9 @@ class TestReflection:
             {"g": 1.0, "kappa": None},
             {"g": True},
             {"g": np.bool_(True)},
+            # an int too large for a float is named, not left to overflow
+            {"g": 10**400},
+            {"g": 1.0, "gamma": 10**400},
         ],
     )
     def test_invalid_params_rejected(self, kwargs):
@@ -228,21 +232,21 @@ class TestScatter:
         reg = photon_spin_register([SQRT_HALF, SQRT_HALF], [1.0, 0.0])
         scatter(reg)
         expected = photon_spin_register([SQRT_HALF, 1j * SQRT_HALF], [1.0, 0.0])
-        assert reg.equal_up_to_global_phase(expected, atol=1e-12)
+        assert same_up_to_global_phase(reg.amplitudes, expected.amplitudes)
 
     def test_single_pass_turns_linear_polarization_right_for_spin_down(self):
         reg = photon_spin_register([SQRT_HALF, SQRT_HALF], [0.0, 1.0])
         scatter(reg)
         expected = photon_spin_register([SQRT_HALF, -1j * SQRT_HALF], [0.0, 1.0])
-        assert reg.equal_up_to_global_phase(expected, atol=1e-12)
+        assert same_up_to_global_phase(reg.amplitudes, expected.amplitudes)
 
     def test_circular_basis_states_only_gain_phases_in_single_pass(self):
         for pol in ([1.0, 0.0], [0.0, 1.0]):
             for spin in ([1.0, 0.0], [0.0, 1.0]):
                 reg = photon_spin_register(pol, spin)
-                expected = reg.copy()
+                expected = QuantumRegister(reg.subsystems, reg.amplitudes)
                 scatter(reg)
-                assert reg.equal_up_to_global_phase(expected, atol=1e-12)
+                assert same_up_to_global_phase(reg.amplitudes, expected.amplitudes)
 
     def test_corrected_double_pass_flips_a_superposed_spin(self, rng):
         # A photon on the cavity path flips |+> to |-> regardless of its
@@ -255,7 +259,7 @@ class TestScatter:
             scatter(reg, passes=2, ideal=True)
             reg.apply_diagonal(["p"], [1, -1])
             expected = photon_spin_register([alpha, beta], [SQRT_HALF, -SQRT_HALF])
-            assert reg.equal_up_to_global_phase(expected, atol=1e-12)
+            assert same_up_to_global_phase(reg.amplitudes, expected.amplitudes)
 
     def test_two_single_passes_match_one_double_pass(self, rng):
         for _ in range(25):

@@ -199,6 +199,8 @@ class TestSweepCommand:
             {"gamma": True},
             {"detuning": "0.5"},
             {"ks_list": (0.0, "0.3")},
+            {"g_min": 0.0, "g_max": 10**400},
+            {"g_min": 0.0, "ks_list": (10**400,)},
         ],
     )
     def test_non_number_fields_rejected(self, bad):

@@ -1,11 +1,11 @@
 """The exact outcome distribution against the gate-by-gate analyzer it replaces.
 
 ``gate_by_gate_analyze`` runs the stages on a copy of the input register and
-samples each detection as a register measurement.  With the same scripted
-uniforms it must give the same record as ``analyze``, which draws from the
-exact joint distribution instead.  ``gate_by_gate_branch_maps`` steps the
-same stages over the 16 input kets, and the array-algebra branch maps must
-equal it bit for bit.
+samples each detection with ``conftest.measure``, the suite's one register
+measurement.  With the same scripted uniforms it must give the same record
+as ``analyze``, which draws from the exact joint distribution instead.
+``gate_by_gate_branch_maps`` steps the same stages over the 16 input kets,
+and the array-algebra branch maps must equal it bit for bit.
 """
 
 import json
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import ScriptedRng
+from conftest import ScriptedRng, measure
 from spatialbsa import bsa
 from spatialbsa.bsa import (
     AUX_NAME,
@@ -68,7 +68,7 @@ def gate_by_gate_analyze(state, params=None, ideal=True, rng=None):
     if isinstance(state, BellState):
         reg = make_bell(state, with_polarization="R")
     else:
-        reg = state.copy()
+        reg = QuantumRegister(state.subsystems, state.amplitudes)
         for photon in ("a", "b"):
             pol = f"{photon}_pol"
             if not any(s.name == pol for s in reg.subsystems):
@@ -80,12 +80,12 @@ def gate_by_gate_analyze(state, params=None, ideal=True, rng=None):
     parity_qnd(reg, SPIN_NAME, params, ideal)
     probe_spin(reg, params, ideal)
     # Outcome (|R> - i|L>)/sqrt2 of the readout photon flags a flipped spin.
-    changed = reg.measure(AUX_NAME, "da", rng)[0] == 1
+    changed = measure(reg, AUX_NAME, "da", rng)[0] == 1
     apply_bs(reg, "a")
     apply_bs(reg, "b")
     success = reg.norm_squared()
-    a_out = reg.measure("a", "z", rng)[0]
-    b_out = reg.measure("b", "z", rng)[0]
+    a_out = measure(reg, "a", "z", rng)[0]
+    b_out = measure(reg, "b", "z", rng)[0]
     pair = list(DetectorPair)[2 * a_out + b_out]
     return BsaRecord(
         spin_changed=changed,
@@ -199,21 +199,22 @@ def test_matches_gate_by_gate_analyzer(state, params, uniforms):
 
     assert dist.joint.sum() == pytest.approx(dist.success, abs=1e-12)
     assert dist.success <= norm2 + 1e-12
-    pairs = [dist.readout, *dist.photon_a, *(p for row in dist.photon_b for p in row)]
-    for weights in pairs:
-        if weights[0] + weights[1] > 0.0:
-            assert sum(conditional(weights)) == pytest.approx(1.0, abs=1e-12)
+    w = dist.weights
+    for i in range(0, 14, 2):
+        if w[i] + w[i + 1] > 0.0:
+            assert sum(conditional(w[i : i + 2])) == pytest.approx(1.0, abs=1e-12)
 
     # Walk the branch the uniforms pick and keep them clear of every
     # conditional probability on the way.
     u_readout, u_a, u_b = uniforms
-    p0 = conditional(dist.readout)[0]
+    p0 = conditional(w[0:2])[0]
     assume(abs(u_readout - p0) >= MARGIN)
     k = 0 if u_readout < p0 else 1
-    p0 = conditional(dist.photon_a[k])[0]
+    p0 = conditional(w[2 + 2 * k : 4 + 2 * k])[0]
     assume(abs(u_a - p0) >= MARGIN)
     j = 0 if u_a < p0 else 1
-    assume(abs(u_b - conditional(dist.photon_b[k][j])[0]) >= MARGIN)
+    i = 6 + 4 * k + 2 * j
+    assume(abs(u_b - conditional(w[i : i + 2])[0]) >= MARGIN)
 
     want = gate_by_gate_analyze(state, params, ideal, ScriptedRng(uniforms))
     got = analyze(state, params, ideal, ScriptedRng(uniforms))
@@ -234,8 +235,8 @@ def test_label_and_register_share_one_distribution():
 def test_ideal_bell_states_are_deterministic():
     for label in BellState:
         dist = outcome_distribution(label)
-        k = 0 if label.even_parity else 1
-        assert dist.readout[k] == pytest.approx(1.0, abs=1e-12)
+        k = 0 if label in (BellState.PHI_PLUS, BellState.PHI_MINUS) else 1
+        assert dist.weights[k] == pytest.approx(1.0, abs=1e-12)
         assert dist.success == pytest.approx(1.0, abs=1e-12)
 
 

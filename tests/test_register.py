@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import RAIL_OPS, encode, same_up_to_global_phase
 from spatialbsa.bsa import parity_qnd
+from spatialbsa.qsdc import measure_photon
 from spatialbsa.register import (
     BellState,
     HADAMARD,
     Kind,
     QuantumRegister,
-    RailOp,
     SQRT_HALF,
     Subsystem,
     SubsystemKindError,
     ZeroNormError,
     apply_bs,
-    apply_spatial_unitary,
     make_bell,
 )
 
@@ -25,17 +25,15 @@ BELL_VECTORS = {
     BellState.PSI_MINUS: np.array([0, 1, -1, 0], dtype=complex) * SQRT_HALF,
 }
 
-RAIL_OP_MATRICES = {
-    RailOp.IDENTITY: np.eye(2),
-    RailOp.SWAP: np.array([[0, 1], [1, 0]]),
-    RailOp.PHASE: np.array([[1, 0], [0, -1]]),
-    RailOp.SWAP_PHASE: np.array([[0, 1], [-1, 0]]),
-}
-
 
 def random_state(rng, n):
     amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return amps / np.linalg.norm(amps)
+
+
+def pair_rows(*states):
+    """A pair array, one (rail of a, rail of b) row per two-photon state."""
+    return np.array(states, dtype=complex).reshape(-1, 2, 2)
 
 
 def two_rail_register(amps):
@@ -66,18 +64,6 @@ class TestConstruction:
     def test_make_bell_rejects_unknown_polarization(self):
         with pytest.raises(ValueError):
             make_bell(BellState.PHI_PLUS, with_polarization="H")
-
-    def test_parity_labels(self):
-        assert BellState.PHI_PLUS.even_parity
-        assert BellState.PHI_MINUS.even_parity
-        assert not BellState.PSI_PLUS.even_parity
-        assert not BellState.PSI_MINUS.even_parity
-
-    def test_from_string_round_trip(self):
-        for label in BellState:
-            assert BellState.from_string(label.value) is label
-        with pytest.raises(ValueError):
-            BellState.from_string("phi")
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ValueError):
@@ -117,7 +103,7 @@ class TestBeamSplitter:
             reg = make_bell(before)
             apply_bs(reg, "a")
             apply_bs(reg, "b")
-            assert reg.equal_up_to_global_phase(make_bell(after), atol=1e-12)
+            assert same_up_to_global_phase(reg.amplitudes, make_bell(after).amplitudes)
             # amplitude-level check against the expected vector
             overlap = np.vdot(BELL_VECTORS[after], reg.amplitudes)
             assert abs(abs(overlap) - 1.0) < 1e-12
@@ -127,10 +113,10 @@ class TestBeamSplitter:
     def test_involution(self, seed):
         rng = np.random.default_rng(seed)
         reg = two_rail_register(random_state(rng, 2))
-        original = reg.copy()
+        original = reg.amplitudes.copy()
         apply_bs(reg, "a")
         apply_bs(reg, "a")
-        assert np.allclose(reg.amplitudes, original.amplitudes, atol=1e-12)
+        assert np.allclose(reg.amplitudes, original, atol=1e-12)
 
     def test_requires_spatial_kind(self):
         reg = make_bell(BellState.PHI_PLUS, with_polarization="R")
@@ -139,47 +125,44 @@ class TestBeamSplitter:
 
 
 class TestRailOps:
+    """Photon a's four rail operations in code order, on pair-array rows."""
+
     def test_ops_match_explicit_matrices(self, rng):
-        for op, matrix in RAIL_OP_MATRICES.items():
-            state = random_state(rng, 2)
-            reg = two_rail_register(state)
-            apply_spatial_unitary(reg, "a", op)
+        states = [random_state(rng, 2) for _ in RAIL_OPS]
+        psi = encode(pair_rows(*states), range(4))
+        for row, state, matrix in zip(psi, states, RAIL_OPS):
             expected = np.kron(matrix, np.eye(2)) @ state
-            assert np.allclose(reg.amplitudes, expected, atol=1e-12)
+            assert np.allclose(row.reshape(4), expected, atol=1e-12)
 
     def test_ops_move_phi_plus_around_the_bell_basis(self):
-        landing = {
-            RailOp.IDENTITY: BellState.PHI_PLUS,
-            RailOp.SWAP: BellState.PSI_PLUS,
-            RailOp.PHASE: BellState.PHI_MINUS,
-            RailOp.SWAP_PHASE: BellState.PSI_MINUS,
-        }
-        for op, target in landing.items():
-            reg = make_bell(BellState.PHI_PLUS)
-            apply_spatial_unitary(reg, "a", op)
-            assert reg.equal_up_to_global_phase(make_bell(target), atol=1e-12)
+        landing = (
+            BellState.PHI_PLUS,
+            BellState.PSI_PLUS,
+            BellState.PHI_MINUS,
+            BellState.PSI_MINUS,
+        )
+        psi = encode(pair_rows(*[BELL_VECTORS[BellState.PHI_PLUS]] * 4), range(4))
+        for row, target in zip(psi, landing):
+            assert same_up_to_global_phase(row.reshape(4), BELL_VECTORS[target])
 
     def test_ops_preserve_norm(self, rng):
-        for op in RailOp:
-            reg = two_rail_register(random_state(rng, 2))
-            apply_spatial_unitary(reg, "a", op)
-            assert reg.norm_squared() == pytest.approx(1.0, abs=1e-12)
-
-    def test_requires_spatial_kind(self):
-        reg = make_bell(BellState.PHI_PLUS, with_polarization="R")
-        with pytest.raises(SubsystemKindError):
-            apply_spatial_unitary(reg, "b_pol", RailOp.SWAP)
+        psi = encode(pair_rows(*[random_state(rng, 2) for _ in RAIL_OPS]), range(4))
+        norms = (np.abs(psi) ** 2).sum(axis=(1, 2))
+        assert norms == pytest.approx(np.ones(4), abs=1e-12)
 
 
 class TestMeasurement:
+    """Register probabilities, and the session's collapse ``qsdc.measure_photon``."""
+
     def test_collapse_correlates_bell_pair(self, rng):
-        for _ in range(50):
-            reg = make_bell(BellState.PHI_PLUS)
-            a_out, _, p = reg.measure("a", "z", rng)
-            assert p == pytest.approx(0.5)
-            b_out, _, p_b = reg.measure("b", "z", rng)
-            assert b_out == a_out
-            assert p_b == pytest.approx(1.0)
+        psi = pair_rows(*[BELL_VECTORS[BellState.PHI_PLUS]] * 50)
+        z = np.zeros(50, dtype=bool)
+        a_out = measure_photon(psi, "a", z, rng.random(50))
+        b_out = measure_photon(psi, "b", z, rng.random(50))
+        assert 0 < a_out.sum() < 50
+        assert np.array_equal(b_out, a_out)
+        # Both photons end on the rail photon a was found on.
+        assert np.abs(psi[np.arange(50), a_out, a_out]) == pytest.approx(np.ones(50))
 
     def test_probabilities_query_does_not_collapse(self):
         reg = make_bell(BellState.PHI_PLUS)
@@ -187,32 +170,28 @@ class TestMeasurement:
         assert np.allclose(reg.probabilities("a", "z"), [0.5, 0.5])
         assert np.array_equal(reg.amplitudes, before)
 
-    def test_spatial_x_on_even_superposition_is_deterministic(self, scripted_rng):
+    def test_spatial_x_on_even_superposition_is_deterministic(self):
         # (|1> + |2>)/sqrt(2) is the outcome-0 eigenstate of the spatial
-        # x basis, so any uniform draw must return outcome 0 with p = 1.
-        for draw in (0.001, 0.5, 0.999):
-            reg = QuantumRegister(
-                [Subsystem("a", Kind.SPATIAL)],
-                np.array([SQRT_HALF, SQRT_HALF], dtype=complex),
-            )
-            outcome, _, p = reg.measure("a", "x", scripted_rng([draw]))
-            assert outcome == 0
-            assert p == pytest.approx(1.0, abs=1e-12)
+        # x basis, so any uniform draw must return outcome 0 and leave it be.
+        draws = np.array([0.001, 0.5, 0.999])
+        psi = pair_rows(*[np.kron([SQRT_HALF, SQRT_HALF], [1.0, 0.0])] * 3)
+        before = psi.copy()
+        assert measure_photon(psi, "a", np.ones(3, dtype=bool), draws).tolist() == [0, 0, 0]
+        assert np.allclose(psi, before, atol=1e-12)
 
-    def test_single_uniform_inversion(self, scripted_rng):
-        for draw, expected in [(0.49, 0), (0.51, 1)]:
-            reg = two_rail_register([SQRT_HALF, 0, 0, SQRT_HALF])
-            outcome, _, _ = reg.measure("a", "z", scripted_rng([draw]))
-            assert outcome == expected
+    def test_single_uniform_inversion(self):
+        psi = pair_rows(*[BELL_VECTORS[BellState.PHI_PLUS]] * 2)
+        outcomes = measure_photon(psi, "a", np.zeros(2, dtype=bool), np.array([0.49, 0.51]))
+        assert outcomes.tolist() == [0, 1]
 
     def test_same_seed_same_outcomes(self):
         outcomes = []
         for _ in range(2):
             rng = np.random.default_rng(99)
-            reg = two_rail_register(random_state(np.random.default_rng(1), 2))
-            outcomes.append(
-                [reg.measure("a", "x", rng)[0], reg.measure("b", "z", rng)[0]]
-            )
+            psi = pair_rows(random_state(np.random.default_rng(1), 2))
+            a = measure_photon(psi, "a", np.array([True]), rng.random(1))
+            b = measure_photon(psi, "b", np.array([False]), rng.random(1))
+            outcomes.append([*a, *b])
         assert outcomes[0] == outcomes[1]
 
     @settings(deadline=None)
@@ -232,22 +211,20 @@ class TestMeasurement:
         assert reg.probabilities("a", "z")[0] == pytest.approx(1.0)
 
     def test_collapse_preserves_attenuated_norm(self, rng):
-        reg = two_rail_register(0.6 * BELL_VECTORS[BellState.PHI_PLUS])
-        assert reg.norm_squared() == pytest.approx(0.36)
-        reg.measure("a", "z", rng)
-        assert reg.norm_squared() == pytest.approx(0.36, abs=1e-12)
+        psi = pair_rows(0.6 * BELL_VECTORS[BellState.PHI_PLUS])
+        assert np.vdot(psi, psi).real == pytest.approx(0.36)
+        measure_photon(psi, "a", np.array([False]), rng.random(1))
+        assert np.vdot(psi, psi).real == pytest.approx(0.36, abs=1e-12)
 
-    def test_zero_state_rejected(self, rng):
+    def test_zero_state_rejected(self):
         reg = two_rail_register(np.zeros(4))
-        with pytest.raises(ZeroNormError):
-            reg.measure("a", "z", rng)
         with pytest.raises(ZeroNormError):
             reg.probabilities("a", "z")
 
-    def test_unknown_basis_rejected(self, rng):
+    def test_unknown_basis_rejected(self):
         reg = make_bell(BellState.PHI_PLUS)
         with pytest.raises(ValueError):
-            reg.measure("a", "da", rng)  # circular-diagonal is polarization-only
+            reg.probabilities("a", "da")  # circular-diagonal is polarization-only
 
 
 class TestSpinAndPolarizationHelpers:
@@ -310,27 +287,11 @@ class TestAddRemove:
 
 
 class TestEquality:
-    def test_global_phase_is_ignored(self):
-        reg = make_bell(BellState.PHI_MINUS)
-        rotated = reg.copy()
-        rotated.amplitudes = rotated.amplitudes * np.exp(0.7j)
-        assert reg.equal_up_to_global_phase(rotated, atol=1e-12)
-
-    def test_orthogonal_states_differ(self):
-        assert not make_bell(BellState.PHI_PLUS).equal_up_to_global_phase(
-            make_bell(BellState.PSI_PLUS)
-        )
-
-    def test_layout_mismatch_differs(self):
-        reg = make_bell(BellState.PHI_PLUS)
-        other = QuantumRegister(
-            [Subsystem("a", Kind.SPATIAL), Subsystem("c", Kind.SPATIAL)],
-            BELL_VECTORS[BellState.PHI_PLUS].copy(),
-        )
-        assert not reg.equal_up_to_global_phase(other)
-
     def test_copy_is_independent(self):
+        # The constructor copies the subsystem list and the amplitudes.
         reg = make_bell(BellState.PHI_PLUS)
-        dup = reg.copy()
+        dup = QuantumRegister(reg.subsystems, reg.amplitudes)
         dup.amplitudes[0] = 0.0
+        dup.add_subsystem(Subsystem("p", Kind.POLARIZATION), [1.0, 0.0])
         assert reg.amplitudes[0] != 0.0
+        assert [s.name for s in reg.subsystems] == ["a", "b"]

@@ -11,6 +11,7 @@ import json
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from conftest import RAIL_OPS, measure
 from spatialbsa.bsa import analyze
 from spatialbsa.qsdc import (
     ChannelModel,
@@ -20,14 +21,15 @@ from spatialbsa.qsdc import (
     phase1_sample_count,
     run_session,
 )
-from spatialbsa.register import BellState, RailOp, apply_spatial_unitary, make_bell
+from spatialbsa.register import BellState, make_bell
 
 # The dense-coding alphabet, kept apart from the session's own tables: the
-# check operation drawn as i is OP_ORDER[i], and each operation on phi+
-# lands on the Bell state that decodes back to its bits.
-OP_ORDER = (RailOp.IDENTITY, RailOp.SWAP, RailOp.PHASE, RailOp.SWAP_PHASE)
-OP_BY_BITS = dict(zip(("00", "01", "10", "11"), OP_ORDER))
-BITS_BY_OP = {op: bits for bits, op in OP_BY_BITS.items()}
+# check operation drawn as i is the rail matrix RAIL_OPS[i], which carries
+# the bits BITS[i], and each operation on phi+ lands on the Bell state that
+# decodes back to its bits.
+BITS = ("00", "01", "10", "11")
+OP_BY_BITS = dict(zip(BITS, RAIL_OPS))
+SWAP, PHASE = RAIL_OPS[1], RAIL_OPS[2]
 BITS_BY_BELL = {
     BellState.PHI_PLUS: "00",
     BellState.PSI_PLUS: "01",
@@ -39,12 +41,12 @@ BITS_BY_BELL = {
 def transit(reg, config, rng):
     # Channel errors first, then the eavesdropper.
     if rng.random() < config.channel_model.mode_flip_prob:
-        apply_spatial_unitary(reg, "a", RailOp.SWAP)
+        reg.apply_one("a", SWAP)
     if rng.random() < config.channel_model.phase_flip_prob:
-        apply_spatial_unitary(reg, "a", RailOp.PHASE)
+        reg.apply_one("a", PHASE)
     if config.eve_model.active and rng.random() < config.eve_model.fraction:
         basis = "z" if rng.random() < 0.5 else "x"
-        reg.measure("a", basis, rng)
+        measure(reg, "a", basis, rng)
 
 
 def per_register_session(config):
@@ -63,8 +65,8 @@ def per_register_session(config):
     errors = 0
     for pos in sampled:
         basis = "z" if rng.random() < 0.5 else "x"
-        alice, _, _ = pairs[pos].measure("a", basis, rng)
-        bob, _, _ = pairs[pos].measure("b", basis, rng)
+        alice, _, _ = measure(pairs[pos], "a", basis, rng)
+        bob, _, _ = measure(pairs[pos], "b", basis, rng)
         agree = alice == bob
         errors += 0 if agree else 1
         transcript.append({"event": "phase1_sample", "pair": pos, "basis": basis,
@@ -88,8 +90,8 @@ def per_register_session(config):
         if pos in bits_at:
             role, encoded = "message", bits_at[pos]
         else:
-            role, encoded = "check", BITS_BY_OP[OP_ORDER[int(rng.integers(4))]]
-        apply_spatial_unitary(pairs[pos], "a", OP_BY_BITS[encoded])
+            role, encoded = "check", BITS[int(rng.integers(4))]
+        pairs[pos].apply_one("a", OP_BY_BITS[encoded])
         transit(pairs[pos], config, rng)
         record = analyze(pairs[pos], ideal=True, rng=rng)
         got = BITS_BY_BELL[record.inferred]
