@@ -41,11 +41,12 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
-from .cavity import CavityParams, check_number, reflection, scatter_factors
+from .cavity import CavityParams, check_number, hot_reflection, reflection, scatter_factors
 from .register import (
     HADAMARD,
     BellState,
@@ -100,6 +101,9 @@ class QualityPoint:
     eta1: float
     F2: float
     eta2: float
+
+
+QUALITY_FIELDS = tuple(field.name for field in fields(QualityPoint))
 
 
 @dataclass(frozen=True)
@@ -371,53 +375,69 @@ def analyze_pairs(psi: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return 2 * (j ^ l) + k
 
 
-def quality_from_moduli(r0: float, rh: float) -> tuple[float, float, float, float]:
+def _square(x):
+    """``x ** 2`` for a float or each value of an array, as Python's ``**`` rounds it.
+
+    That is libm's pow, which numpy's square and power loops do not always
+    match in the last bit.
+    """
+    values = np.asarray(x, dtype=float)
+    squares = map(math.pow, values.ravel().tolist(), repeat(2.0))
+    return np.array(list(squares)).reshape(values.shape)
+
+
+def quality_from_moduli(r0, rh):
     """(F1, eta1, F2, eta2) from the cold and hot reflection moduli.
 
-    F1/eta1: fidelity and efficiency of identifying an odd-parity state, in
-    which each photon makes a corrected double pass and the two rails see
-    amplitude imbalance r0^2 versus rh^2 per photon.  F2/eta2: the same for
-    an even-parity state, whose identification additionally spends the
-    single-pass readout photon.  The formulas keep their raw normalization;
-    see QualityPoint for the eta2 > 1 consequence.
+    ``r0`` and ``rh`` are floats or arrays that broadcast together; every
+    value is the one Python float arithmetic gives.  F1/eta1: fidelity and
+    efficiency of identifying an odd-parity state, in which each photon
+    makes a corrected double pass and the two rails see amplitude imbalance
+    r0^2 versus rh^2 per photon.  F2/eta2: the same for an even-parity
+    state, whose identification additionally spends the single-pass readout
+    photon.  The formulas keep their raw normalization; see QualityPoint for
+    the eta2 > 1 consequence.
     """
-    r0_2, rh_2 = r0 * r0, rh * rh
-    r0_3, rh_3 = r0_2 * r0, rh_2 * rh
-    r0_4, rh_4 = r0_2 * r0_2, rh_2 * rh_2
-    r0_5, rh_5 = r0_4 * r0, rh_4 * rh
+    with np.errstate(all="ignore"):  # as Python floats: inf and nan without a word
+        r0_2, rh_2 = r0 * r0, rh * rh
+        r0_3, rh_3 = r0_2 * r0, rh_2 * rh
+        r0_4, rh_4 = r0_2 * r0_2, rh_2 * rh_2
+        r0_5, rh_5 = r0_4 * r0, rh_4 * rh
 
-    f1_num = (r0_3 + rh_3 + r0_2 * rh + r0 * rh_2) ** 2
-    f1_den = 4.0 * (r0_3 * r0_3 + rh_3 * rh_3 + r0_4 * rh_2 + r0_2 * rh_4)
-    f2_den = 8.0 * (r0_5 * r0_5 + rh_5 * rh_5 + r0_4 * r0_4 * rh_2 + r0_2 * rh_4 * rh_4)
-    if f1_den == 0.0 or f2_den == 0.0:
-        raise ValueError("degenerate parameters: the fidelities need nonzero reflection")
-    f1 = f1_num / f1_den
+        f1_num = _square(r0_3 + rh_3 + r0_2 * rh + r0 * rh_2)
+        f1_den = 4.0 * (r0_3 * r0_3 + rh_3 * rh_3 + r0_4 * rh_2 + r0_2 * rh_4)
+        f2_den = 8.0 * (r0_5 * r0_5 + rh_5 * rh_5 + r0_4 * r0_4 * rh_2 + r0_2 * rh_4 * rh_4)
+        if np.any(f1_den == 0.0) or np.any(f2_den == 0.0):
+            raise ValueError("degenerate parameters: the fidelities need nonzero reflection")
+        f1 = f1_num / f1_den
 
-    eta1 = 0.5 * r0_4 + 0.5 * rh_4
+        eta1 = 0.5 * r0_4 + 0.5 * rh_4
 
-    f2_first = (r0_5 + rh_5 + r0_4 * rh + r0 * rh_4) ** 2 / f2_den
-    f2_second = (r0 + rh) ** 2 / (4.0 * (r0_2 + rh_2))
-    f2 = f2_first + f2_second
+        f2_first = _square(r0_5 + rh_5 + r0_4 * rh + r0 * rh_4) / f2_den
+        f2_second = _square(r0 + rh) / (4.0 * (r0_2 + rh_2))
+        f2 = f2_first + f2_second
 
-    eta2 = 0.5 + (0.5 * r0_4 + 0.5 * rh_4) ** 2
+        eta2 = 0.5 + _square(0.5 * r0_4 + 0.5 * rh_4)
     return f1, eta1, f2, eta2
+
+
+def quality_at(params: CavityParams, g: np.ndarray) -> np.recarray:
+    """QualityPoint's figures at each coupling in the array ``g``.
+
+    ``params`` gives every other rate; its own g is not used.  One record
+    per coupling, with QualityPoint's field names.
+    """
+    abs_r0 = abs(reflection(params, coupled=False))
+    abs_rh = np.hypot(*hot_reflection(params, g))  # hypot is abs() of a Python complex
+    f1, eta1, f2, eta2 = quality_from_moduli(abs_r0, abs_rh)
+    columns = (g / (params.kappa + params.kappa_s), params.ks_over_k, abs_r0, abs_rh,
+               f1, eta1, f2, eta2)
+    return np.rec.fromarrays(np.broadcast_arrays(*columns), names=QUALITY_FIELDS)
 
 
 def quality(params: CavityParams) -> QualityPoint:
     """Score the analyzer at one cavity operating point."""
-    abs_r0 = abs(reflection(params, coupled=False))
-    abs_rh = abs(reflection(params, coupled=True))
-    f1, eta1, f2, eta2 = quality_from_moduli(abs_r0, abs_rh)
-    return QualityPoint(
-        g_over_ktot=params.g_over_ktot,
-        ks_over_k=params.ks_over_k,
-        abs_r0=abs_r0,
-        abs_rh=abs_rh,
-        F1=f1,
-        eta1=eta1,
-        F2=f2,
-        eta2=eta2,
-    )
+    return QualityPoint(*quality_at(params, np.array([params.g])).tolist()[0])
 
 
 def decoherence_factor(params: DecoherenceParams) -> float:

@@ -17,11 +17,12 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .bsa import CODE_BELL, DetectorPair, _pick_branch, outcome_distribution, quality
+from .bsa import CODE_BELL, DetectorPair, _pick_branch, outcome_distribution, quality_at
 from .cavity import check_number, operating_point
 from .qsdc import ChannelModel, EveModel, QsdcConfig, run_session
 from .register import BellState, ZeroNormError
@@ -29,9 +30,11 @@ from .register import BellState, ZeroNormError
 OUT_DIR_ENV = "SPATIALBSA_OUT_DIR"
 
 CSV_HEADER = "g_over_ktot,ks_over_k,abs_r0,abs_rh,F1,eta1,F2,eta2"
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(","))) + "\n"
 
 # The largest sweep grid in rows (steps x ks values).  tracemalloc puts the sweep
-# command at about 840 bytes per row (20 000 and 40 000 steps x 3 ks), so ~1.7 GB.
+# command at about 570 bytes per row (20 000 and 40 000 steps x 3 ks), nearly all
+# of it the CSV: each row's floats, its line and the joined text.  So ~1.1 GB.
 MAX_SWEEP_ROWS = 2_000_000
 
 # The most bsa trials.  tracemalloc puts the command at about 66 bytes per trial
@@ -117,46 +120,44 @@ class SweepSpec:
             raise ValueError(f"sweep must have at most {MAX_SWEEP_ROWS} rows (steps x ks values)")
 
 
-def sweep_points(spec: SweepSpec) -> list:
-    """Evaluate the quality figures over the grid, rows ordered (ks, g)."""
-    return [
-        quality(operating_point(float(g), ks, spec.gamma, spec.detuning))
-        for ks in sorted(spec.ks_list)
-        for g in np.linspace(spec.g_min, spec.g_max, spec.steps)
-    ]
+def sweep_points(spec: SweepSpec) -> np.recarray:
+    """Evaluate the quality figures over the grid, one record per row, ordered (ks, g).
+
+    Each ks value's rows are one array evaluation.  A CavityParams for its
+    first row checks what the rows share, and the other checks run in an
+    order that raises the error of the first failing row: a zero hot-cavity
+    denominator needs D_x = 0 and g^2 = 0, and D_x = 0 keeps r_hot at 1 on
+    every other row, while a vanishing reflection needs a small g; so a row
+    failing either precedes any row whose g overflows.
+    """
+    g_over_ktot = np.linspace(spec.g_min, spec.g_max, spec.steps)
+    blocks = []
+    for ks in sorted(spec.ks_list):
+        params = operating_point(float(g_over_ktot[0]), ks, spec.gamma, spec.detuning)
+        with np.errstate(over="ignore"):
+            g = g_over_ktot * (1.0 + ks)  # as operating_point scales each row
+        blocks.append(quality_at(params, g))
+        if not np.isfinite(g).all():
+            raise ValueError("g must be finite")
+    return np.concatenate(blocks).view(np.recarray)
 
 
-def format_sweep_csv(points, spec: SweepSpec, seed: int) -> str:
+def format_sweep_csv(points: np.recarray, spec: SweepSpec, seed: int) -> str:
     """Render sweep rows as CSV with metadata comments.
 
     Floats are printed with 17 significant digits, enough for an exact
     binary round trip through float().
     """
-    lines = [
+    head = "\n".join([
         "# spatial-mode analyzer quality sweep",
         f"# gamma={spec.gamma:.17g} detuning={spec.detuning:.17g} kappa=1",
         "# note: eta2 is emitted exactly as the even-round efficiency formula"
         " gives it; it is not a probability and reaches 1.5 at |r0|=|rh|=1",
         f"# seed={seed}",
         CSV_HEADER,
-    ]
-    for p in points:
-        lines.append(
-            ",".join(
-                f"{v:.17g}"
-                for v in (
-                    p.g_over_ktot,
-                    p.ks_over_k,
-                    p.abs_r0,
-                    p.abs_rh,
-                    p.F1,
-                    p.eta1,
-                    p.F2,
-                    p.eta2,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    ])
+    # One template per row over the records as tuples of Python floats.
+    return "".join(chain([head, "\n"], map(_CSV_ROW.__mod__, points.tolist())))
 
 
 def parse_sweep_csv(text: str) -> list[dict]:

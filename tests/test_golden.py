@@ -7,11 +7,12 @@ the analyzer must reproduce them: counts, detector pairs, flip counts and
 transcripts exactly, float summaries to a relative 1e-12.  Each `bsa`
 report's full stdout is pinned by its SHA-256 as well.  The `qsdc`
 cases also pin their resolved `config` block, and one small `sweep` grid
-pins its full CSV text; both must match byte for byte.  Four larger
-sessions are pinned by the SHA-256 of their sorted-key transcript JSON: the
-benchmark's seed-1 intercept-resend and clean runs, a noisy session with a
-30% eavesdropper that reaches phase 2, and one where the eavesdropper takes
-every photon in both directions.  The emitted `qsdc` text is pinned too, as
+pins its full CSV text; both must match byte for byte.  The benchmark-size
+sweep (10 000 steps over three ks values) is pinned by the SHA-256 of its
+stdout.  Four larger sessions are pinned by the SHA-256 of their sorted-key
+transcript JSON: the benchmark's seed-1 intercept-resend and clean runs, a
+noisy session with a 30% eavesdropper that reaches phase 2, and one where
+the eavesdropper takes every photon in both directions.  The emitted `qsdc` text is pinned too, as
 the full stdout of the two small cases and as the SHA-256 of the four
 larger ones: indentation, key order and float text are part of the
 contract.
@@ -88,6 +89,13 @@ def test_sweep_csv_matches_golden(case, capsys):
     code = cli.main(case["argv"])
     assert code == 0
     assert capsys.readouterr().out == case["csv"]
+
+
+@pytest.mark.parametrize("case", GOLDEN["sweep_digest"], ids=lambda c: c["name"])
+def test_sweep_stdout_digest_matches_golden(case, capsys):
+    code, out = run_cli_text(case["argv"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == case["stdout_sha256"]
 
 
 @pytest.mark.parametrize("case", GOLDEN["qsdc_digest"], ids=lambda c: c["name"])

@@ -1,0 +1,139 @@
+"""The array sweep against one-point evaluation and against Python's own arithmetic.
+
+``sweep_points`` evaluates each ks value's rows as float64 arrays.  Its
+contract is the sweep that ran one Python object per row: every figure
+equal to ``quality(operating_point(g, ks, gamma, detuning))`` at that row,
+and, where a row is invalid, the error that the first invalid row raises.
+Below that, ``hot_reflection`` must give the values of Python's complex
+arithmetic and ``quality_from_moduli`` those of Python floats, whose ``**``
+squares by libm's pow.  The references here are that scalar arithmetic,
+written out once more in plain Python.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from spatialbsa import cli
+from spatialbsa.bsa import QUALITY_FIELDS, quality, quality_from_moduli
+from spatialbsa.cavity import CavityParams, hot_reflection, operating_point
+
+# Zero, subnormal and tiny values reach the 2**1000 rescale of D_x, the
+# vanishing denominators and the overflowing couplings.
+EDGES = [0.0, 5e-324, 1e-310, 2.0**-1000, 1e-170, 1.0]
+rates = st.one_of(st.sampled_from(EDGES), st.floats(0.0, 2.0))
+detunings = st.one_of(st.sampled_from(EDGES), st.floats(-2.0, 2.0))
+g_values = st.one_of(st.sampled_from([*EDGES, 3.0, 1e200, 1e308]), st.floats(0.0, 5.0))
+
+
+def rows_one_at_a_time(spec):
+    """The sweep as one ``quality`` call per row: the points, or the first error."""
+    points = []
+    for ks in sorted(spec.ks_list):
+        for g in np.linspace(spec.g_min, spec.g_max, spec.steps):
+            try:
+                points.append(quality(operating_point(float(g), ks, spec.gamma, spec.detuning)))
+            except ValueError as exc:
+                return None, str(exc)
+    return points, None
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    g_range=st.lists(g_values, min_size=2, max_size=2, unique=True).map(sorted),
+    steps=st.integers(2, 40),
+    ks_list=st.lists(rates, min_size=1, max_size=3),
+    gamma=rates,
+    detuning=detunings,
+)
+# The first row fails, and the last row's g overflows.
+@example(g_range=[0.0, 1e308], steps=3, ks_list=[1.0], gamma=0.0, detuning=0.0)
+@example(g_range=[0.0, 1e308], steps=3, ks_list=[1.0], gamma=0.1, detuning=0.0)
+def test_rows_equal_one_point_quality(g_range, steps, ks_list, gamma, detuning):
+    spec = cli.SweepSpec(*g_range, steps, tuple(ks_list), gamma, detuning)
+    points, error = rows_one_at_a_time(spec)
+    if error is not None:
+        with pytest.raises(ValueError) as exc:
+            cli.sweep_points(spec)
+        assert str(exc.value) == error
+        return
+    records = cli.sweep_points(spec)
+    assert len(records) == len(points)
+    for record, point in zip(records, points):
+        for name in QUALITY_FIELDS:
+            assert getattr(record, name) == getattr(point, name), name
+
+
+def python_hot_reflection(params: CavityParams) -> complex:
+    """r_hot in Python's complex arithmetic, one coupling at a time."""
+    d_exciton = 0.5 * params.gamma - 1j * params.delta_x
+    d_cavity = 0.5 * (params.kappa + params.kappa_s) - 1j * params.delta_c
+    g = params.g
+    if 0.0 < abs(d_exciton) < 2.0**-900:
+        d_exciton *= 2.0**1000
+        g *= 2.0**500
+    return 1.0 - params.kappa * d_exciton / (d_exciton * d_cavity + g * g)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    g=st.lists(st.one_of(st.sampled_from([0.0, 1e-170, 1e200]), st.floats(0.0, 10.0)),
+               min_size=1, max_size=20),
+    kappa_s=rates,
+    gamma=rates,
+    detuning=detunings,
+)
+def test_hot_reflection_is_python_complex_arithmetic(g, kappa_s, gamma, detuning):
+    params = [operating_point(1.0, kappa_s, gamma, detuning)]
+    params += [CavityParams(v, 1.0, kappa_s, gamma, detuning, detuning) for v in g]
+    try:
+        want = [python_hot_reflection(p) for p in params[1:]]
+    except ZeroDivisionError:
+        with pytest.raises(ValueError, match="hot-cavity response is undefined"):
+            hot_reflection(params[0], np.array(g))
+        return
+    real, imag = hot_reflection(params[0], np.array(g))
+    for w, re, im in zip(want, real.tolist(), imag.tolist()):
+        assert (re, im) == (w.real, w.imag)
+        assert np.hypot(re, im) == abs(w)  # math.hypot rounds apart from abs()
+
+
+def python_quality_from_moduli(r0: float, rh: float):
+    """The four figures in Python floats, squaring with ``** 2``."""
+    r0_2, rh_2 = r0 * r0, rh * rh
+    r0_3, rh_3 = r0_2 * r0, rh_2 * rh
+    r0_4, rh_4 = r0_2 * r0_2, rh_2 * rh_2
+    r0_5, rh_5 = r0_4 * r0, rh_4 * rh
+    f1_den = 4.0 * (r0_3 * r0_3 + rh_3 * rh_3 + r0_4 * rh_2 + r0_2 * rh_4)
+    f2_den = 8.0 * (r0_5 * r0_5 + rh_5 * rh_5 + r0_4 * r0_4 * rh_2 + r0_2 * rh_4 * rh_4)
+    f1 = (r0_3 + rh_3 + r0_2 * rh + r0 * rh_2) ** 2 / f1_den
+    eta1 = 0.5 * r0_4 + 0.5 * rh_4
+    f2 = ((r0_5 + rh_5 + r0_4 * rh + r0 * rh_4) ** 2 / f2_den
+          + (r0 + rh) ** 2 / (4.0 * (r0_2 + rh_2)))
+    eta2 = 0.5 + (0.5 * r0_4 + 0.5 * rh_4) ** 2
+    return f1, eta1, f2, eta2
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.floats(1e-3, 1.0), st.integers(0, 2**32 - 1))
+def test_quality_from_moduli_is_python_float_arithmetic(r0, seed):
+    # libm's pow and a product round apart for about one square in a thousand,
+    # so each example draws a thousand moduli.
+    rh = np.random.default_rng(seed).uniform(1e-3, 1.0, 1000)
+    got = np.array(quality_from_moduli(r0, rh))
+    want = np.array([python_quality_from_moduli(r0, v) for v in rh.tolist()]).T
+    assert np.array_equal(got, want)
+
+
+def test_overflowing_coupling_square_prints_rows_without_warning(capsys):
+    # g^2 overflows to inf, as it does in Python floats, and r_hot is 1.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["sweep", "--g-max", "1e200", "--steps", "4", "--seed", "1"])
+    assert code == 0
+    rows = cli.parse_sweep_csv(capsys.readouterr().out)
+    assert len(rows) == 12
+    assert [row["abs_rh"] for row in rows[1::4]] == [1.0, 1.0, 1.0]
