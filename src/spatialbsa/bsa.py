@@ -127,38 +127,34 @@ class DecoherenceParams:
 _HALF_WAVE = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex)
 
 
-def _double_pass(params: CavityParams | None, ideal: bool) -> np.ndarray:
+def _double_pass(params: CavityParams | None) -> np.ndarray:
     """Factors over (rail, polarization, spin): rail 1 scatters twice, rail 2 flies by."""
     diag = np.ones((2, 2, 2), dtype=complex)
-    diag[0] = scatter_factors(params, ideal, passes=2).reshape(2, 2)
+    diag[0] = scatter_factors(params, passes=2).reshape(2, 2)
     return diag
 
 
-def parity_qnd(
-    reg: QuantumRegister,
-    spin_name: str = SPIN_NAME,
-    params: CavityParams | None = None,
-    ideal: bool = True,
-) -> QuantumRegister:
+def parity_qnd(reg: QuantumRegister, params: CavityParams | None = None) -> QuantumRegister:
     """Imprint the rail parity of a photon pair onto the cavity spin.
 
     Each photon's rail 1 is routed through the cavity for a corrected double
     pass while rail 2 flies by.  A spin prepared in |+> stays in |+> for
     even parity and ends in |-> for odd parity, up to a global sign, without
     measuring the photons.  The spin must enter in |+> or |-> exactly.
+    ``params`` None is the ideal cavity.
     """
-    reg.require_kind(spin_name, Kind.SPIN)
-    p_minus = reg.probabilities(spin_name, "x")[1]
+    reg.require_kind(SPIN_NAME, Kind.SPIN)
+    p_minus = reg.probabilities(SPIN_NAME, "x")[1]
     if 1e-9 < p_minus < 1.0 - 1e-9:
         raise ValueError(
-            f"spin {spin_name!r} must start in |+> or |-> "
+            f"spin {SPIN_NAME!r} must start in |+> or |-> "
             f"(|-> weight {p_minus:.3g})"
         )
-    double_pass = _double_pass(params, ideal)
+    double_pass = _double_pass(params)
     for spatial_name, pol_name in (("a", "a_pol"), ("b", "b_pol")):
         reg.require_kind(spatial_name, Kind.SPATIAL)
         reg.require_kind(pol_name, Kind.POLARIZATION)
-        reg.apply_diagonal([spatial_name, pol_name, spin_name], double_pass)
+        reg.apply_diagonal([spatial_name, pol_name, SPIN_NAME], double_pass)
         reg.apply_diagonal([spatial_name, pol_name], _HALF_WAVE)
     return reg
 
@@ -173,7 +169,7 @@ _INPUTS = (
 
 
 @functools.lru_cache(maxsize=64)
-def _branch_maps(params: CavityParams | None, ideal: bool) -> np.ndarray:
+def _branch_maps(params: CavityParams | None) -> np.ndarray:
     """The analyzer's linear map onto each outcome branch, shape (8, 8, 2, 2, 2, 2).
 
     Entry [(k, j, l), out, a, b, a_pol, b_pol] is the amplitude with which
@@ -184,13 +180,13 @@ def _branch_maps(params: CavityParams | None, ideal: bool) -> np.ndarray:
     photon); they run in the order ``parity_qnd``, the probe and ``apply_bs``
     apply them on a register, which fixes every bit of the result.
     """
-    rail = _double_pass(params, ideal)
+    rail = _double_pass(params)
     # Parity pass, photon a then photon b, on a spin that enters in |+>.
     psi = SQRT_HALF * rail[:, None, :, None, :] * _HALF_WAVE[:, None, :, None, None]
     psi = psi * rail[None, :, None, :, :] * _HALF_WAVE[None, :, None, :, None]
     # Probe: spin Hadamard, then one pass of a readout photon in |R> + |L>.
     psi = np.moveaxis(np.tensordot(HADAMARD, psi, axes=([1], [4])), 0, 4)
-    probe = scatter_factors(params, ideal, passes=1).reshape(2, 2)  # (photon, spin)
+    probe = scatter_factors(params, passes=1).reshape(2, 2)  # (photon, spin)
     psi = psi[..., None] * SQRT_HALF * probe.T
     # Splitters, photon a then photon b: axes (j, l, a, b, a_pol, b_pol, spin, photon).
     psi = HADAMARD.reshape(2, 1, 2, 1, 1, 1, 1, 1) * psi
@@ -256,15 +252,15 @@ def _joint(branch: np.ndarray, cols: np.ndarray) -> np.ndarray:
     output kets; a row of the result sums a column's squared moduli over
     those kets.
     """
-    out = cols.T @ branch.reshape(64, -1).T
     # (m, 64) is the largest array of a session's phase 2, so its real and
-    # imaginary parts are squared in place.
-    parts = out.view(float)
+    # imaginary parts are squared in place, and it is freed by the first add.
+    parts = (cols.T @ branch.reshape(64, -1).T).view(float)
     parts **= 2
-    # A length-2 reduction is exactly re + im; numpy's sum over a last axis
-    # of two is a slow loop per row.
-    sq = parts.reshape(-1, 8, 8, 2)
-    return (sq[..., 0] + sq[..., 1]).sum(axis=2)
+    # re + im, then the eight output kets, in pairwise adds: the tree that
+    # numpy's sum takes over eight terms, without its loop per row.
+    for _ in range(4):
+        parts = parts[..., 0::2] + parts[..., 1::2]
+    return parts
 
 
 def _distribution(reg: QuantumRegister, maps: np.ndarray) -> OutcomeDistribution:
@@ -287,49 +283,40 @@ def _distribution(reg: QuantumRegister, maps: np.ndarray) -> OutcomeDistribution
 
 
 @functools.lru_cache(maxsize=256)
-def _label_distribution(
-    label: BellState, params: CavityParams | None, ideal: bool
-) -> OutcomeDistribution:
-    return _distribution(
-        make_bell(label, with_polarization="R"), _branch_maps(params, ideal)
-    )
+def _label_distribution(label: BellState, params: CavityParams | None) -> OutcomeDistribution:
+    return _distribution(make_bell(label, with_polarization="R"), _branch_maps(params))
 
 
 def outcome_distribution(
-    state: BellState | QuantumRegister,
-    params: CavityParams | None = None,
-    ideal: bool = True,
+    state: BellState | QuantumRegister, params: CavityParams | None = None
 ) -> OutcomeDistribution:
     """Exact joint distribution of the analyzer's outcomes on one input.
 
-    The input is read as in ``analyze``.  The branch maps are built once per
-    operating point (every ideal call shares one), and a Bell-state label's
-    distribution is cached with them.
+    The input and ``params`` are read as in ``analyze``.  The branch maps are
+    built once per operating point, and a Bell-state label's distribution is
+    cached with them.
     """
-    point = (None, True) if ideal else (params, False)
     if isinstance(state, BellState):
-        return _label_distribution(state, *point)
-    return _distribution(state, _branch_maps(*point))
+        return _label_distribution(state, params)
+    return _distribution(state, _branch_maps(params))
 
 
 def analyze(
-    state: BellState | QuantumRegister,
-    params: CavityParams | None = None,
-    ideal: bool = True,
-    rng=None,
+    state: BellState | QuantumRegister, params: CavityParams | None = None, rng=None
 ) -> BsaRecord:
     """Run the full analyzer once on a Bell state or a prepared register.
 
     A BellState label stands for the standard two-photon state with |R>
     polarizations; in a register, photons a and b without polarization
-    subsystems enter with |R>.  The register is not modified.  The outcome
+    subsystems enter with |R>.  The register is not modified.  ``params``
+    is the cavity's operating point, and None the ideal cavity.  The outcome
     is drawn from the exact joint distribution with three uniforms from
     ``rng``: readout photon, photon a, photon b.  ``success_probability``
     is the chance that both photons and the readout photon actually arrive.
     """
     if rng is None:
         rng = np.random.default_rng()
-    dist = outcome_distribution(state, params, ideal)
+    dist = outcome_distribution(state, params)
     if not dist.success > 0.0:
         raise ZeroNormError("no amplitude reaches the detectors")
     k, j, l = _pick_branch(dist.weights, rng.random(), rng.random(), rng.random())
@@ -364,7 +351,7 @@ def analyze_pairs(psi: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     state that ``analyze`` infers on that pair with those draws.
     """
     n = len(psi)
-    joint = _joint(_branch_maps(None, True)[..., 0, 0].reshape(8, 8, 4), psi.reshape(n, 4).T)
+    joint = _joint(_branch_maps(None)[..., 0, 0].reshape(8, 8, 4), psi.reshape(n, 4).T)
     k, j, l = _pick_branch(
         _branch_weights(joint.reshape(n, 2, 2, 2)).ravel(),
         uniforms[:, 0],

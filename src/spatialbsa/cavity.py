@@ -160,6 +160,9 @@ def hot_reflection(params: CavityParams, g: np.ndarray) -> tuple[np.ndarray, np.
         scale = np.where(first, b_re + b_im * ratio, b_re * ratio + b_im)
         q_re = np.where(first, a.real + a.imag * ratio, a.real * ratio + a.imag) / scale
         q_im = np.where(first, a.imag - a.real * ratio, a.imag * ratio - a.real) / scale
+        if np.any(np.isnan(q_re) | np.isnan(q_im)):
+            # inf / inf or inf - inf: both parts of D_x * D_c, or one and g^2, overflowed.
+            raise ValueError("rates too large: the hot-cavity response overflows")
         # 1.0 - q: the float joins as (1.0, 0.0).
         return 1.0 - q_re, 0.0 - q_im
 
@@ -185,27 +188,19 @@ def phase_shifts(params: CavityParams) -> PhaseShifts:
     )
 
 
-def reflection_pair(params: CavityParams | None, ideal: bool) -> tuple[complex, complex]:
-    """(cold, hot) amplitudes, either idealized phases or the lossy values."""
-    if ideal:
-        return IDEAL_COLD, IDEAL_HOT
-    if params is None:
-        raise ValueError("lossy reflection needs CavityParams")
-    return reflection(params, coupled=False), reflection(params, coupled=True)
-
-
-def scatter_factors(
-    params: CavityParams | None, ideal: bool = True, passes: int = 1
-) -> np.ndarray:
+def scatter_factors(params: CavityParams | None, passes: int = 1) -> np.ndarray:
     """Diagonal factors over (polarization, spin) for one photon-cavity pass.
 
     Order is big-endian over (polarization, spin): (R,up), (R,down), (L,up),
     (L,down).  The selection rules put the cold amplitude on (R,up) and
-    (L,down) and the hot amplitude on the other two.  ``passes`` repeats the
-    bounce, which for these diagonal factors is a plain power.
+    (L,down) and the hot amplitude on the other two; ``params`` None is the
+    ideal cavity, IDEAL_COLD and IDEAL_HOT.  ``passes`` repeats the bounce,
+    which for these diagonal factors is a plain power.
     """
     if passes not in (1, 2):
         raise ValueError("passes must be 1 or 2")
-    cold, hot = reflection_pair(params, ideal)
+    if params is None:
+        cold, hot = IDEAL_COLD, IDEAL_HOT
+    else:
+        cold, hot = reflection(params, coupled=False), reflection(params, coupled=True)
     return np.array([cold, hot, hot, cold], dtype=complex) ** passes
-

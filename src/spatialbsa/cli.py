@@ -33,8 +33,8 @@ CSV_HEADER = "g_over_ktot,ks_over_k,abs_r0,abs_rh,F1,eta1,F2,eta2"
 _CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(","))) + "\n"
 
 # The largest sweep grid in rows (steps x ks values).  tracemalloc puts the sweep
-# command at about 570 bytes per row (20 000 and 40 000 steps x 3 ks), nearly all
-# of it the CSV: each row's floats, its line and the joined text.  So ~1.1 GB.
+# command at about 360 bytes per row (20 000 and 40 000 steps x 3 ks): the CSV
+# text twice, as its ks blocks and joined, and the rows' floats.  So ~0.73 GB.
 MAX_SWEEP_ROWS = 2_000_000
 
 # The most bsa trials.  tracemalloc puts the command at about 66 bytes per trial
@@ -127,8 +127,9 @@ def sweep_points(spec: SweepSpec) -> np.recarray:
     first row checks what the rows share, and the other checks run in an
     order that raises the error of the first failing row: a zero hot-cavity
     denominator needs D_x = 0 and g^2 = 0, and D_x = 0 keeps r_hot at 1 on
-    every other row, while a vanishing reflection needs a small g; so a row
-    failing either precedes any row whose g overflows.
+    every other row, a vanishing reflection needs a small g, and an
+    overflowing hot response fails every row or those whose g^2 overflows;
+    so a row failing any of them precedes any row whose g overflows.
     """
     g_over_ktot = np.linspace(spec.g_min, spec.g_max, spec.steps)
     blocks = []
@@ -156,8 +157,13 @@ def format_sweep_csv(points: np.recarray, spec: SweepSpec, seed: int) -> str:
         f"# seed={seed}",
         CSV_HEADER,
     ])
-    # One template per row over the records as tuples of Python floats.
-    return "".join(chain([head, "\n"], map(_CSV_ROW.__mod__, points.tolist())))
+    # One template per row over the records as tuples of Python floats, joined
+    # one ks block at a time so that only one block's rows are held at once.
+    blocks = (
+        "".join(map(_CSV_ROW.__mod__, points[i : i + spec.steps].tolist()))
+        for i in range(0, len(points), spec.steps)
+    )
+    return "".join(chain([head, "\n"], blocks))
 
 
 def parse_sweep_csv(text: str) -> list[dict]:
@@ -179,7 +185,7 @@ def cmd_bsa(args) -> int:
     params = operating_point(args.g_over_ktot, args.ks_over_k, args.gamma, args.detuning)
     if args.trials > MAX_BSA_TRIALS:
         raise ValueError(f"trials must be at most {MAX_BSA_TRIALS}")
-    dist = outcome_distribution(label, params, ideal=not args.lossy)
+    dist = outcome_distribution(label, params if args.lossy else None)
     if not dist.success > 0.0:
         raise ZeroNormError("no amplitude reaches the detectors")
     # Row i holds trial i's three draws, the doubles that as many scalar draws give.

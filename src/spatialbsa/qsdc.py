@@ -120,15 +120,13 @@ class QsdcConfig:
         if len(self.message_bits) % 2 != 0:
             raise ValueError("message_bits must have even length (2 bits per pair)")
         for name in ("pair_count", "sample_fraction", "seed", "qber_abort_threshold"):
-            check_number(name, getattr(self, name))
+            check_number(name, getattr(self, name), whole=name in ("pair_count", "seed"))
         if not 1 <= self.pair_count <= MAX_PAIR_COUNT:
             raise ValueError(f"pair_count must lie between 1 and {MAX_PAIR_COUNT}")
         if not (0.0 < self.sample_fraction < 1.0):
             raise ValueError("sample_fraction must lie strictly between 0 and 1")
         if not (self.qber_abort_threshold >= 0.0):
             raise ValueError("qber_abort_threshold must be nonnegative")
-        for name in ("pair_count", "seed"):
-            check_number(name, getattr(self, name), whole=True)
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
         for name, model in (("eve_model", EveModel), ("channel_model", ChannelModel)):

@@ -1,11 +1,15 @@
-"""The package namespace: the README's library example runs, and __all__ resolves."""
+"""The package namespace: the README's library example runs, __all__ resolves,
+and the version matches the project metadata."""
 
 import re
 from pathlib import Path
 
+import pytest
+
 import spatialbsa
 
-README = (Path(__file__).parent.parent / "README.md").read_text()
+ROOT = Path(__file__).parent.parent
+README = (ROOT / "README.md").read_text()
 
 
 def test_readme_library_block_runs(capsys):
@@ -19,3 +23,9 @@ def test_every_exported_name_resolves():
     for name in spatialbsa.__all__:
         assert getattr(spatialbsa, name) is not None, name
     assert len(set(spatialbsa.__all__)) == len(spatialbsa.__all__)
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert spatialbsa.__version__ == project["version"]

@@ -221,7 +221,7 @@ class TestAnalyze:
 
     def test_lossy_mode_reports_survival(self, rng):
         params = operating_point(2.4, 0.7)
-        record = analyze(BellState.PHI_PLUS, params=params, ideal=False, rng=rng)
+        record = analyze(BellState.PHI_PLUS, params=params, rng=rng)
         assert 0.0 < record.success_probability < 1.0
 
     def test_lossy_survival_on_pass_free_state(self, rng):
@@ -235,14 +235,10 @@ class TestAnalyze:
         reg = QuantumRegister(
             [Subsystem("a", Kind.SPATIAL), Subsystem("b", Kind.SPATIAL)], amps
         )
-        record = analyze(reg, params=params, ideal=False, rng=rng)
+        record = analyze(reg, params=params, rng=rng)
         assert record.success_probability == pytest.approx(
             0.5 * (r0**2 + rh**2), abs=1e-12
         )
-
-    def test_lossy_mode_without_params_rejected(self, rng):
-        with pytest.raises(ValueError):
-            analyze(BellState.PHI_PLUS, params=None, ideal=False, rng=rng)
 
     def test_record_fields(self, rng):
         record = analyze(BellState.PHI_MINUS, rng=rng)
@@ -307,7 +303,7 @@ class TestClosedFormGap:
 
     @staticmethod
     def accuracy(label, params):
-        dist = outcome_distribution(label, params, ideal=False)
+        dist = outcome_distribution(label, params)
         hits = sum(
             dist.joint[k, j, l]
             for k in (0, 1)

@@ -11,7 +11,6 @@ from spatialbsa.cavity import (
     operating_point,
     phase_shifts,
     reflection,
-    reflection_pair,
     scatter_factors,
 )
 from spatialbsa.register import (
@@ -45,9 +44,9 @@ def photon_spin_register(pol, spin):
     )
 
 
-def scatter(reg, params=None, passes=1, ideal=True):
+def scatter(reg, params=None, passes=1):
     """Bounce photon "p" off spin "s" once or twice, as the analyzer's stages do."""
-    return reg.apply_diagonal(["p", "s"], scatter_factors(params, ideal, passes))
+    return reg.apply_diagonal(["p", "s"], scatter_factors(params, passes))
 
 
 class TestCavityParams:
@@ -123,6 +122,19 @@ class TestReflection:
     def test_degenerate_denominator_rejected(self):
         params = CavityParams(g=0.0, gamma=0.0, delta_x=0.0)
         with pytest.raises(ValueError):
+            reflection(params, coupled=True)
+
+    def test_huge_detuning_leaves_the_probe_unscattered(self):
+        # Re(D_x * D_c) overflows alone, and r_hot takes its limit 1.
+        assert reflection(operating_point(2.4, detuning=1e200), coupled=True) == 1.0
+
+    @pytest.mark.parametrize(
+        "params", [operating_point(2.4, gamma=1e10, detuning=1e300),
+                   operating_point(1e200, detuning=1e200)],
+        ids=["both_parts_of_dx_dc", "dx_dc_and_g_squared"],
+    )
+    def test_overflowing_response_rejected(self, params):
+        with pytest.raises(ValueError, match="the hot-cavity response overflows"):
             reflection(params, coupled=True)
 
     @pytest.mark.parametrize(
@@ -217,14 +229,10 @@ class TestPhaseShifts:
         assert abs(shifts.delta_phi - np.pi / 2) < 0.02
 
     def test_ideal_pair_phases(self):
-        cold, hot = reflection_pair(None, ideal=True)
+        cold, hot = scatter_factors(None)[:2]
         assert cold == IDEAL_COLD
         assert hot == IDEAL_HOT
         assert abs(cold - (-1j)) < 1e-15
-
-    def test_lossy_pair_requires_params(self):
-        with pytest.raises(ValueError):
-            reflection_pair(None, ideal=False)
 
 
 class TestScatter:
@@ -256,7 +264,7 @@ class TestScatter:
             norm = np.hypot(abs(alpha), abs(beta))
             alpha, beta = alpha / norm, beta / norm
             reg = photon_spin_register([alpha, beta], [SQRT_HALF, SQRT_HALF])
-            scatter(reg, passes=2, ideal=True)
+            scatter(reg, passes=2)
             reg.apply_diagonal(["p"], [1, -1])
             expected = photon_spin_register([alpha, beta], [SQRT_HALF, -SQRT_HALF])
             assert same_up_to_global_phase(reg.amplitudes, expected.amplitudes)
@@ -270,9 +278,9 @@ class TestScatter:
             twice.amplitudes = amps.copy()
             once = photon_spin_register([1, 0], [1, 0])
             once.amplitudes = amps.copy()
-            scatter(twice, params, passes=1, ideal=False)
-            scatter(twice, params, passes=1, ideal=False)
-            scatter(once, params, passes=2, ideal=False)
+            scatter(twice, params, passes=1)
+            scatter(twice, params, passes=1)
+            scatter(once, params, passes=2)
             assert np.allclose(twice.amplitudes, once.amplitudes, atol=1e-12)
 
     @settings(deadline=None)
@@ -283,7 +291,7 @@ class TestScatter:
         amps /= np.linalg.norm(amps)
         reg = photon_spin_register([1, 0], [1, 0])
         reg.amplitudes = amps
-        scatter(reg, passes=passes, ideal=True)
+        scatter(reg, passes=passes)
         assert abs(reg.norm_squared() - 1.0) < 1e-12
 
     def test_lossy_scatter_never_gains_norm(self, rng):
@@ -293,19 +301,19 @@ class TestScatter:
             amps /= np.linalg.norm(amps)
             reg = photon_spin_register([1, 0], [1, 0])
             reg.amplitudes = amps
-            scatter(reg, params, passes=1, ideal=False)
+            scatter(reg, params, passes=1)
             assert reg.norm_squared() <= 1.0 + 1e-12
 
     def test_survival_probability_matches_hot_modulus(self):
         params = CavityParams(g=2.4)
         reg = photon_spin_register([1.0, 0.0], [0.0, 1.0])
-        scatter(reg, params, passes=1, ideal=False)
+        scatter(reg, params, passes=1)
         assert reg.norm_squared() == pytest.approx(abs(REFERENCE_HOT) ** 2, abs=1e-12)
 
     def test_factors_follow_selection_rules(self):
         params = CavityParams(g=2.4)
-        cold, hot = reflection_pair(params, ideal=False)
-        factors = scatter_factors(params, ideal=False, passes=1)
+        cold, hot = reflection(params, coupled=False), reflection(params, coupled=True)
+        factors = scatter_factors(params, passes=1)
         assert factors[0] == cold and factors[3] == cold
         assert factors[1] == hot and factors[2] == hot
 
@@ -334,4 +342,4 @@ class TestScatter:
 
     def test_invalid_pass_count_rejected(self):
         with pytest.raises(ValueError):
-            scatter_factors(None, ideal=True, passes=3)
+            scatter_factors(None, passes=3)

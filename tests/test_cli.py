@@ -383,11 +383,15 @@ class TestErrorPaths:
              "degenerate parameters: hot-cavity response is undefined"),
             (["sweep", "--ks", "1", "--detuning", "0", "--g-min", "0"],
              "degenerate parameters: the fidelities need nonzero reflection"),
+            (["bsa", "phi+", "--lossy", "--detuning", "1e300", "--gamma", "1e10"],
+             "rates too large: the hot-cavity response overflows"),
+            (["sweep", "--detuning", "1e300", "--gamma", "1e10", "--steps", "3", "--ks", "0"],
+             "rates too large: the hot-cavity response overflows"),
         ],
         ids=["negative_seed", "degenerate_cavity", "overflowing_coupling",
              "infinite_coupling", "nan_detuning", "no_surviving_amplitude",
              "sweep_overflowing_coupling", "sweep_degenerate_cavity",
-             "sweep_no_reflection"],
+             "sweep_no_reflection", "overflowing_response", "sweep_overflowing_response"],
     )
     def test_bad_values_give_one_error_line(self, argv, message, capsys):
         if argv[0] == "bsa":
@@ -406,6 +410,7 @@ class TestQsdcErrorPaths:
             (["--sample-fraction", "nan"], None, "sample_fraction must lie strictly"),
             ([], '{"message_bits": "0101", "pair_count": 1e400}', "infinity"),
             ([], '{"message_bits": "0101", "seed": 1e400}', "infinity"),
+            (["--seed", "1" + 400 * "0"], None, "seed must fit in 64 bits"),
             (["--pairs", "400", "--eve", "intercept_resend", "--qber-threshold", "nan",
               "--seed", "3"], None, "qber_abort_threshold"),
             (["--sample-fraction", "0.9999999999999999"], None, "pair_count must lie"),
@@ -435,7 +440,7 @@ class TestQsdcErrorPaths:
              "channel_model.mode_flip_prob must be a number, got true"),
         ],
         ids=["unit_sample_fraction", "nan_sample_fraction", "infinite_pair_count",
-             "infinite_seed", "nan_qber_threshold", "huge_auto_pair_count",
+             "infinite_seed", "huge_seed", "nan_qber_threshold", "huge_auto_pair_count",
              "huge_pair_count", "fractional_pair_count", "fractional_seed",
              "boolean_pair_count", "boolean_seed", "misspelled_eve_key",
              "misspelled_channel_key", "string_eve_model", "list_channel_model",

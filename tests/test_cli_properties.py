@@ -146,7 +146,7 @@ def test_cli_never_raises_and_reports_errors_on_one_line(argv, config):
             assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def per_trial_bsa(label, params, ideal, trials, seed):
+def per_trial_bsa(label, params, trials, seed):
     """The bsa report fields as one analyzer run per trial counts them."""
     rng = np.random.default_rng(seed)
     counts = {m.value: 0 for m in BellState}
@@ -154,7 +154,7 @@ def per_trial_bsa(label, params, ideal, trials, seed):
     changed = 0
     success_total = 0.0
     for _ in range(trials):
-        record = analyze(label, params=params, ideal=ideal, rng=rng)
+        record = analyze(label, params=params, rng=rng)
         counts[record.inferred.value] += 1
         detectors[record.detectors.value] += 1
         changed += 1 if record.spin_changed else 0
@@ -179,7 +179,8 @@ def test_bsa_block_draw_matches_per_trial_loop(label, ideal, point, trials, seed
             f"--detuning={detuning!r}", f"--seed={seed}"]
     code, out, err = run_main(argv)
     try:
-        want = per_trial_bsa(label, operating_point(g, ks, gamma, detuning), ideal, trials, seed)
+        params = operating_point(g, ks, gamma, detuning)
+        want = per_trial_bsa(label, None if ideal else params, trials, seed)
     except ZeroNormError as exc:
         assert (code, out, err) == (1, "", f"error: {exc}\n")
         return

@@ -57,14 +57,14 @@ INPUTS = (
 )
 
 
-def probe_spin(reg, params, ideal):
+def probe_spin(reg, params):
     """Hadamard the spin and bounce one readout photon in |R> + |L> off it once."""
     reg.apply_one(SPIN_NAME, HADAMARD)
     reg.add_subsystem(Subsystem(AUX_NAME, Kind.POLARIZATION), PLUS)
-    reg.apply_diagonal([AUX_NAME, SPIN_NAME], scatter_factors(params, ideal, passes=1))
+    reg.apply_diagonal([AUX_NAME, SPIN_NAME], scatter_factors(params, passes=1))
 
 
-def gate_by_gate_analyze(state, params=None, ideal=True, rng=None):
+def gate_by_gate_analyze(state, params=None, rng=None):
     if isinstance(state, BellState):
         reg = make_bell(state, with_polarization="R")
     else:
@@ -77,8 +77,8 @@ def gate_by_gate_analyze(state, params=None, ideal=True, rng=None):
                     np.array([1.0, 0.0], dtype=complex),
                 )
     reg.add_subsystem(Subsystem(SPIN_NAME, Kind.SPIN), PLUS)
-    parity_qnd(reg, SPIN_NAME, params, ideal)
-    probe_spin(reg, params, ideal)
+    parity_qnd(reg, params)
+    probe_spin(reg, params)
     # Outcome (|R> - i|L>)/sqrt2 of the readout photon flags a flipped spin.
     changed = measure(reg, AUX_NAME, "da", rng)[0] == 1
     apply_bs(reg, "a")
@@ -95,15 +95,15 @@ def gate_by_gate_analyze(state, params=None, ideal=True, rng=None):
     )
 
 
-def gate_by_gate_branch_maps(params, ideal):
+def gate_by_gate_branch_maps(params):
     """The branch maps stepped ket by ket through a register, projected, not measured."""
     readout_kets = basis_vectors(Kind.POLARIZATION, "da")
     columns = []
     for ket in np.eye(16, dtype=complex):
         reg = QuantumRegister(INPUTS, ket)
         reg.add_subsystem(Subsystem(SPIN_NAME, Kind.SPIN), PLUS)
-        parity_qnd(reg, SPIN_NAME, params, ideal)
-        probe_spin(reg, params, ideal)
+        parity_qnd(reg, params)
+        probe_spin(reg, params)
         apply_bs(reg, "a")
         apply_bs(reg, "b")
         # Axes (a, b, a_pol+b_pol+spin, aux); project aux on the readout kets.
@@ -173,17 +173,15 @@ def point_id(params):
 
 @pytest.mark.parametrize("params", golden_operating_points(), ids=point_id)
 def test_branch_maps_equal_gate_by_gate_build_at_golden_points(params):
-    ideal = params is None
-    maps = bsa._branch_maps(params, ideal)
+    maps = bsa._branch_maps(params)
     assert maps.shape == (8, 8, 2, 2, 2, 2)
-    assert np.array_equal(maps, gate_by_gate_branch_maps(params, ideal))
+    assert np.array_equal(maps, gate_by_gate_branch_maps(params))
 
 
 @settings(max_examples=40, deadline=None)
 @given(params=operating_points)
 def test_branch_maps_equal_gate_by_gate_build(params):
-    ideal = params is None
-    assert np.array_equal(bsa._branch_maps(params, ideal), gate_by_gate_branch_maps(params, ideal))
+    assert np.array_equal(bsa._branch_maps(params), gate_by_gate_branch_maps(params))
 
 
 @settings(max_examples=60, deadline=None)
@@ -193,8 +191,7 @@ def test_branch_maps_equal_gate_by_gate_build(params):
     uniforms=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=3, max_size=3),
 )
 def test_matches_gate_by_gate_analyzer(state, params, uniforms):
-    ideal = params is None
-    dist = outcome_distribution(state, params, ideal)
+    dist = outcome_distribution(state, params)
     norm2 = 1.0 if isinstance(state, BellState) else state.norm_squared()
 
     assert dist.joint.sum() == pytest.approx(dist.success, abs=1e-12)
@@ -216,8 +213,8 @@ def test_matches_gate_by_gate_analyzer(state, params, uniforms):
     i = 6 + 4 * k + 2 * j
     assume(abs(u_b - conditional(w[i : i + 2])[0]) >= MARGIN)
 
-    want = gate_by_gate_analyze(state, params, ideal, ScriptedRng(uniforms))
-    got = analyze(state, params, ideal, ScriptedRng(uniforms))
+    want = gate_by_gate_analyze(state, params, ScriptedRng(uniforms))
+    got = analyze(state, params, ScriptedRng(uniforms))
     assert got.spin_changed == want.spin_changed
     assert got.detectors is want.detectors
     assert got.inferred is want.inferred
@@ -227,9 +224,16 @@ def test_matches_gate_by_gate_analyzer(state, params, uniforms):
 def test_label_and_register_share_one_distribution():
     params = operating_point(2.4, 0.7)
     for label in BellState:
-        from_label = outcome_distribution(label, params, ideal=False)
-        from_register = outcome_distribution(make_bell(label), params, ideal=False)
+        from_label = outcome_distribution(label, params)
+        from_register = outcome_distribution(make_bell(label), params)
         assert np.allclose(from_label.joint, from_register.joint, rtol=0.0, atol=1e-15)
+
+
+def test_passed_operating_point_is_used():
+    # A CavityParams alone selects the lossy cavity; None is the ideal one.
+    lossy = outcome_distribution(BellState.PHI_PLUS, operating_point(2.4, 0.7))
+    assert lossy.success == 0.4742139291068077
+    assert outcome_distribution(BellState.PHI_PLUS).success == 0.9999999999999989
 
 
 def test_ideal_bell_states_are_deterministic():
@@ -298,7 +302,7 @@ def summed_joint(branch, cols):
 @pytest.mark.parametrize("m", [1, 7, 4000])
 @pytest.mark.parametrize("point", [None, operating_point(2.4, 0.7)], ids=("ideal", "lossy"))
 def test_joint_reduction_matches_two_axis_sum(m, point):
-    maps = bsa._branch_maps(point, point is None)
+    maps = bsa._branch_maps(point)
     gen = np.random.default_rng(m)
     for branch, d in ((maps.reshape(8, 8, -1), 16), (maps[..., 0, 0].reshape(8, 8, 4), 4)):
         cols = gen.normal(size=(d, m)) + 1j * gen.normal(size=(d, m))
@@ -316,7 +320,7 @@ def test_register_with_extra_subsystem_keeps_its_joint(point, monkeypatch):
     gen = np.random.default_rng(5)
     amps = gen.normal(size=16) + 1j * gen.normal(size=16)
     reg = QuantumRegister(subsystems, amps / np.linalg.norm(amps))
-    got = outcome_distribution(reg, point, point is None).joint
+    got = outcome_distribution(reg, point).joint
     monkeypatch.setattr(bsa, "_joint", summed_joint)
-    want = outcome_distribution(reg, point, point is None).joint
+    want = outcome_distribution(reg, point).joint
     assert np.array_equal(got, want)

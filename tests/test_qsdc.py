@@ -326,9 +326,16 @@ class TestConfigValidation:
         config = QsdcConfig(message_bits="01", pair_count=np.int64(50), seed=np.uint64(3))
         assert run_session(config).decoded_bits == "01"
 
-    @pytest.mark.parametrize("pair_count", [MAX_PAIR_COUNT + 1, 1e300, float("nan")])
-    def test_pair_count_is_bounded(self, pair_count):
-        with pytest.raises(ValueError, match="pair_count must lie between"):
+    # A float is not a count, so 1e300 and nan fail as non-integers before the range check.
+    @pytest.mark.parametrize(
+        "pair_count, message",
+        [(MAX_PAIR_COUNT + 1, "pair_count must lie between"),
+         (1e300, "pair_count must be an integer"),
+         (float("nan"), "pair_count must be an integer")],
+        ids=[str(MAX_PAIR_COUNT + 1), "1e+300", "nan"],
+    )
+    def test_pair_count_is_bounded(self, pair_count, message):
+        with pytest.raises(ValueError, match=message):
             QsdcConfig(message_bits="01", pair_count=pair_count)
 
     def test_infeasible_pair_budget_rejected(self):

@@ -259,8 +259,9 @@ class TestSpinAndPolarizationHelpers:
     def test_hadamard_spin_kind_check(self):
         # The parity pass, which the spin Hadamard follows, accepts only a spin.
         reg = make_bell(BellState.PHI_PLUS, with_polarization="R")
+        reg.add_subsystem(Subsystem("spin", Kind.SPATIAL), [SQRT_HALF, SQRT_HALF])
         with pytest.raises(SubsystemKindError):
-            parity_qnd(reg, spin_name="a")
+            parity_qnd(reg)
 
 
 class TestAddRemove:

@@ -93,7 +93,7 @@ def per_register_session(config):
             role, encoded = "check", BITS[int(rng.integers(4))]
         pairs[pos].apply_one("a", OP_BY_BITS[encoded])
         transit(pairs[pos], config, rng)
-        record = analyze(pairs[pos], ideal=True, rng=rng)
+        record = analyze(pairs[pos], rng=rng)
         got = BITS_BY_BELL[record.inferred]
         match = got == encoded
         if role == "message":
