@@ -24,7 +24,14 @@ import numpy as np
 
 from .bsa import CODE_BELL, DetectorPair, _pick_branch, outcome_distribution, quality_at
 from .cavity import check_number, operating_point
-from .qsdc import ChannelModel, EveModel, QsdcConfig, run_session
+from .qsdc import (
+    ChannelModel,
+    EveModel,
+    QsdcConfig,
+    SessionColumns,
+    check_seed,
+    session_columns,
+)
 from .register import BellState, ZeroNormError
 
 OUT_DIR_ENV = "SPATIALBSA_OUT_DIR"
@@ -178,8 +185,13 @@ def parse_sweep_csv(text: str) -> list[dict]:
     return rows
 
 
+def _seed(args) -> int:
+    # The flag's seed, checked before any work, or a fresh one.
+    return draw_seed() if args.seed is None else check_seed(args.seed)
+
+
 def cmd_bsa(args) -> int:
-    seed = args.seed if args.seed is not None else draw_seed()
+    seed = _seed(args)
     rng = np.random.default_rng(seed)
     label = BellState(args.state)
     params = operating_point(args.g_over_ktot, args.ks_over_k, args.gamma, args.detuning)
@@ -217,7 +229,7 @@ def cmd_bsa(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    seed = args.seed if args.seed is not None else draw_seed()
+    seed = _seed(args)
     spec = SweepSpec(
         g_min=args.g_min,
         g_max=args.g_max,
@@ -323,54 +335,82 @@ def build_qsdc_config(args) -> QsdcConfig:
     return QsdcConfig(**top, eve_model=eve_model, channel_model=channel_model)
 
 
-# One C-encoder pass lays out a whole transcript: its events are flat records
-# of scalars, so an item separator that carries a record key's indentation
-# serves both inside and between records, and only the record boundaries
-# need rewriting.  A JSON string holds no raw newline, so the boundary text
-# occurs nowhere else.
-_EVENT_INDENT = "\n" + 8 * " "
-_EVENT_ENCODER = json.JSONEncoder(sort_keys=True, separators=("," + _EVENT_INDENT, ": "))
+# One %-template per transcript record kind, laid out as
+# ``json.dumps(payload, indent=2, sort_keys=True)`` lays out a record of the
+# transcript: keys sorted, every string from a fixed alphabet that JSON
+# needs no escapes for.
+_PHASE1_SAMPLE = """      {
+        "agree": %s,
+        "alice": %d,
+        "basis": "%s",
+        "bob": %d,
+        "event": "phase1_sample",
+        "pair": %d
+      }"""
+_PHASE2_PAIR = """      {
+        "decoded": "%s",
+        "encoded": "%s",
+        "event": "phase2_pair",
+        "inferred": "%s",
+        "match": %s,
+        "pair": %d,
+        "role": "%s"
+      }"""
+_JSON_BOOL = ("false", "true")
 
 
-def _qsdc_json(payload: dict) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True)`` for a qsdc payload.
+def _json_bools(column: list) -> list:
+    return list(map(_JSON_BOOL.__getitem__, column))
 
-    The pure-Python encoder that ``indent`` selects costs more than the
-    session on a large transcript; here it lays out only the small rest of
-    the payload.  The transcript must be a non-empty list of non-empty flat
-    records, as ``run_session`` makes it.  With sorted keys it is the last
-    value of the report, which is the payload's last value, so the last
-    ``[]`` of the small dump is its slot.
+
+def _summary_json(record: dict) -> str:
+    # A summary record at the transcript's depth.
+    return "      " + json.dumps(record, indent=2, sort_keys=True).replace("\n", "\n      ")
+
+
+def format_qsdc_report(config: QsdcConfig, session: SessionColumns) -> str:
+    """The qsdc report: ``json.dumps(payload, indent=2, sort_keys=True)`` plus
+    a newline, for the payload of the config and the session's report with
+    its transcript as dicts (``SessionColumns.transcript``).
+
+    The small rest of the payload goes through the encoder.  With sorted
+    keys the transcript is the last value of the report, which is the
+    payload's last value, so the last ``[]`` of that dump is its slot.
     """
-    report = payload["report"]
-    head, _, tail = json.dumps(
-        {**payload, "report": {**report, "transcript": []}}, indent=2, sort_keys=True
-    ).rpartition("[]")
-    # Sliced in one expression, so the encoder's text is freed before the replace.
-    body = _EVENT_ENCODER.encode(report["transcript"])[2:-2].replace(
-        "}," + _EVENT_INDENT + "{", "\n      },\n      {" + _EVENT_INDENT
-    )
-    return "".join((head, "[\n      {", _EVENT_INDENT, body, "\n      }\n    ]", tail))
-
-
-def cmd_qsdc(args) -> int:
-    config = build_qsdc_config(args)
-    report = run_session(config)
     payload = {
         "command": "qsdc",
         "config": asdict(config),
         "report": {
-            "phase1_qber": report.phase1_qber,
-            "aborted": report.aborted,
-            "decoded_bits": report.decoded_bits,
-            "phase2_sample_error_rate": report.phase2_sample_error_rate,
-            "transcript": report.transcript,
+            "phase1_qber": session.phase1_summary["qber"],
+            "aborted": session.aborted,
+            "decoded_bits": session.decoded_bits,
+            "phase2_sample_error_rate": session.phase2_sample_error_rate,
+            "transcript": [],
         },
     }
-    status = _emit(_qsdc_json(payload) + "\n", resolve_out(args.out))
+    head, _, tail = json.dumps(payload, indent=2, sort_keys=True).rpartition("[]")
+    p1 = session.phase1
+    records = [
+        *map(_PHASE1_SAMPLE.__mod__, zip(
+            _json_bools(p1["agree"]), p1["alice"], p1["basis"], p1["bob"], p1["pair"])),
+        _summary_json(session.phase1_summary),
+    ]
+    if not session.aborted:
+        p2 = session.phase2
+        records += map(_PHASE2_PAIR.__mod__, zip(
+            p2["decoded"], p2["encoded"], p2["inferred"], _json_bools(p2["match"]),
+            p2["pair"], p2["role"]))
+        records.append(_summary_json(session.phase2_summary))
+    return "".join((head, "[\n", ",\n".join(records), "\n    ]", tail, "\n"))
+
+
+def cmd_qsdc(args) -> int:
+    config = build_qsdc_config(args)
+    session = session_columns(config)
+    status = _emit(format_qsdc_report(config, session), resolve_out(args.out))
     if status != 0:
         return status
-    return 2 if report.aborted else 0
+    return 2 if session.aborted else 0
 
 
 def _positive_int(text: str) -> int:

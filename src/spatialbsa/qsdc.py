@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,11 +45,13 @@ from .bsa import CODE_BELL, analyze_pairs
 from .cavity import check_number
 from .register import HADAMARD, SQRT_HALF, _pick
 
-# The largest session a config may ask for.  At the default sample
-# fraction a session peaks at about 1.9 KB per pair, in phase 2's analyzer
-# contraction, and the whole qsdc command, report text included, at the
-# same 1.9 KB; the transcript keeps about 340 bytes per pair.  So this
-# bound holds a command near 2 GB.
+# The largest session a config may ask for.  tracemalloc puts a session at
+# the default sample fraction at about 1.6 KB per pair (20 000 and 40 000
+# pairs), in phase 2's analyzer contraction, and the whole qsdc command,
+# report text included, at the same 1.6 KB (1.0 KB for both at a fraction
+# of 0.5); the record columns keep about 80 bytes per pair, and
+# run_session's dict transcript about 310.  So this bound holds a command
+# near 1.6 GB.
 MAX_PAIR_COUNT = 1_000_000
 
 # The dense-coding alphabet in code order: code c = 2*b0 + b1 carries the
@@ -127,8 +130,7 @@ class QsdcConfig:
             raise ValueError("sample_fraction must lie strictly between 0 and 1")
         if not (self.qber_abort_threshold >= 0.0):
             raise ValueError("qber_abort_threshold must be nonnegative")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must fit in 64 bits")
+        check_seed(self.seed)
         for name, model in (("eve_model", EveModel), ("channel_model", ChannelModel)):
             value = getattr(self, name)
             if not isinstance(value, model):
@@ -145,6 +147,13 @@ class QsdcConfig:
     @property
     def message_pair_count(self) -> int:
         return len(self.message_bits) // 2
+
+
+def check_seed(seed: int) -> int:
+    """Return ``seed`` if every command accepts it: 0 <= seed < 2**64."""
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in 64 bits")
+    return seed
 
 
 def phase1_sample_count(config: QsdcConfig) -> int:
@@ -228,26 +237,107 @@ def eve_intercept_resend(psi: np.ndarray, u) -> np.ndarray:
     return psi
 
 
-def _draw_trips(rng, n: int, eve: EveModel, tail: int) -> np.ndarray:
-    """Draw n trips in a row, each followed by ``tail`` more uniforms.
+def _trip_width(eve: EveModel) -> int:
+    # The channel's two uniforms, Eve's coin if she is active, and her basis
+    # and outcome if her fraction is above 0.
+    return 2 + eve.active + 2 * (eve.active and eve.fraction > 0.0)
+
+
+def _one_length(eve: EveModel) -> bool:
+    # No coin, or one whose fall is certain: a uniform in [0, 1) is always
+    # below 1 and never below 0.  Then every trip draws as many uniforms.
+    return not eve.active or eve.fraction in (0.0, 1.0)
+
+
+def _draw_trips(rng, n: int, eve: EveModel) -> np.ndarray:
+    """Draw n trips in a row.
 
     Returns one row per trip holding its draws in draw order: the two
     channel uniforms, then Eve's coin if she is active, then her basis and
     outcome if her fraction is above 0 (NaN where the coin spared the
-    photon), then the ``tail`` draws as the last columns.
+    photon).
     """
-    width = 2 + eve.active + 2 * (eve.active and eve.fraction > 0.0) + tail
-    if not eve.active or eve.fraction in (0.0, 1.0):
-        # No coin, or one whose fall is certain: a uniform in [0, 1) is
-        # always below 1 and never below 0.  Every trip has one length, so
-        # one block holds them all.
+    width = _trip_width(eve)
+    if _one_length(eve):
         return rng.random(n * width).reshape(n, width)
     rows = []
     for _ in range(n):
         row = [rng.random() for _ in range(3)]
         row += [rng.random(), rng.random()] if row[2] < eve.fraction else [np.nan, np.nan]
-        rows.append(row + [rng.random() for _ in range(tail)])
+        rows.append(row)
     return np.array(rows)
+
+
+def _draw_phase2(rng, check: np.ndarray, eve: EveModel) -> tuple[np.ndarray, np.ndarray]:
+    """Phase 2's draws, pair by pair: a check pair's code, then every pair's
+    trip and its three analyzer uniforms.
+
+    Returns the check pairs' codes in pair order, and one trip-table row per
+    pair whose last three columns are the analyzer's uniforms.  The draws
+    equal those of ``rng.integers(4)`` per check pair and ``rng.random()``
+    per uniform, and leave the generator where those calls leave it.  They
+    come from one block of the bit generator's raw 64-bit words, read by
+    the rule NumPy's ``Generator`` follows:
+
+    * ``random()`` is ``(w >> 11) * 2**-53`` of the next word w;
+    * ``integers(4)`` is the top two bits of one 32-bit half: the buffered
+      high half if ``has_uint32`` is set, else the low half of the next
+      word, whose high half is then buffered.
+
+    NEP 19 does not promise this rule; ``tests/test_qsdc.py`` checks it.
+    """
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    buffered = state["has_uint32"]
+    n = len(check)
+    width = _trip_width(eve) + 3
+    # The check pairs take the 32-bit halves in turn: the buffered half if
+    # there is one, then each fresh word's low and high half.  A check pair
+    # that takes a low half draws a word before its trip.
+    checks = np.flatnonzero(check)
+    fresh = np.zeros(n, dtype=bool)
+    fresh[checks[buffered::2]] = True
+    words = bitgen.random_raw(n * width + np.count_nonzero(fresh))
+    u = (words >> 11).astype(float)
+    u *= 2.0**-53
+    spared = np.zeros(n, dtype=bool)
+    if _one_length(eve):
+        starts = np.arange(n) * width + np.cumsum(fresh)
+        used = len(words)
+    else:
+        # A trip is two words shorter when the coin spares the photon, so
+        # the starts follow the coins one trip at a time.
+        below = (u < eve.fraction).tolist()
+        starts, used = [], 0
+        for f in fresh.tolist():
+            used += f
+            starts.append(used)
+            used += width if below[used + 2] else width - 2
+        starts = np.array(starts)
+        spared = u[starts + 2] >= eve.fraction
+    # A spared photon's analyzer uniforms follow its coin.
+    cols = np.arange(width)
+    trips = u[starts[:, None] + np.where(spared[:, None] & (cols >= 5), cols - 2, cols)]
+    trips[spared, 3:5] = np.nan
+
+    fresh_words = words[starts[fresh] - 1]
+    halves = np.empty(2 * len(fresh_words) + 1, dtype=np.uint64)
+    halves[0] = state["uinteger"]
+    halves[1::2] = fresh_words & 0xFFFFFFFF
+    halves[2::2] = fresh_words >> 32
+    taken = halves[1 - buffered : 1 - buffered + len(checks)]
+    # The last half taken, at -1 when the only one was the buffered half:
+    # after a low half its high half stays buffered, and after a high half
+    # nothing does, though the generator keeps its value.
+    last = len(checks) - buffered
+    if used < len(words):
+        bitgen.state = state
+        bitgen.advance(used)
+    end = bitgen.state
+    end["has_uint32"] = last % 2
+    end["uinteger"] = int(halves[last + last % 2])
+    bitgen.state = end
+    return (taken >> 30).astype(int), trips
 
 
 def _transit(psi: np.ndarray, config: QsdcConfig, trips: np.ndarray) -> None:
@@ -263,8 +353,44 @@ def _transit(psi: np.ndarray, config: QsdcConfig, trips: np.ndarray) -> None:
         psi[hit] = eve_intercept_resend(psi[hit], trips[hit, 3:5])
 
 
-def run_session(config: QsdcConfig) -> SessionReport:
-    """Run one complete session and return its report.
+class SessionColumns(NamedTuple):
+    """One session's records as columns, the form the session produces.
+
+    ``phase1`` maps each key of a phase1_sample record to its column, in
+    sampled-pair order, and ``phase2`` each key of a phase2_pair record, in
+    pair order; the two summaries are whole records.  An aborted session
+    has no phase 2: ``phase2`` is empty and its summary None.
+    """
+
+    phase1: dict
+    phase1_summary: dict
+    phase2: dict
+    phase2_summary: dict | None
+    decoded_bits: str
+
+    @property
+    def aborted(self) -> bool:
+        return self.phase1_summary["aborted"]
+
+    @property
+    def phase2_sample_error_rate(self) -> float:
+        return 0.0 if self.aborted else self.phase2_summary["check_error_rate"]
+
+    def transcript(self) -> list:
+        """The records as one dict each, in session order."""
+        events = _records("phase1_sample", self.phase1) + [self.phase1_summary]
+        if not self.aborted:
+            events += _records("phase2_pair", self.phase2) + [self.phase2_summary]
+        return events
+
+
+def _records(event: str, columns: dict) -> list:
+    keys = ("event", *columns)
+    return [dict(zip(keys, (event, *row))) for row in zip(*columns.values())]
+
+
+def session_columns(config: QsdcConfig) -> SessionColumns:
+    """Run one complete session and return its records as columns.
 
     The random-draw order is fixed: pair preparation and forward transit in
     pair order, then sampling positions, then per-sample basis and outcome
@@ -272,16 +398,15 @@ def run_session(config: QsdcConfig) -> SessionReport:
     return-transit and analyzer draws in pair order.  Each phase takes its
     draws in that order before it touches the pairs, which then evolve
     together as rows of one array.  Each transit's draws form one row of a
-    trip table (``_draw_trips``); phase 2 stacks its runs' tables, and the
-    analyzer reads their last three columns.  Phase 2 keeps each pair's bit
-    pair as an int code and its role as a bool.
+    trip table (``_draw_trips``, ``_draw_phase2``), and the analyzer reads
+    the last three columns of phase 2's.  Phase 2 keeps each pair's bit pair
+    as an int code and its role as a bool.
     """
     rng = np.random.default_rng(config.seed)
     eve = config.eve_model
-    transcript: list = []
 
     psi = bell_pairs(config.pair_count)
-    _transit(psi, config, _draw_trips(rng, config.pair_count, eve, tail=0))
+    _transit(psi, config, _draw_trips(rng, config.pair_count, eve))
 
     n_sample = phase1_sample_count(config)
     sampled = np.sort(rng.choice(config.pair_count, size=n_sample, replace=False))
@@ -290,39 +415,26 @@ def run_session(config: QsdcConfig) -> SessionReport:
     x_basis = u[:, 0] >= 0.5
     alice = measure_photon(checked, "a", x_basis, u[:, 1])
     bob = measure_photon(checked, "b", x_basis, u[:, 2])
-    errors = 0
-    for pos, x, a, b in zip(sampled.tolist(), x_basis.tolist(), alice.tolist(), bob.tolist()):
-        agree = a == b
-        errors += 0 if agree else 1
-        transcript.append(
-            {
-                "event": "phase1_sample",
-                "pair": pos,
-                "basis": "x" if x else "z",
-                "alice": a,
-                "bob": b,
-                "agree": agree,
-            }
-        )
+    agree = alice == bob
+    errors = n_sample - int(np.count_nonzero(agree))
+    phase1 = {
+        "pair": sampled.tolist(),
+        "basis": list(map(("z", "x").__getitem__, x_basis.tolist())),
+        "alice": alice.tolist(),
+        "bob": bob.tolist(),
+        "agree": agree.tolist(),
+    }
     qber = errors / n_sample
     aborted = qber > config.qber_abort_threshold
-    transcript.append(
-        {
-            "event": "phase1_summary",
-            "sampled": n_sample,
-            "errors": errors,
-            "qber": qber,
-            "aborted": aborted,
-        }
-    )
+    phase1_summary = {
+        "event": "phase1_summary",
+        "sampled": n_sample,
+        "errors": errors,
+        "qber": qber,
+        "aborted": aborted,
+    }
     if aborted:
-        return SessionReport(
-            phase1_qber=qber,
-            aborted=True,
-            decoded_bits="",
-            phase2_sample_error_rate=0.0,
-            transcript=transcript,
-        )
+        return SessionColumns(phase1, phase1_summary, {}, None, "")
 
     remaining = np.delete(np.arange(config.pair_count), sampled)
     n_message = config.message_pair_count
@@ -333,52 +445,43 @@ def run_session(config: QsdcConfig) -> SessionReport:
     bits = np.frombuffer(config.message_bits.encode(), dtype=np.uint8) - ord("0")
     codes = np.zeros(len(remaining), dtype=int)
     codes[is_message] = 2 * bits[0::2] + bits[1::2]
-
-    # Every check pair draws its code before its trip and analyzer draws,
-    # so the trips are drawn in runs that each start at a check pair.
-    bounds = [0, *(np.flatnonzero(~is_message[1:]) + 1).tolist(), len(remaining)]
-    blocks = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        if not is_message[lo]:
-            codes[lo] = rng.integers(4)
-        blocks.append(_draw_trips(rng, hi - lo, eve, tail=3))
-    trips = np.concatenate(blocks)
+    check_codes, trips = _draw_phase2(rng, ~is_message, eve)
+    codes[~is_message] = check_codes
 
     back = flip_rails(psi[remaining], codes % 2 == 1, codes >= 2)
     _transit(back, config, trips)
-    got = analyze_pairs(back, trips[:, -3:])
+    inferred = analyze_pairs(back, trips[:, -3:])
 
-    match = got == codes
+    match = inferred == codes
+    got = inferred.tolist()
     check_pairs = len(remaining) - n_message
     check_errors = int(np.count_nonzero(~match & ~is_message))
-    for pos, message, code, inferred, ok in zip(
-        remaining.tolist(), is_message.tolist(), codes.tolist(), got.tolist(), match.tolist()
-    ):
-        transcript.append(
-            {
-                "event": "phase2_pair",
-                "pair": pos,
-                "role": "message" if message else "check",
-                "encoded": CODE_BITS[code],
-                "inferred": CODE_BELL[inferred],
-                "decoded": CODE_BITS[inferred],
-                "match": ok,
-            }
-        )
-    error_rate = check_errors / check_pairs if check_pairs else 0.0
-    transcript.append(
-        {
-            "event": "phase2_summary",
-            "message_pairs": n_message,
-            "check_pairs": check_pairs,
-            "check_errors": check_errors,
-            "check_error_rate": error_rate,
-        }
-    )
+    phase2 = {
+        "pair": remaining.tolist(),
+        "role": list(map(("check", "message").__getitem__, is_message.tolist())),
+        "encoded": list(map(CODE_BITS.__getitem__, codes.tolist())),
+        "inferred": list(map(CODE_BELL.__getitem__, got)),
+        "decoded": list(map(CODE_BITS.__getitem__, got)),
+        "match": match.tolist(),
+    }
+    phase2_summary = {
+        "event": "phase2_summary",
+        "message_pairs": n_message,
+        "check_pairs": check_pairs,
+        "check_errors": check_errors,
+        "check_error_rate": check_errors / check_pairs if check_pairs else 0.0,
+    }
+    decoded_bits = "".join(CODE_BITS[c] for c in inferred[is_message].tolist())
+    return SessionColumns(phase1, phase1_summary, phase2, phase2_summary, decoded_bits)
+
+
+def run_session(config: QsdcConfig) -> SessionReport:
+    """Run one complete session and return its report (``session_columns``)."""
+    columns = session_columns(config)
     return SessionReport(
-        phase1_qber=qber,
-        aborted=False,
-        decoded_bits="".join(CODE_BITS[c] for c in got[is_message].tolist()),
-        phase2_sample_error_rate=error_rate,
-        transcript=transcript,
+        phase1_qber=columns.phase1_summary["qber"],
+        aborted=columns.aborted,
+        decoded_bits=columns.decoded_bits,
+        phase2_sample_error_rate=columns.phase2_sample_error_rate,
+        transcript=columns.transcript(),
     )

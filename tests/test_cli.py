@@ -368,7 +368,12 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["bsa", "phi+", "--seed", "-1"], "expected non-negative integer"),
+            (["bsa", "phi+", "--seed", "-1"], "seed must fit in 64 bits"),
+            (["bsa", "phi+", "--seed", "1" + 400 * "0"], "seed must fit in 64 bits"),
+            (["bsa", "phi+", "--seed", str(2**64)], "seed must fit in 64 bits"),
+            (["sweep", "--seed", "-1"], "seed must fit in 64 bits"),
+            (["sweep", "--seed", str(2**64)], "seed must fit in 64 bits"),
+            (["sweep", "--seed", "-1", "--steps", "1"], "seed must fit in 64 bits"),
             (["bsa", "phi+", "--lossy", "--gamma", "0", "--detuning", "0",
               "--g-over-ktot", "0"],
              "degenerate parameters: hot-cavity response is undefined"),
@@ -388,7 +393,8 @@ class TestErrorPaths:
             (["sweep", "--detuning", "1e300", "--gamma", "1e10", "--steps", "3", "--ks", "0"],
              "rates too large: the hot-cavity response overflows"),
         ],
-        ids=["negative_seed", "degenerate_cavity", "overflowing_coupling",
+        ids=["negative_seed", "huge_seed", "seed_2_64", "sweep_negative_seed",
+             "sweep_seed_2_64", "sweep_seed_before_grid", "degenerate_cavity", "overflowing_coupling",
              "infinite_coupling", "nan_detuning", "no_surviving_amplitude",
              "sweep_overflowing_coupling", "sweep_degenerate_cavity",
              "sweep_no_reflection", "overflowing_response", "sweep_overflowing_response"],
@@ -401,6 +407,15 @@ class TestErrorPaths:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv", [["bsa", "phi+", "--trials", "2"], ["sweep", "--steps", "2"], ["qsdc", "--message", "01"]]
+    )
+    def test_largest_seed_is_accepted(self, argv, capsys):
+        # Every command takes the seeds 0 <= seed < 2**64 and records them.
+        code, out, _ = run_cli([*argv, "--seed", str(2**64 - 1)], capsys)
+        assert code == 0
+        assert str(2**64 - 1) in out
+
 
 class TestQsdcErrorPaths:
     @pytest.mark.parametrize(
@@ -411,6 +426,7 @@ class TestQsdcErrorPaths:
             ([], '{"message_bits": "0101", "pair_count": 1e400}', "infinity"),
             ([], '{"message_bits": "0101", "seed": 1e400}', "infinity"),
             (["--seed", "1" + 400 * "0"], None, "seed must fit in 64 bits"),
+            (["--seed", "-1"], None, "seed must fit in 64 bits"),
             (["--pairs", "400", "--eve", "intercept_resend", "--qber-threshold", "nan",
               "--seed", "3"], None, "qber_abort_threshold"),
             (["--sample-fraction", "0.9999999999999999"], None, "pair_count must lie"),
@@ -440,7 +456,7 @@ class TestQsdcErrorPaths:
              "channel_model.mode_flip_prob must be a number, got true"),
         ],
         ids=["unit_sample_fraction", "nan_sample_fraction", "infinite_pair_count",
-             "infinite_seed", "huge_seed", "nan_qber_threshold", "huge_auto_pair_count",
+             "infinite_seed", "huge_seed", "negative_seed", "nan_qber_threshold", "huge_auto_pair_count",
              "huge_pair_count", "fractional_pair_count", "fractional_seed",
              "boolean_pair_count", "boolean_seed", "misspelled_eve_key",
              "misspelled_channel_key", "string_eve_model", "list_channel_model",

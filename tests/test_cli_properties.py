@@ -11,9 +11,9 @@ wrong JSON type must exit 1 with one ``error:`` line naming that key.
 ``bsa`` draws all its trials as one block; its report must equal, bit for
 bit, what one ``analyze`` call per trial on the command's generator gives.
 
-The qsdc report encoder must give the text of ``json.dumps(payload,
-indent=2, sort_keys=True)`` for any transcript of flat records, whatever
-their strings hold.
+The qsdc report writer must give the text of ``json.dumps(payload,
+indent=2, sort_keys=True)``, with the session's transcript as dicts, on
+small real sessions.
 """
 
 import contextlib
@@ -21,14 +21,22 @@ import io
 import json
 import math
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from spatialbsa import cli
 from spatialbsa.bsa import DetectorPair, analyze
 from spatialbsa.cavity import operating_point
+from spatialbsa.qsdc import (
+    ChannelModel,
+    EveModel,
+    QsdcConfig,
+    run_session,
+    session_columns,
+)
 from spatialbsa.register import BellState, ZeroNormError
 
 SPECIAL_FLOATS = (math.nan, math.inf, -math.inf, 0.0, 1.0, -1.0, 0.5, 1e308, 5e-324)
@@ -237,44 +245,55 @@ def test_config_value_of_wrong_json_type_is_one_error_line(data, where_key):
     assert key in err
 
 
-# Strings built from the pieces a layout rewrite could trip over, beside
-# arbitrary text (control characters and non-ASCII included).
-texts = st.lists(
-    st.one_of(
-        st.sampled_from(['"', "\\", "{", "}", "},", "\n", "[]", "},\n        {", "\u00e9\u2603"]),
-        st.text(max_size=4),
-    ),
-    max_size=4,
-).map("".join)
-scalars = st.one_of(
-    st.integers(),
-    st.floats(),
-    st.sampled_from([-0.0, 1e300, math.nan, math.inf, -math.inf]),
-    st.booleans(),
-    st.none(),
-    texts,
-)
-records = st.dictionaries(texts, scalars, min_size=1, max_size=6)
-payloads = st.fixed_dictionaries(
-    {
-        "command": texts,
-        "config": st.dictionaries(
-            texts, st.one_of(scalars, st.dictionaries(texts, scalars, max_size=2)), max_size=4
-        ),
-        "report": st.fixed_dictionaries(
-            {
-                "phase1_qber": scalars,
-                "aborted": scalars,
-                "decoded_bits": scalars,
-                "phase2_sample_error_rate": scalars,
-                "transcript": st.lists(records, min_size=1, max_size=6),
-            }
-        ),
-    }
-)
+@st.composite
+def sessions(draw):
+    """Small real session configs: every Eve model, noisy channels, any
+    abort threshold, and messages from one pair up to every free pair."""
+    pair_count = draw(st.integers(2, 40))
+    sample_fraction = draw(st.sampled_from([0.1, 0.25, 0.5, 0.8]))
+    free = pair_count - round(sample_fraction * pair_count)
+    assume(1 <= free < pair_count)
+    n_message = draw(st.integers(1, free))
+    fraction = draw(st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]))
+    probs = st.sampled_from([0.0, 0.1, 0.3])
+    return QsdcConfig(
+        message_bits=draw(st.text(alphabet="01", min_size=2 * n_message, max_size=2 * n_message)),
+        pair_count=pair_count,
+        sample_fraction=sample_fraction,
+        eve_model=draw(st.sampled_from([EveModel.none(), EveModel.intercept_resend(fraction)])),
+        channel_model=ChannelModel(draw(probs), draw(probs)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        qber_abort_threshold=draw(st.sampled_from([0.0, 0.11, 1.0])),
+    )
+
+
+# An aborted session, and one whose message fills every phase-2 pair.
+ABORTED = QsdcConfig("01", 40, 0.5, EveModel.intercept_resend(1.0), seed=2, qber_abort_threshold=0.0)
+NO_CHECK_PAIRS = QsdcConfig("0110", 4, 0.5, seed=5)
 
 
 @settings(max_examples=100, deadline=None)
-@given(payload=payloads)
-def test_qsdc_report_text_equals_indented_dump(payload):
-    assert cli._qsdc_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+@given(config=sessions())
+@example(config=ABORTED)
+@example(config=NO_CHECK_PAIRS)
+def test_qsdc_report_text_equals_indented_dump(config):
+    report = run_session(config)
+    payload = {
+        "command": "qsdc",
+        "config": asdict(config),
+        "report": {
+            "phase1_qber": report.phase1_qber,
+            "aborted": report.aborted,
+            "decoded_bits": report.decoded_bits,
+            "phase2_sample_error_rate": report.phase2_sample_error_rate,
+            "transcript": report.transcript,
+        },
+    }
+    text = cli.format_qsdc_report(config, session_columns(config))
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_report_examples_abort_and_fill_phase_2():
+    assert run_session(ABORTED).aborted
+    summary = run_session(NO_CHECK_PAIRS).transcript[-1]
+    assert summary["event"] == "phase2_summary" and summary["check_pairs"] == 0

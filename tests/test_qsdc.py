@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import RAIL_OPS, ScriptedRng, encode, measure, same_up_to_global_phase
 from spatialbsa.bsa import CODE_BELL, analyze, analyze_pairs, outcome_distribution
@@ -13,6 +13,7 @@ from spatialbsa.qsdc import (
     EveModel,
     QsdcConfig,
     SessionReport,
+    _draw_phase2,
     _draw_trips,
     apply_channel,
     bell_pairs,
@@ -115,24 +116,68 @@ class TestPairArray:
         assert np.allclose(psi[0].reshape(4), reg.amplitudes, rtol=0.0, atol=1e-12)
 
 
+def scalar_trip(rng, eve, tail=0):
+    """One trip's draws by scalar calls, then ``tail`` more: the reference
+    for the block draws, with NaN where Eve's coin spared the photon."""
+    trip = [rng.random(), rng.random()]
+    if eve.active:
+        trip.append(rng.random())
+        if trip[2] < eve.fraction:
+            trip += [rng.random(), rng.random()]
+        elif eve.fraction > 0.0:
+            trip += [np.nan, np.nan]
+    return trip + [rng.random() for _ in range(tail)]
+
+
+def per_pair_phase2(rng, check, eve):
+    """Phase 2's draws one call at a time: a check pair's ``integers(4)``
+    code, then every pair's trip and its three analyzer uniforms."""
+    codes, trips = [], []
+    for is_check in check:
+        if is_check:
+            codes.append(int(rng.integers(4)))
+        trips.append(scalar_trip(rng, eve, tail=3))
+    return codes, trips
+
+
+def raw_word_draws(state, kinds):
+    """The draws ``kinds`` asks for ("random" or "code"), read from the raw
+    64-bit words of a PCG64 in ``state`` by the rule ``_draw_phase2`` reads
+    them with; also returns the buffered half and its flag afterwards."""
+    bitgen = np.random.PCG64()
+    bitgen.state = state
+    buffered, half = state["has_uint32"], state["uinteger"]
+    draws = []
+    for kind in kinds:
+        if kind == "random":
+            draws.append((int(bitgen.random_raw()) >> 11) * 2.0**-53)
+        elif buffered:
+            draws.append(half >> 30)
+            buffered = 0
+        else:
+            word = int(bitgen.random_raw())
+            draws.append((word & 0xFFFFFFFF) >> 30)
+            buffered, half = 1, word >> 32
+    return draws, bitgen.state["state"], buffered, half
+
+
 class TestTripDraws:
     def test_trips_without_eve_draw_twice_each(self, scripted_rng):
         rng = scripted_rng([0.1, 0.2, 0.3, 0.4, 0.5])
-        trips = _draw_trips(rng, 2, EveModel.none(), tail=0)
+        trips = _draw_trips(rng, 2, EveModel.none())
         assert trips.tolist() == [[0.1, 0.2], [0.3, 0.4]]
         assert rng._draws == [0.5]
 
     def test_intercepted_trips_take_basis_and_outcome(self, scripted_rng):
         # Trip 0: channel 0.9 0.9, coin 0.2 < 0.5 so basis 0.6 and outcome
-        # 0.7, then its tail draw 0.3.  Trip 1: coin 0.8 passes, tail 0.4.
-        draws = [0.9, 0.9, 0.2, 0.6, 0.7, 0.3, 0.1, 0.1, 0.8, 0.4, 0.55]
+        # 0.7.  Trip 1: channel 0.1 0.1, coin 0.8 passes.
+        draws = [0.9, 0.9, 0.2, 0.6, 0.7, 0.1, 0.1, 0.8, 0.55]
         rng = scripted_rng(draws)
-        trips = _draw_trips(rng, 2, EveModel.intercept_resend(0.5), tail=1)
+        trips = _draw_trips(rng, 2, EveModel.intercept_resend(0.5))
         assert rng._draws == [0.55]
-        assert trips[0].tolist() == [0.9, 0.9, 0.2, 0.6, 0.7, 0.3]
+        assert trips[0].tolist() == [0.9, 0.9, 0.2, 0.6, 0.7]
         assert trips[1, :3].tolist() == [0.1, 0.1, 0.8]
         assert np.isnan(trips[1, 3:5]).all()
-        assert trips[1, 5] == 0.4
 
     @pytest.mark.parametrize(
         "eve, width",
@@ -144,33 +189,77 @@ class TestTripDraws:
         ],
     )
     def test_row_layout(self, scripted_rng, eve, width):
-        # Each trip draws its row in column order; the tail comes last.
-        draws = [0.1 * (k + 1) for k in range(width + 2)]
-        trips = _draw_trips(scripted_rng(list(draws)), 1, eve, tail=2)
+        # Each trip draws its row in column order.
+        draws = [0.1 * (k + 1) for k in range(width)]
+        trips = _draw_trips(scripted_rng(list(draws)), 1, eve)
         assert trips.tolist() == [draws]
 
     @settings(max_examples=30, deadline=None)
     @given(
         n=st.integers(1, 40),
         fraction=st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]),
-        tail=st.integers(0, 3),
         seed=st.integers(0, 2**32),
     )
-    def test_block_draws_equal_scalar_draws(self, n, fraction, tail, seed):
+    def test_block_draws_equal_scalar_draws(self, n, fraction, seed):
         eve = EveModel.intercept_resend(fraction)
         block_rng = np.random.default_rng(seed)
-        trips = _draw_trips(block_rng, n, eve, tail)
+        trips = _draw_trips(block_rng, n, eve)
         scalar_rng = np.random.default_rng(seed)
-        want = []
-        for _ in range(n):
-            trip = [scalar_rng.random() for _ in range(3)]
-            if trip[2] < fraction:
-                trip += [scalar_rng.random(), scalar_rng.random()]
-            elif fraction > 0.0:
-                trip += [np.nan, np.nan]
-            want.append(trip + [scalar_rng.random() for _ in range(tail)])
+        want = [scalar_trip(scalar_rng, eve) for _ in range(n)]
         np.testing.assert_array_equal(trips, want)
         assert block_rng.random() == scalar_rng.random()
+
+
+# NumPy's Generator parses the raw words of its bit generator by a rule
+# that NEP 19 does not promise to keep; the session's phase-2 draws rest on
+# it.  If this fails, NumPy changed the rule and ``_draw_phase2`` must follow.
+RAW_RULE_CHANGED = "NumPy's Generator no longer reads raw words as qsdc._draw_phase2 assumes"
+
+
+class TestPhase2Draws:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lead=st.sampled_from(["none", "one code", "three codes", "choice"]),
+        kinds=st.lists(st.sampled_from(["random", "code"]), min_size=1, max_size=200),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_raw_word_rule(self, lead, kinds, seed):
+        rng = np.random.default_rng(seed)
+        if lead == "choice":
+            rng.choice(50, size=7, replace=False)
+        for _ in range({"one code": 1, "three codes": 3}.get(lead, 0)):
+            rng.integers(4)
+        state = rng.bit_generator.state
+        if lead in ("one code", "three codes"):
+            assert state["has_uint32"] == 1, RAW_RULE_CHANGED
+        want = [rng.random() if kind == "random" else int(rng.integers(4)) for kind in kinds]
+        got, pcg_state, buffered, half = raw_word_draws(state, kinds)
+        end = rng.bit_generator.state
+        assert got == want, RAW_RULE_CHANGED
+        assert (end["state"], end["has_uint32"], end["uinteger"]) == (
+            pcg_state, buffered, half), RAW_RULE_CHANGED
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        check=st.lists(st.booleans(), min_size=1, max_size=60),
+        fraction=st.sampled_from([None, 0.0, 0.05, 0.3, 0.7, 1.0]),
+        lead=st.integers(0, 3),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    @example(check=[False] * 5, fraction=0.3, lead=1, seed=3)
+    @example(check=[True] * 5, fraction=None, lead=1, seed=3)
+    def test_block_equals_per_pair_draws(self, check, fraction, lead, seed):
+        # ``lead`` codes drawn first leave a 32-bit half buffered when odd.
+        eve = EveModel.none() if fraction is None else EveModel.intercept_resend(fraction)
+        block_rng, pair_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (block_rng, pair_rng):
+            for _ in range(lead):
+                rng.integers(4)
+        codes, trips = _draw_phase2(block_rng, np.array(check), eve)
+        want_codes, want_trips = per_pair_phase2(pair_rng, check, eve)
+        assert codes.tolist() == want_codes
+        np.testing.assert_array_equal(trips, want_trips)
+        assert block_rng.bit_generator.state == pair_rng.bit_generator.state
 
 
 class TestEve:
@@ -232,7 +321,7 @@ class TestChannel:
         psi = bell_pairs(1)
         before = psi.copy()
         rng = scripted_rng([0.3, 0.6])
-        apply_channel(psi, ChannelModel(), _draw_trips(rng, 1, EveModel.none(), tail=0))
+        apply_channel(psi, ChannelModel(), _draw_trips(rng, 1, EveModel.none()))
         assert np.array_equal(psi, before)
         assert rng._draws == []
 
