@@ -370,7 +370,7 @@ def _square(x):
     """
     values = np.asarray(x, dtype=float)
     squares = map(math.pow, values.ravel().tolist(), repeat(2.0))
-    return np.array(list(squares)).reshape(values.shape)
+    return np.fromiter(squares, float, values.size).reshape(values.shape)
 
 
 def quality_from_moduli(r0, rh):

@@ -15,9 +15,9 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict, dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,11 +37,14 @@ from .register import BellState, ZeroNormError
 OUT_DIR_ENV = "SPATIALBSA_OUT_DIR"
 
 CSV_HEADER = "g_over_ktot,ks_over_k,abs_r0,abs_rh,F1,eta1,F2,eta2"
-_CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(","))) + "\n"
+# A ks block's row template: its ks_over_k and abs_r0 go in as text, and each
+# ``%%.17g`` becomes a ``%.17g`` for one of the other six columns.
+_BLOCK_ROW = "%%.17g,%.17g,%.17g" + ",%%.17g" * 5 + "\n"
 
 # The largest sweep grid in rows (steps x ks values).  tracemalloc puts the sweep
 # command at about 360 bytes per row (20 000 and 40 000 steps x 3 ks): the CSV
-# text twice, as its ks blocks and joined, and the rows' floats.  So ~0.73 GB.
+# text twice (146 bytes a row), as its ks blocks and joined, and the rows' 64
+# bytes of float64 records.  So ~0.73 GB.
 MAX_SWEEP_ROWS = 2_000_000
 
 # The most bsa trials.  tracemalloc puts the command at about 66 bytes per trial
@@ -57,7 +60,13 @@ _EPILOG = (
 
 
 class CliParser(argparse.ArgumentParser):
-    """ArgumentParser that reserves exit code 1 for usage errors."""
+    """ArgumentParser that reserves exit code 1 for usage errors and reads a
+    negative number in exponent form, such as ``-1e-3``, as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Before Python 3.13 argparse's pattern has no exponent, so -1e-3 read as an option.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -154,7 +163,9 @@ def format_sweep_csv(points: np.recarray, spec: SweepSpec, seed: int) -> str:
     """Render sweep rows as CSV with metadata comments.
 
     Floats are printed with 17 significant digits, enough for an exact
-    binary round trip through float().
+    binary round trip through float().  The rows come in blocks of
+    ``spec.steps``, one per ks value, as ``sweep_points`` returns them; a
+    block whose ks_over_k or abs_r0 varies raises ValueError.
     """
     head = "\n".join([
         "# spatial-mode analyzer quality sweep",
@@ -164,13 +175,20 @@ def format_sweep_csv(points: np.recarray, spec: SweepSpec, seed: int) -> str:
         f"# seed={seed}",
         CSV_HEADER,
     ])
-    # One template per row over the records as tuples of Python floats, joined
-    # one ks block at a time so that only one block's rows are held at once.
-    blocks = (
-        "".join(map(_CSV_ROW.__mod__, points[i : i + spec.steps].tolist()))
-        for i in range(0, len(points), spec.steps)
-    )
-    return "".join(chain([head, "\n"], blocks))
+    # A block's ks_over_k and abs_r0 are formatted once, into its row template,
+    # and the other six columns row by row.  The floats are read one block at
+    # a time, so that only one block's are held at once.
+    g, ks, r0, *rest = CSV_HEADER.split(",")
+    text = [head, "\n"]
+    for i in range(0, len(points), spec.steps):
+        block = points[i : i + spec.steps]
+        for name in (ks, r0):
+            bits = np.asarray(block[name], dtype=float).view(np.uint64)
+            if (bits != bits[0]).any():  # by bits, since -0.0 and 0.0 print apart
+                raise ValueError(f"{name} must hold one value in each block of {spec.steps} rows")
+        row = _BLOCK_ROW % (block[ks][0], block[r0][0])
+        text.append("".join(map(row.__mod__, zip(*(block[name].tolist() for name in (g, *rest))))))
+    return "".join(text)
 
 
 def parse_sweep_csv(text: str) -> list[dict]:

@@ -363,6 +363,16 @@ class TestParser:
         assert exc.value.code == 0
         assert "precedence" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("value", ["-1e-3", "-2.5E+1"])
+    @pytest.mark.parametrize(
+        "argv", [["bsa", "phi+", "--lossy", "--trials", "3"], ["sweep", "--steps", "3"]]
+    )
+    def test_negative_exponent_form_is_a_value(self, argv, value, capsys):
+        # argparse before 3.13 read these as options unless joined with "=".
+        joined = run_cli([*argv, "--seed", "1", f"--detuning={value}"], capsys)
+        assert joined[0] == 0
+        assert run_cli([*argv, "--seed", "1", "--detuning", value], capsys) == joined
+
 
 class TestErrorPaths:
     @pytest.mark.parametrize(
@@ -392,12 +402,14 @@ class TestErrorPaths:
              "rates too large: the hot-cavity response overflows"),
             (["sweep", "--detuning", "1e300", "--gamma", "1e10", "--steps", "3", "--ks", "0"],
              "rates too large: the hot-cavity response overflows"),
+            (["bsa", "phi+", "--gamma", "-1e-3"], "gamma must be nonnegative"),
         ],
         ids=["negative_seed", "huge_seed", "seed_2_64", "sweep_negative_seed",
              "sweep_seed_2_64", "sweep_seed_before_grid", "degenerate_cavity", "overflowing_coupling",
              "infinite_coupling", "nan_detuning", "no_surviving_amplitude",
              "sweep_overflowing_coupling", "sweep_degenerate_cavity",
-             "sweep_no_reflection", "overflowing_response", "sweep_overflowing_response"],
+             "sweep_no_reflection", "overflowing_response", "sweep_overflowing_response",
+             "negative_gamma_exponent_form"],
     )
     def test_bad_values_give_one_error_line(self, argv, message, capsys):
         if argv[0] == "bsa":

@@ -137,3 +137,55 @@ def test_overflowing_coupling_square_prints_rows_without_warning(capsys):
     rows = cli.parse_sweep_csv(capsys.readouterr().out)
     assert len(rows) == 12
     assert [row["abs_rh"] for row in rows[1::4]] == [1.0, 1.0, 1.0]
+
+
+# The reference writer: one template per record, over its tuple of floats.
+CSV_ROW = ",".join(["%.17g"] * len(cli.CSV_HEADER.split(","))) + "\n"
+
+
+def csv_one_template_per_row(points, spec, seed):
+    """The CSV as ``CSV_ROW`` applied to every record's tuple, after the writer's head."""
+    return cli.format_sweep_csv(points[:0], spec, seed) + "".join(map(CSV_ROW.__mod__, points.tolist()))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    g_range=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 5.0)), min_size=2, max_size=2,
+                     unique=True).map(sorted),
+    steps=st.integers(2, 40),
+    ks_list=st.lists(st.one_of(st.sampled_from([-0.0, 5e-324, 1e-310, 0.0, 0.7]),
+                               st.floats(0.0, 2.0)), min_size=1, max_size=3),
+    gamma=rates,
+    detuning=detunings,
+)
+@example(g_range=[0.0, 3.0], steps=2, ks_list=[0.0, -0.0, 0.0], gamma=0.1, detuning=0.5)
+@example(g_range=[0.0, 3.0], steps=40, ks_list=[0.7, 5e-324, 0.7], gamma=0.1, detuning=0.5)
+@example(g_range=[0.1, 3.0], steps=5, ks_list=[1e-310], gamma=0.1, detuning=-0.5)
+def test_csv_equals_one_template_per_row(g_range, steps, ks_list, gamma, detuning):
+    spec = cli.SweepSpec(*g_range, steps, tuple(ks_list), gamma, detuning)
+    try:
+        points = cli.sweep_points(spec)
+    except ValueError:  # an invalid grid writes nothing; its error is checked above
+        return
+    assert cli.format_sweep_csv(points, spec, 7) == csv_one_template_per_row(points, spec, 7)
+
+
+@pytest.mark.parametrize(
+    "name, row, value",
+    [("ks_over_k", 3, -0.0), ("abs_r0", 0, np.nextafter(1.0, 0.0)), ("ks_over_k", 9, 0.7)],
+    ids=["negative_zero_ks", "abs_r0", "last_row_of_second_block"],
+)
+def test_csv_rejects_a_block_whose_shared_columns_vary(name, row, value):
+    spec = cli.SweepSpec(0.1, 3.0, 5, (0.0, 0.3))
+    points = cli.sweep_points(spec)
+    cli.format_sweep_csv(points, spec, 1)
+    points[name][row] = value
+    with pytest.raises(ValueError, match=f"^{name} must hold one value in each block of 5 rows$"):
+        cli.format_sweep_csv(points, spec, 1)
+
+
+def test_csv_rejects_rows_that_do_not_match_the_spec_blocks():
+    # Rows of a 4-step grid written as if the blocks were 8 rows long mix two ks values.
+    points = cli.sweep_points(cli.SweepSpec(0.1, 3.0, 4, (0.0, 0.3)))
+    with pytest.raises(ValueError, match="^ks_over_k must hold one value in each block of 8 rows$"):
+        cli.format_sweep_csv(points, cli.SweepSpec(0.1, 3.0, 8, (0.0,)), 1)
