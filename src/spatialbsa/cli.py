@@ -37,14 +37,13 @@ from .register import BellState, ZeroNormError
 OUT_DIR_ENV = "SPATIALBSA_OUT_DIR"
 
 CSV_HEADER = "g_over_ktot,ks_over_k,abs_r0,abs_rh,F1,eta1,F2,eta2"
-# A ks block's row template: its ks_over_k and abs_r0 go in as text, and each
-# ``%%.17g`` becomes a ``%.17g`` for one of the other six columns.
-_BLOCK_ROW = "%%.17g,%.17g,%.17g" + ",%%.17g" * 5 + "\n"
+# Sweep rows are written in chunks of this many, whose arrays stay in the cache.
+_CHUNK_ROWS = 8192
 
 # The largest sweep grid in rows (steps x ks values).  tracemalloc puts the sweep
-# command at about 360 bytes per row (20 000 and 40 000 steps x 3 ks): the CSV
-# text twice (146 bytes a row), as its ks blocks and joined, and the rows' 64
-# bytes of float64 records.  So ~0.73 GB.
+# command at about 357 bytes per row (20 000 and 40 000 steps x 3 ks): the CSV
+# text twice (146 bytes a row), as its chunks and joined, and the rows' 64 bytes
+# of float64 records; a chunk's arrays, about 6 MB, peak below that.  So ~0.72 GB.
 MAX_SWEEP_ROWS = 2_000_000
 
 # The most bsa trials.  tracemalloc puts the command at about 66 bytes per trial
@@ -61,12 +60,13 @@ _EPILOG = (
 
 class CliParser(argparse.ArgumentParser):
     """ArgumentParser that reserves exit code 1 for usage errors and reads a
-    negative number in exponent form, such as ``-1e-3``, as a value."""
+    negative number that float() reads, as ``-1e-3`` or ``-inf``, as a value."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # Before Python 3.13 argparse's pattern has no exponent, so -1e-3 read as an option.
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+        # argparse's pattern has no inf or nan, and before Python 3.13 no exponent.
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$|(?i:^-(inf|infinity|nan)$)")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -175,9 +175,9 @@ def format_sweep_csv(points: np.recarray, spec: SweepSpec, seed: int) -> str:
         f"# seed={seed}",
         CSV_HEADER,
     ])
-    # A block's ks_over_k and abs_r0 are formatted once, into its row template,
-    # and the other six columns row by row.  The floats are read one block at
-    # a time, so that only one block's are held at once.
+    # A block's ks_over_k and abs_r0 are formatted once, and spliced in after
+    # g_over_ktot.  The floats are read one block at a time, and formatted by
+    # ``_g17`` a chunk of rows at a time, so that only one block's are held.
     g, ks, r0, *rest = CSV_HEADER.split(",")
     text = [head, "\n"]
     for i in range(0, len(points), spec.steps):
@@ -186,21 +186,70 @@ def format_sweep_csv(points: np.recarray, spec: SweepSpec, seed: int) -> str:
             bits = np.asarray(block[name], dtype=float).view(np.uint64)
             if (bits != bits[0]).any():  # by bits, since -0.0 and 0.0 print apart
                 raise ValueError(f"{name} must hold one value in each block of {spec.steps} rows")
-        row = _BLOCK_ROW % (block[ks][0], block[r0][0])
-        text.append("".join(map(row.__mod__, zip(*(block[name].tolist() for name in (g, *rest))))))
+        shared = np.frombuffer(b"%.17g,%.17g," % (block[ks][0], block[r0][0]), np.uint8)
+        for rows in np.array_split(block, range(_CHUNK_ROWS, len(block), _CHUNK_ROWS)):
+            line = _g17(np.ravel([rows[n] for n in (g, *rest)], "F")).reshape(len(rows), -1)
+            line[:, 24::25] = np.frombuffer(b",,,,,\n", np.uint8)
+            line = np.hstack([line[:, :25], np.tile(shared, (len(rows), 1)), line[:, 25:]])
+            text.append(line[line != 0].tobytes().decode("ascii"))
+    line = None  # the last chunk's bytes, freed before the join
     return "".join(text)
 
 
-def parse_sweep_csv(text: str) -> list[dict]:
-    """Parse an emitted sweep CSV back into one dict per row."""
-    rows = []
-    columns = CSV_HEADER.split(",")
-    for line in text.splitlines():
-        if not line or line.startswith("#") or line == CSV_HEADER:
-            continue
-        values = [float(v) for v in line.split(",")]
-        rows.append(dict(zip(columns, values)))
-    return rows
+# 10**j for j = -4 ... 20 as the nearest doubles (exact from j = 0, and above
+# 10**j before it) and their high halves; the ASCII of "0000" ... "9999", then
+# again with trailing zeros as NUL, each entry as one uint32.
+_POW10 = np.array([float(f"1e{j}") for j in range(-4, 21)])
+_POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
+_DIGITS = np.stack(np.indices((10,) * 4, np.uint8), -1).reshape(-1, 4) + np.uint8(48)
+_DIGITS = np.concatenate(
+    [_DIGITS, _DIGITS * np.logical_or.accumulate(_DIGITS[:, ::-1] != 48, 1)[:, ::-1]])
+_DIGITS = _DIGITS.view(np.uint32).ravel()
+
+
+def _g17(x: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` for each float64 v of x, as NUL-padded 25-byte rows
+    (one byte free after the text).  Python formats v outside [1e-4, 1e16);
+    the rest are laid out by slices, one decimal exponent at a time.
+    """
+    fast = (x >= 1e-4) & (x < 1e16)
+    a = np.where(fast, x, 1.0)
+    e = np.searchsorted(_POW10, a, side="right") - 5  # exact, by the table's rounding
+    # Dekker's TwoProduct: a * 10**(16 - e) is p + err exactly, and p >= 10**16 is
+    # an even integer, so rounding err half-even rounds the product half-even.  No
+    # double lies near enough below 10**(e + 1) to round up to 10**17.
+    b, b_hi = _POW10.take(20 - e), _POW10_HI.take(20 - e)
+    a_hi = a * 134217729.0 - (a * 134217729.0 - a)  # Veltkamp's split by 2**27 + 1
+    a_lo, b_lo, p = a - a_hi, b - b_hi, a * b
+    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    digits = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    del a, b, b_hi, a_hi, a_lo, b_lo, p, err  # freed before the text arrays are made
+    e = np.where(fast, e, 16)
+    order = np.argsort(e.astype(np.int8), kind="stable")
+    e, digits = e.take(order), digits.take(order)
+    # Four-digit groups, last first; a group with only zeros after it is
+    # looked up with its trailing zeros as NUL.
+    groups, zeros_after = np.empty((5, len(x)), np.uint32), True
+    for k in range(4, -1, -1):
+        q = digits // 10_000
+        group = digits - q * 10_000 + zeros_after * 10_000
+        groups[k], zeros_after, digits = _DIGITS.take(group), zeros_after & (group == 10_000), q
+    digits = np.ascontiguousarray(groups.T).view(np.uint8)[:, 3:]
+    text = np.zeros((len(x), 25), np.uint8)
+    ends = np.cumsum(np.bincount(e + 4, minlength=21)).tolist()
+    for exp, rows in zip(range(-4, 17), map(slice, [0, *ends], ends)):
+        if exp < 0:  # "0.", zeros, then the digits
+            text[rows, : 1 - exp] = np.frombuffer(b"0.000", np.uint8)[: 1 - exp]
+            text[rows, 1 - exp : 18 - exp] = digits[rows]
+        elif exp < 16:  # the integer digits, then a point if a fraction follows
+            text[rows, : exp + 1] = digits[rows, : exp + 1] | 48  # "0" for NUL
+            text[rows, exp + 1] = (digits[rows, exp + 1] != 0) * 46
+            text[rows, exp + 2 : 18] = digits[rows, exp + 1 :]
+        else:
+            slow = [b"%.17g" % v for v in x.take(order[rows]).tolist()]
+            text[rows, :24] = np.array(slow, "S24").view(np.uint8).reshape(-1, 24)
+    text.view("V25")[order] = text.view("V25").copy()  # back in the order of x
+    return text
 
 
 def _seed(args) -> int:

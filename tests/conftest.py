@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spatialbsa.cli import CSV_HEADER
 from spatialbsa.qsdc import flip_rails
 from spatialbsa.register import ZeroNormError, _pick, basis_vectors
 
@@ -48,6 +49,18 @@ def same_up_to_global_phase(x, y, atol=1e-12):
     """True when the amplitude arrays ``x`` and ``y`` differ by a global phase at most."""
     overlap = abs(np.vdot(x, y))
     return bool(abs(overlap - np.linalg.norm(x) * np.linalg.norm(y)) <= atol)
+
+
+def parse_sweep_csv(text: str) -> list[dict]:
+    """Parse an emitted sweep CSV back into one dict per row."""
+    rows = []
+    columns = CSV_HEADER.split(",")
+    for line in text.splitlines():
+        if not line or line.startswith("#") or line == CSV_HEADER:
+            continue
+        values = [float(v) for v in line.split(",")]
+        rows.append(dict(zip(columns, values)))
+    return rows
 
 
 class ScriptedRng:

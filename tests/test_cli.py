@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from conftest import parse_sweep_csv
 from spatialbsa import cli
 from spatialbsa.bsa import quality
 from spatialbsa.cavity import operating_point
@@ -114,7 +115,7 @@ class TestSweepCommand:
             capsys, ["--steps", "4", "--ks", "0.7,0,0.3"]
         )
         assert code == 0
-        rows = cli.parse_sweep_csv(out)
+        rows = parse_sweep_csv(out)
         keys = [(row["ks_over_k"], row["g_over_ktot"]) for row in rows]
         assert keys == sorted(keys)
         assert [k[0] for k in keys] == [0.0] * 4 + [0.3] * 4 + [0.7] * 4
@@ -127,7 +128,7 @@ class TestSweepCommand:
         assert code == 0
         rows = {
             (row["ks_over_k"], row["g_over_ktot"]): row
-            for row in cli.parse_sweep_csv(out)
+            for row in parse_sweep_csv(out)
         }
         tight = rows[(0.0, 2.4)]
         assert tight["F1"] == pytest.approx(0.9999, abs=1e-4)
@@ -141,7 +142,7 @@ class TestSweepCommand:
             capsys, ["--steps", "5", "--ks", "0,0.3"]
         )
         assert code == 0
-        rows = cli.parse_sweep_csv(out)
+        rows = parse_sweep_csv(out)
         spec = cli.SweepSpec(g_min=0.1, g_max=3.0, steps=5, ks_list=(0.0, 0.3))
         points = cli.sweep_points(spec)
         assert len(rows) == len(points)
@@ -154,14 +155,14 @@ class TestSweepCommand:
             capsys, ["--g-min", "0", "--g-max", "1", "--steps", "2", "--ks", "0.3"]
         )
         assert code == 0
-        row = cli.parse_sweep_csv(out)[0]
+        row = parse_sweep_csv(out)[0]
         assert row["g_over_ktot"] == 0.0
         assert row["abs_rh"] == pytest.approx(row["abs_r0"], abs=1e-12)
 
     def test_rows_match_direct_evaluation(self, capsys):
         code, out, _ = self.run_sweep(capsys, ["--steps", "3", "--ks", "0,0.7"])
         assert code == 0
-        for row in cli.parse_sweep_csv(out):
+        for row in parse_sweep_csv(out):
             point = quality(operating_point(row["g_over_ktot"], row["ks_over_k"]))
             assert row["F1"] == point.F1
 
@@ -372,6 +373,19 @@ class TestParser:
         joined = run_cli([*argv, "--seed", "1", f"--detuning={value}"], capsys)
         assert joined[0] == 0
         assert run_cli([*argv, "--seed", "1", "--detuning", value], capsys) == joined
+
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-INF", "-nan", "-NaN"])
+    @pytest.mark.parametrize(
+        "argv, flag, message",
+        [(["bsa", "phi+", "--trials", "2"], "--detuning", "delta_c must be finite"),
+         (["sweep"], "--g-min", "sweep ranges must be finite")],
+        ids=["bsa_detuning", "sweep_g_min"],
+    )
+    def test_negative_inf_and_nan_are_values(self, argv, flag, message, value, capsys):
+        # argparse read these as options unless joined with "=".
+        joined = run_cli([*argv, "--seed", "1", f"{flag}={value}"], capsys)
+        assert joined == (1, "", f"error: {message}\n")
+        assert run_cli([*argv, "--seed", "1", flag, value], capsys) == joined
 
 
 class TestErrorPaths:

@@ -10,7 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from spatialbsa.cli import parse_sweep_csv
+from conftest import parse_sweep_csv
 
 ROOT = Path(__file__).resolve().parents[1]
 

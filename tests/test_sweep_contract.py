@@ -10,13 +10,16 @@ squares by libm's pow.  The references here are that scalar arithmetic,
 written out once more in plain Python.
 """
 
+import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import parse_sweep_csv
 from spatialbsa import cli
 from spatialbsa.bsa import QUALITY_FIELDS, quality, quality_from_moduli
 from spatialbsa.cavity import CavityParams, hot_reflection, operating_point
@@ -134,7 +137,7 @@ def test_overflowing_coupling_square_prints_rows_without_warning(capsys):
         warnings.simplefilter("error")
         code = cli.main(["sweep", "--g-max", "1e200", "--steps", "4", "--seed", "1"])
     assert code == 0
-    rows = cli.parse_sweep_csv(capsys.readouterr().out)
+    rows = parse_sweep_csv(capsys.readouterr().out)
     assert len(rows) == 12
     assert [row["abs_rh"] for row in rows[1::4]] == [1.0, 1.0, 1.0]
 
@@ -189,3 +192,37 @@ def test_csv_rejects_rows_that_do_not_match_the_spec_blocks():
     points = cli.sweep_points(cli.SweepSpec(0.1, 3.0, 4, (0.0, 0.3)))
     with pytest.raises(ValueError, match="^ks_over_k must hold one value in each block of 8 rows$"):
         cli.format_sweep_csv(points, cli.SweepSpec(0.1, 3.0, 8, (0.0,)), 1)
+
+
+def g17_text(values):
+    """``cli._g17``'s text of each value: its row without the NUL padding."""
+    return [bytes(row[row != 0]).decode("ascii") for row in cli._g17(np.array(values, float))]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.one_of(st.floats(), st.floats(1e-4, 1e16), st.floats(-1e16, -1e-4)),
+                max_size=40))
+def test_g17_is_percent_17g(values):
+    # st.floats() draws every double: nan, both infinities, both zeros, subnormals.
+    assert g17_text(values) == ["%.17g" % v for v in values]
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_g17_rounds_exact_ties_half_even(k):
+    # J / 2**(k+1) for odd J at decimal exponent 16 - k: the exact value's 18th
+    # significant digit is a 5 with nothing after it, so the 17 digits round
+    # half-even.  At k = 0 every such J is above 2**53, so no double is one.
+    lo = math.ceil(Fraction(10) ** (16 - k) * 2 ** (k + 1))
+    hi = min(math.ceil(Fraction(10) ** (17 - k) * 2 ** (k + 1)), 2**53)
+    odd = 2 * np.random.default_rng(k).integers(lo // 2, hi // 2, 2000) + 1
+    values = (odd / 2.0 ** (k + 1)).tolist()
+    assert all((Fraction(v) * 10**k).denominator == 2 for v in values)
+    values += [-v for v in values]
+    assert g17_text(values) == ["%.17g" % v for v in values]
+
+
+def test_g17_around_powers_of_ten():
+    powers = 10.0 ** np.arange(-5, 18)
+    values = np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)])
+    values = np.concatenate([values, -values]).tolist()
+    assert g17_text(values) == ["%.17g" % v for v in values]
