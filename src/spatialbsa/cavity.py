@@ -167,24 +167,12 @@ def hot_reflection(params: CavityParams, g: np.ndarray) -> tuple[np.ndarray, np.
         return 1.0 - q_re, 0.0 - q_im
 
 
-@dataclass(frozen=True)
-class PhaseShifts:
-    """Reflection phases of the two responses and their difference."""
-
-    phi_cold: float
-    phi_hot: float
-
-    @property
-    def delta_phi(self) -> float:
-        """Relative phase picked up between hot and cold reflection."""
-        return self.phi_hot - self.phi_cold
-
-
-def phase_shifts(params: CavityParams) -> PhaseShifts:
-    """Phases of the cold and hot reflection amplitudes, each in (-pi, pi]."""
-    return PhaseShifts(
-        phi_cold=float(np.angle(reflection(params, coupled=False))),
-        phi_hot=float(np.angle(reflection(params, coupled=True))),
+def phase_shifts(params: CavityParams) -> tuple[float, float]:
+    """Phases (phi_cold, phi_hot) of the cold and hot reflection amplitudes,
+    each in (-pi, pi]."""
+    return (
+        float(np.angle(reflection(params, coupled=False))),
+        float(np.angle(reflection(params, coupled=True))),
     )
 
 

@@ -30,7 +30,9 @@ Every random choice flows from one seeded generator in a fixed order, so a
 session is a pure function of its config and the transcript is reproducible
 bit for bit.  The pairs live in one complex array of shape (pair_count, 2, 2)
 (pair, rail of photon a, rail of photon b).  Each phase first takes all its
-draws, in that order, and then applies them to its rows at once.
+draws, in that order, and then applies them to its rows at once.  Both
+transits take theirs from one reader of the generator's raw 64-bit words,
+``_draw_trips``.
 """
 
 from __future__ import annotations
@@ -128,8 +130,10 @@ class QsdcConfig:
             raise ValueError(f"pair_count must lie between 1 and {MAX_PAIR_COUNT}")
         if not (0.0 < self.sample_fraction < 1.0):
             raise ValueError("sample_fraction must lie strictly between 0 and 1")
-        if not (self.qber_abort_threshold >= 0.0):
-            raise ValueError("qber_abort_threshold must be nonnegative")
+        # Any threshold of 1 or more never aborts, and an infinite one has no
+        # JSON form.
+        if not (0.0 <= self.qber_abort_threshold < np.inf):
+            raise ValueError("qber_abort_threshold must be finite and nonnegative")
         check_seed(self.seed)
         for name, model in (("eve_model", EveModel), ("channel_model", ChannelModel)):
             value = getattr(self, name)
@@ -249,35 +253,18 @@ def _one_length(eve: EveModel) -> bool:
     return not eve.active or eve.fraction in (0.0, 1.0)
 
 
-def _draw_trips(rng, n: int, eve: EveModel) -> np.ndarray:
-    """Draw n trips in a row.
+def _draw_trips(rng, check: np.ndarray, eve: EveModel, tail: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw every pair's trip in pair order: a check pair's code, then the
+    pair's trip, then ``tail`` more uniforms.
 
-    Returns one row per trip holding its draws in draw order: the two
-    channel uniforms, then Eve's coin if she is active, then her basis and
-    outcome if her fraction is above 0 (NaN where the coin spared the
-    photon).
-    """
-    width = _trip_width(eve)
-    if _one_length(eve):
-        return rng.random(n * width).reshape(n, width)
-    rows = []
-    for _ in range(n):
-        row = [rng.random() for _ in range(3)]
-        row += [rng.random(), rng.random()] if row[2] < eve.fraction else [np.nan, np.nan]
-        rows.append(row)
-    return np.array(rows)
-
-
-def _draw_phase2(rng, check: np.ndarray, eve: EveModel) -> tuple[np.ndarray, np.ndarray]:
-    """Phase 2's draws, pair by pair: a check pair's code, then every pair's
-    trip and its three analyzer uniforms.
-
-    Returns the check pairs' codes in pair order, and one trip-table row per
-    pair whose last three columns are the analyzer's uniforms.  The draws
-    equal those of ``rng.integers(4)`` per check pair and ``rng.random()``
-    per uniform, and leave the generator where those calls leave it.  They
-    come from one block of the bit generator's raw 64-bit words, read by
-    the rule NumPy's ``Generator`` follows:
+    Returns the check pairs' codes in pair order, and one row per pair
+    holding its uniforms in draw order: the two channel uniforms, Eve's coin
+    if she is active, her basis and outcome if her fraction is above 0 (NaN
+    where the coin spared the photon), then the tail.  The draws equal those
+    of ``rng.integers(4)`` per check pair and ``rng.random()`` per uniform,
+    and leave the generator where those calls leave it.  They come from one
+    block of the bit generator's raw 64-bit words, read by the rule NumPy's
+    ``Generator`` follows:
 
     * ``random()`` is ``(w >> 11) * 2**-53`` of the next word w;
     * ``integers(4)`` is the top two bits of one 32-bit half: the buffered
@@ -290,7 +277,7 @@ def _draw_phase2(rng, check: np.ndarray, eve: EveModel) -> tuple[np.ndarray, np.
     state = bitgen.state
     buffered = state["has_uint32"]
     n = len(check)
-    width = _trip_width(eve) + 3
+    width = _trip_width(eve) + tail
     # The check pairs take the 32-bit halves in turn: the buffered half if
     # there is one, then each fresh word's low and high half.  A check pair
     # that takes a low half draws a word before its trip.
@@ -298,12 +285,15 @@ def _draw_phase2(rng, check: np.ndarray, eve: EveModel) -> tuple[np.ndarray, np.
     fresh = np.zeros(n, dtype=bool)
     fresh[checks[buffered::2]] = True
     words = bitgen.random_raw(n * width + np.count_nonzero(fresh))
-    u = (words >> 11).astype(float)
+    # Shifted in place and converted through an int64 view: numpy converts
+    # int64 to float64 much faster than uint64, and w >> 11 < 2**53 is exact.
+    words >>= 11
+    u = words.view(np.int64).astype(float)
     u *= 2.0**-53
-    spared = np.zeros(n, dtype=bool)
     if _one_length(eve):
         starts = np.arange(n) * width + np.cumsum(fresh)
         used = len(words)
+        trips = np.delete(u, starts[fresh] - 1).reshape(n, width)
     else:
         # A trip is two words shorter when the coin spares the photon, so
         # the starts follow the coins one trip at a time.
@@ -314,13 +304,16 @@ def _draw_phase2(rng, check: np.ndarray, eve: EveModel) -> tuple[np.ndarray, np.
             starts.append(used)
             used += width if below[used + 2] else width - 2
         starts = np.array(starts)
-        spared = u[starts + 2] >= eve.fraction
-    # A spared photon's analyzer uniforms follow its coin.
-    cols = np.arange(width)
-    trips = u[starts[:, None] + np.where(spared[:, None] & (cols >= 5), cols - 2, cols)]
-    trips[spared, 3:5] = np.nan
+        # A spared photon draws no basis or outcome: its cells 3 and 4 stay
+        # NaN, and its tail follows its coin.
+        drawn = np.ones((n, width), dtype=bool)
+        drawn[u[starts + 2] >= eve.fraction, 3:5] = False
+        trips = np.full((n, width), np.nan)
+        trips[drawn] = np.delete(u[:used], starts[fresh] - 1)
 
-    fresh_words = words[starts[fresh] - 1]
+    # The shift lost each word's low 11 bits, which no code and no buffered
+    # high half reads.
+    fresh_words = words[starts[fresh] - 1] << 11
     halves = np.empty(2 * len(fresh_words) + 1, dtype=np.uint64)
     halves[0] = state["uinteger"]
     halves[1::2] = fresh_words & 0xFFFFFFFF
@@ -398,15 +391,17 @@ def session_columns(config: QsdcConfig) -> SessionColumns:
     return-transit and analyzer draws in pair order.  Each phase takes its
     draws in that order before it touches the pairs, which then evolve
     together as rows of one array.  Each transit's draws form one row of a
-    trip table (``_draw_trips``, ``_draw_phase2``), and the analyzer reads
-    the last three columns of phase 2's.  Phase 2 keeps each pair's bit pair
-    as an int code and its role as a bool.
+    trip table read by ``_draw_trips``: preparation's with no check pairs
+    and no tail, phase 2's with the check pairs' codes and a tail of three
+    analyzer uniforms, which the analyzer reads.  Phase 2 keeps each pair's
+    bit pair as an int code and its role as a bool.
     """
     rng = np.random.default_rng(config.seed)
     eve = config.eve_model
 
     psi = bell_pairs(config.pair_count)
-    _transit(psi, config, _draw_trips(rng, config.pair_count, eve))
+    _, trips = _draw_trips(rng, np.zeros(config.pair_count, dtype=bool), eve, 0)
+    _transit(psi, config, trips)
 
     n_sample = phase1_sample_count(config)
     sampled = np.sort(rng.choice(config.pair_count, size=n_sample, replace=False))
@@ -445,7 +440,7 @@ def session_columns(config: QsdcConfig) -> SessionColumns:
     bits = np.frombuffer(config.message_bits.encode(), dtype=np.uint8) - ord("0")
     codes = np.zeros(len(remaining), dtype=int)
     codes[is_message] = 2 * bits[0::2] + bits[1::2]
-    check_codes, trips = _draw_phase2(rng, ~is_message, eve)
+    check_codes, trips = _draw_trips(rng, ~is_message, eve, 3)
     codes[~is_message] = check_codes
 
     back = flip_rails(psi[remaining], codes % 2 == 1, codes >= 2)

@@ -217,16 +217,22 @@ class TestSubnormalColdReflection:
 
 class TestPhaseShifts:
     def test_difference_and_rotation_angle_are_consistent(self, rng):
+        # The difference of the two phases turns the cold amplitude's
+        # direction into the hot one's.
         for _ in range(100):
             params = random_params(rng)
-            shifts = phase_shifts(params)
-            assert shifts.delta_phi == shifts.phi_hot - shifts.phi_cold
-            assert -np.pi < shifts.phi_cold <= np.pi
-            assert -np.pi < shifts.phi_hot <= np.pi
+            phi_cold, phi_hot = phase_shifts(params)
+            assert type(phi_cold) is float and type(phi_hot) is float
+            assert -np.pi < phi_cold <= np.pi
+            assert -np.pi < phi_hot <= np.pi
+            cold = reflection(params, coupled=False)
+            hot = reflection(params, coupled=True)
+            turned = cold / abs(cold) * np.exp(1j * (phi_hot - phi_cold))
+            assert turned == pytest.approx(hot / abs(hot), abs=1e-12)
 
     def test_strong_coupling_difference_near_quarter_turn(self):
-        shifts = phase_shifts(CavityParams(g=10.0))
-        assert abs(shifts.delta_phi - np.pi / 2) < 0.02
+        phi_cold, phi_hot = phase_shifts(CavityParams(g=10.0))
+        assert abs(phi_hot - phi_cold - np.pi / 2) < 0.02
 
     def test_ideal_pair_phases(self):
         cold, hot = scatter_factors(None)[:2]

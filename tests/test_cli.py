@@ -455,6 +455,10 @@ class TestQsdcErrorPaths:
             (["--seed", "-1"], None, "seed must fit in 64 bits"),
             (["--pairs", "400", "--eve", "intercept_resend", "--qber-threshold", "nan",
               "--seed", "3"], None, "qber_abort_threshold"),
+            (["--pairs", "40", "--qber-threshold", "inf", "--seed", "3"], None,
+             "qber_abort_threshold must be finite"),
+            ([], '{"message_bits": "0101", "qber_abort_threshold": 1e400}',
+             "qber_abort_threshold must be finite"),
             (["--sample-fraction", "0.9999999999999999"], None, "pair_count must lie"),
             ([], '{"message_bits": "0101", "pair_count": 1e300}', "pair_count must lie"),
             ([], '{"message_bits": "0101", "pair_count": 63.9}', "pair_count must be a whole"),
@@ -482,7 +486,8 @@ class TestQsdcErrorPaths:
              "channel_model.mode_flip_prob must be a number, got true"),
         ],
         ids=["unit_sample_fraction", "nan_sample_fraction", "infinite_pair_count",
-             "infinite_seed", "huge_seed", "negative_seed", "nan_qber_threshold", "huge_auto_pair_count",
+             "infinite_seed", "huge_seed", "negative_seed", "nan_qber_threshold",
+             "infinite_qber_threshold", "infinite_config_qber_threshold", "huge_auto_pair_count",
              "huge_pair_count", "fractional_pair_count", "fractional_seed",
              "boolean_pair_count", "boolean_seed", "misspelled_eve_key",
              "misspelled_channel_key", "string_eve_model", "list_channel_model",

@@ -13,7 +13,6 @@ from spatialbsa.qsdc import (
     EveModel,
     QsdcConfig,
     SessionReport,
-    _draw_phase2,
     _draw_trips,
     apply_channel,
     bell_pairs,
@@ -129,20 +128,27 @@ def scalar_trip(rng, eve, tail=0):
     return trip + [rng.random() for _ in range(tail)]
 
 
-def per_pair_phase2(rng, check, eve):
-    """Phase 2's draws one call at a time: a check pair's ``integers(4)``
-    code, then every pair's trip and its three analyzer uniforms."""
+def per_pair_draws(rng, check, eve, tail):
+    """The reader's draws one call at a time: a check pair's ``integers(4)``
+    code, then every pair's trip and its ``tail`` uniforms."""
     codes, trips = [], []
     for is_check in check:
         if is_check:
             codes.append(int(rng.integers(4)))
-        trips.append(scalar_trip(rng, eve, tail=3))
+        trips.append(scalar_trip(rng, eve, tail))
     return codes, trips
+
+
+def prepare_trips(rng, n, eve):
+    """Preparation's call: n trips with no check pairs and no tail."""
+    codes, trips = _draw_trips(rng, np.zeros(n, dtype=bool), eve, 0)
+    assert codes.tolist() == []
+    return trips
 
 
 def raw_word_draws(state, kinds):
     """The draws ``kinds`` asks for ("random" or "code"), read from the raw
-    64-bit words of a PCG64 in ``state`` by the rule ``_draw_phase2`` reads
+    64-bit words of a PCG64 in ``state`` by the rule ``_draw_trips`` reads
     them with; also returns the buffered half and its flag afterwards."""
     bitgen = np.random.PCG64()
     bitgen.state = state
@@ -162,22 +168,25 @@ def raw_word_draws(state, kinds):
 
 
 class TestTripDraws:
-    def test_trips_without_eve_draw_twice_each(self, scripted_rng):
-        rng = scripted_rng([0.1, 0.2, 0.3, 0.4, 0.5])
-        trips = _draw_trips(rng, 2, EveModel.none())
-        assert trips.tolist() == [[0.1, 0.2], [0.3, 0.4]]
-        assert rng._draws == [0.5]
+    # Seed 0's first uniforms: 0.637 0.270, coin 0.041, 0.017 0.813, then
+    # 0.913 0.607, coin 0.729.
+    def test_trips_without_eve_draw_twice_each(self):
+        rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+        trips = prepare_trips(rng, 2, EveModel.none())
+        assert trips.tolist() == [scalar_trip(twin, EveModel.none()) for _ in range(2)]
+        assert trips.shape == (2, 2)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
-    def test_intercepted_trips_take_basis_and_outcome(self, scripted_rng):
-        # Trip 0: channel 0.9 0.9, coin 0.2 < 0.5 so basis 0.6 and outcome
-        # 0.7.  Trip 1: channel 0.1 0.1, coin 0.8 passes.
-        draws = [0.9, 0.9, 0.2, 0.6, 0.7, 0.1, 0.1, 0.8, 0.55]
-        rng = scripted_rng(draws)
-        trips = _draw_trips(rng, 2, EveModel.intercept_resend(0.5))
-        assert rng._draws == [0.55]
-        assert trips[0].tolist() == [0.9, 0.9, 0.2, 0.6, 0.7]
-        assert trips[1, :3].tolist() == [0.1, 0.1, 0.8]
+    def test_intercepted_trips_take_basis_and_outcome(self):
+        # Trip 0's coin 0.041 < 0.5 takes a basis and an outcome; trip 1's
+        # coin 0.729 spares the photon.
+        eve = EveModel.intercept_resend(0.5)
+        rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+        trips = prepare_trips(rng, 2, eve)
+        np.testing.assert_array_equal(trips, [scalar_trip(twin, eve) for _ in range(2)])
+        assert np.isfinite(trips[0]).all()
         assert np.isnan(trips[1, 3:5]).all()
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize(
         "eve, width",
@@ -188,11 +197,11 @@ class TestTripDraws:
             (EveModel.intercept_resend(0.5), 5),
         ],
     )
-    def test_row_layout(self, scripted_rng, eve, width):
-        # Each trip draws its row in column order.
-        draws = [0.1 * (k + 1) for k in range(width)]
-        trips = _draw_trips(scripted_rng(list(draws)), 1, eve)
-        assert trips.tolist() == [draws]
+    def test_row_layout(self, eve, width):
+        # Each trip draws its row in column order; seed 0's coin is below 0.5.
+        want = scalar_trip(np.random.default_rng(0), eve)
+        assert len(want) == width
+        assert prepare_trips(np.random.default_rng(0), 1, eve).tolist() == [want]
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -203,7 +212,7 @@ class TestTripDraws:
     def test_block_draws_equal_scalar_draws(self, n, fraction, seed):
         eve = EveModel.intercept_resend(fraction)
         block_rng = np.random.default_rng(seed)
-        trips = _draw_trips(block_rng, n, eve)
+        trips = prepare_trips(block_rng, n, eve)
         scalar_rng = np.random.default_rng(seed)
         want = [scalar_trip(scalar_rng, eve) for _ in range(n)]
         np.testing.assert_array_equal(trips, want)
@@ -211,9 +220,9 @@ class TestTripDraws:
 
 
 # NumPy's Generator parses the raw words of its bit generator by a rule
-# that NEP 19 does not promise to keep; the session's phase-2 draws rest on
-# it.  If this fails, NumPy changed the rule and ``_draw_phase2`` must follow.
-RAW_RULE_CHANGED = "NumPy's Generator no longer reads raw words as qsdc._draw_phase2 assumes"
+# that NEP 19 does not promise to keep; every trip of a session is drawn by
+# it.  If this fails, NumPy changed the rule and ``_draw_trips`` must follow.
+RAW_RULE_CHANGED = "NumPy's Generator no longer reads raw words as qsdc._draw_trips assumes"
 
 
 class TestPhase2Draws:
@@ -243,20 +252,23 @@ class TestPhase2Draws:
     @given(
         check=st.lists(st.booleans(), min_size=1, max_size=60),
         fraction=st.sampled_from([None, 0.0, 0.05, 0.3, 0.7, 1.0]),
+        tail=st.sampled_from([0, 3]),
         lead=st.integers(0, 3),
         seed=st.integers(0, 2**64 - 1),
     )
-    @example(check=[False] * 5, fraction=0.3, lead=1, seed=3)
-    @example(check=[True] * 5, fraction=None, lead=1, seed=3)
-    def test_block_equals_per_pair_draws(self, check, fraction, lead, seed):
+    @example(check=[False] * 5, fraction=0.3, tail=3, lead=1, seed=3)
+    @example(check=[True] * 5, fraction=None, tail=3, lead=1, seed=3)
+    @example(check=[False] * 7, fraction=0.3, tail=0, lead=0, seed=3)
+    def test_block_equals_per_pair_draws(self, check, fraction, tail, lead, seed):
         # ``lead`` codes drawn first leave a 32-bit half buffered when odd.
+        # No check pairs and no tail is preparation's call.
         eve = EveModel.none() if fraction is None else EveModel.intercept_resend(fraction)
         block_rng, pair_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for rng in (block_rng, pair_rng):
             for _ in range(lead):
                 rng.integers(4)
-        codes, trips = _draw_phase2(block_rng, np.array(check), eve)
-        want_codes, want_trips = per_pair_phase2(pair_rng, check, eve)
+        codes, trips = _draw_trips(block_rng, np.array(check), eve, tail)
+        want_codes, want_trips = per_pair_draws(pair_rng, check, eve, tail)
         assert codes.tolist() == want_codes
         np.testing.assert_array_equal(trips, want_trips)
         assert block_rng.bit_generator.state == pair_rng.bit_generator.state
@@ -317,13 +329,14 @@ class TestEve:
 
 
 class TestChannel:
-    def test_identity_channel_draws_twice_and_does_nothing(self, scripted_rng):
+    def test_identity_channel_draws_twice_and_does_nothing(self):
         psi = bell_pairs(1)
         before = psi.copy()
-        rng = scripted_rng([0.3, 0.6])
-        apply_channel(psi, ChannelModel(), _draw_trips(rng, 1, EveModel.none()))
+        rng, twin = np.random.default_rng(0), np.random.default_rng(0)
+        apply_channel(psi, ChannelModel(), prepare_trips(rng, 1, EveModel.none()))
         assert np.array_equal(psi, before)
-        assert rng._draws == []
+        assert len(scalar_trip(twin, EveModel.none())) == 2
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_certain_mode_flip_swaps_rails(self):
         psi = travel_photon_rows([1.0, 0.0])
