@@ -33,7 +33,8 @@ def main():
     )
     points = sweep_points(spec)
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(format_sweep_csv(points, spec, seed=0))
+    with args.out.open("w") as out:
+        format_sweep_csv(points, spec, 0, out)
     print(f"wrote {len(points)} grid points to {args.out}")
 
     print("\nreference operating points:")

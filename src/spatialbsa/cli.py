@@ -5,8 +5,9 @@ Three subcommands share one seeding convention: every command accepts
 source and recorded in the output metadata, so any emitted file can be
 reproduced exactly.
 
-Exit codes: 0 success, 1 usage or configuration errors, each reported as
-one ``error:`` line on stderr, 2 when a session aborts its channel check.
+Exit codes: 0 success, also when stdout's reader leaves early, 1 usage or
+configuration errors, each reported as one ``error:`` line on stderr, 2 when
+a session aborts its channel check.
 """
 
 from __future__ import annotations
@@ -17,8 +18,11 @@ import math
 import os
 import re
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -37,13 +41,15 @@ from .register import BellState, ZeroNormError
 OUT_DIR_ENV = "SPATIALBSA_OUT_DIR"
 
 CSV_HEADER = "g_over_ktot,ks_over_k,abs_r0,abs_rh,F1,eta1,F2,eta2"
-# Sweep rows are written in chunks of this many, whose arrays stay in the cache.
-_CHUNK_ROWS = 8192
+# Sweep rows are formatted and written in chunks of this many, whose temporaries (up to
+# about 190 KB) reuse heap pages already faulted in: in a fresh interpreter a 30 000-row
+# sweep's writer takes about 150 minor faults, against 5 300 at 2048 rows and 11 000 at
+# 8192, each about 3.5 us on a 2-core VM.  At 512 rows the per-chunk work costs more.
+_CHUNK_ROWS = 1024
 
-# The largest sweep grid in rows (steps x ks values).  tracemalloc puts the sweep
-# command at about 357 bytes per row (20 000 and 40 000 steps x 3 ks): the CSV
-# text twice (146 bytes a row), as its chunks and joined, and the rows' 64 bytes
-# of float64 records; a chunk's arrays, about 6 MB, peak below that.  So ~0.72 GB.
+# The largest sweep grid in rows (steps x ks values).  tracemalloc puts the sweep command
+# at about 134 bytes per row (20 000 and 40 000 steps x 3 ks), where sweep_points joins
+# its blocks of 64-byte records; the CSV text goes out a chunk at a time.  So ~0.27 GB.
 MAX_SWEEP_ROWS = 2_000_000
 
 # The most bsa trials.  tracemalloc puts the command at about 66 bytes per trial
@@ -78,27 +84,28 @@ def draw_seed() -> int:
     return int.from_bytes(os.urandom(8), "big")
 
 
-def resolve_out(path_text: str | None) -> Path | None:
-    """Map an --out value to a path, or None for stdout."""
+def _emit(text: str, stream: TextIO) -> None:
+    stream.write(text)
+
+
+@contextmanager
+def _opened(path_text: str | None) -> Iterator[TextIO]:
+    """An --out value's stream: stdout for none or '-', flushed at the end, else
+    the file, opened here for writing.  A file that cannot be written raises
+    ValueError; a reader of stdout that has left raises BrokenPipeError."""
     if path_text is None or path_text == "-":
-        return None
-    path = Path(path_text)
+        yield sys.stdout
+        sys.stdout.flush()
+        return
+    out = Path(path_text)
     out_dir = os.environ.get(OUT_DIR_ENV)
-    if out_dir and not path.is_absolute():
-        path = Path(out_dir) / path
-    return path
-
-
-def _emit(text: str, out: Path | None) -> int:
-    if out is None:
-        sys.stdout.write(text)
-        return 0
+    if out_dir and not out.is_absolute():
+        out = Path(out_dir) / out
     try:
-        out.write_text(text)
+        with out.open("w") as stream:
+            yield stream
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        raise ValueError(f"cannot write {out}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -159,13 +166,13 @@ def sweep_points(spec: SweepSpec) -> np.recarray:
     return np.concatenate(blocks).view(np.recarray)
 
 
-def format_sweep_csv(points: np.recarray, spec: SweepSpec, seed: int) -> str:
-    """Render sweep rows as CSV with metadata comments.
+def format_sweep_csv(points: np.recarray, spec: SweepSpec, seed: int, out: TextIO) -> None:
+    """Write sweep rows to out as CSV with metadata comments, a chunk of rows at a time.
 
     Floats are printed with 17 significant digits, enough for an exact
     binary round trip through float().  The rows come in blocks of
-    ``spec.steps``, one per ks value, as ``sweep_points`` returns them; a
-    block whose ks_over_k or abs_r0 varies raises ValueError.
+    ``spec.steps``, one per ks value, as ``sweep_points`` returns them; a block
+    whose ks_over_k or abs_r0 varies raises ValueError before anything is written.
     """
     head = "\n".join([
         "# spatial-mode analyzer quality sweep",
@@ -176,24 +183,22 @@ def format_sweep_csv(points: np.recarray, spec: SweepSpec, seed: int) -> str:
         CSV_HEADER,
     ])
     # A block's ks_over_k and abs_r0 are formatted once, and spliced in after
-    # g_over_ktot.  The floats are read one block at a time, and formatted by
-    # ``_g17`` a chunk of rows at a time, so that only one block's are held.
+    # g_over_ktot; ``_g17`` formats the other floats a chunk of rows at a time.
     g, ks, r0, *rest = CSV_HEADER.split(",")
-    text = [head, "\n"]
-    for i in range(0, len(points), spec.steps):
-        block = points[i : i + spec.steps]
-        for name in (ks, r0):
-            bits = np.asarray(block[name], dtype=float).view(np.uint64)
-            if (bits != bits[0]).any():  # by bits, since -0.0 and 0.0 print apart
-                raise ValueError(f"{name} must hold one value in each block of {spec.steps} rows")
+    for name in (ks, r0):  # by bits, since -0.0 and 0.0 print apart
+        bits = np.asarray(points[name], dtype=float).view(np.uint64)
+        if (bits != bits[:: spec.steps].repeat(spec.steps)[: len(bits)]).any():
+            raise ValueError(f"{name} must hold one value in each block of {spec.steps} rows")
+    _emit(head + "\n", out)
+    for start in range(0, len(points), spec.steps):
+        block = points[start : start + spec.steps]
         shared = np.frombuffer(b"%.17g,%.17g," % (block[ks][0], block[r0][0]), np.uint8)
-        for rows in np.array_split(block, range(_CHUNK_ROWS, len(block), _CHUNK_ROWS)):
+        for i in range(0, len(block), _CHUNK_ROWS):
+            rows = block[i : i + _CHUNK_ROWS]
             line = _g17(np.ravel([rows[n] for n in (g, *rest)], "F")).reshape(len(rows), -1)
             line[:, 24::25] = np.frombuffer(b",,,,,\n", np.uint8)
             line = np.hstack([line[:, :25], np.tile(shared, (len(rows), 1)), line[:, 25:]])
-            text.append(line[line != 0].tobytes().decode("ascii"))
-    line = None  # the last chunk's bytes, freed before the join
-    return "".join(text)
+            _emit(line[line != 0].tobytes().decode("ascii"), out)
 
 
 # 10**j for j = -4 ... 20 as the nearest doubles (exact from j = 0, and above
@@ -292,7 +297,9 @@ def cmd_bsa(args) -> int:
         "spin_changed_count": int(codes[1::2].sum()),
         "mean_success_probability": float(success[-1]) / args.trials,
     }
-    return _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", resolve_out(args.out))
+    with _opened(args.out) as out:
+        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
+    return 0
 
 
 def cmd_sweep(args) -> int:
@@ -305,8 +312,10 @@ def cmd_sweep(args) -> int:
         gamma=args.gamma,
         detuning=args.detuning,
     )
-    text = format_sweep_csv(sweep_points(spec), spec, seed)
-    return _emit(text, resolve_out(args.out))
+    points = sweep_points(spec)
+    with _opened(args.out) as out:
+        format_sweep_csv(points, spec, seed, out)
+    return 0
 
 
 # Every key a config file may set, by section and field name: its JSON type
@@ -474,9 +483,8 @@ def format_qsdc_report(config: QsdcConfig, session: SessionColumns) -> str:
 def cmd_qsdc(args) -> int:
     config = build_qsdc_config(args)
     session = session_columns(config)
-    status = _emit(format_qsdc_report(config, session), resolve_out(args.out))
-    if status != 0:
-        return status
+    with _opened(args.out) as out:
+        _emit(format_qsdc_report(config, session), out)
     return 2 if session.aborted else 0
 
 
@@ -553,6 +561,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader left, as ``| head`` does: end quietly
+        # What stdout still holds goes to devnull, so the exit flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
 
 
 if __name__ == "__main__":

@@ -293,7 +293,7 @@ def _draw_trips(rng, check: np.ndarray, eve: EveModel, tail: int) -> tuple[np.nd
     if _one_length(eve):
         starts = np.arange(n) * width + np.cumsum(fresh)
         used = len(words)
-        trips = np.delete(u, starts[fresh] - 1).reshape(n, width)
+        trips = (np.delete(u, starts[fresh] - 1) if fresh.any() else u).reshape(n, width)
     else:
         # A trip is two words shorter when the coin spares the photon, so
         # the starts follow the coins one trip at a time.
@@ -309,7 +309,7 @@ def _draw_trips(rng, check: np.ndarray, eve: EveModel, tail: int) -> tuple[np.nd
         drawn = np.ones((n, width), dtype=bool)
         drawn[u[starts + 2] >= eve.fraction, 3:5] = False
         trips = np.full((n, width), np.nan)
-        trips[drawn] = np.delete(u[:used], starts[fresh] - 1)
+        trips[drawn] = np.delete(u[:used], starts[fresh] - 1) if fresh.any() else u[:used]
 
     # The shift lost each word's low 11 bits, which no code and no buffered
     # high half reads.

@@ -1,6 +1,11 @@
 import copy
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,8 @@ from spatialbsa import cli
 from spatialbsa.bsa import quality
 from spatialbsa.cavity import operating_point
 from spatialbsa.qsdc import ChannelModel, EveModel, QsdcConfig
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(argv, capsys):
@@ -246,6 +253,68 @@ class TestSweepCommand:
         )
         assert code == 0
         assert target.exists()
+
+    def test_out_file_and_stdout_get_the_same_bytes(self, tmp_path, capsys):
+        # Each block is two full chunks of rows and a short one.
+        steps = 2 * cli._CHUNK_ROWS + 5
+        grid = ["--steps", str(steps), "--ks", "0,0.7"]
+        code, out, _ = self.run_sweep(capsys, grid)
+        assert code == 0
+        target = tmp_path / "sweep.csv"
+        code, _, _ = self.run_sweep(capsys, [*grid, "--out", str(target)])
+        assert code == 0
+        assert target.read_bytes() == out.encode("ascii")
+        assert len(parse_sweep_csv(out)) == 2 * steps
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--steps", "1"], ["--g-min", "0", "--g-max", "1e308", "--ks", "1"]],
+        ids=["spec", "sweep_points"],
+    )
+    def test_failed_sweep_leaves_the_out_file_untouched(self, tmp_path, capsys, extra):
+        target = tmp_path / "sweep.csv"
+        target.write_text("earlier output\n")
+        code, out, err = self.run_sweep(capsys, [*extra, "--out", str(target)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert target.read_text() == "earlier output\n"
+
+    @pytest.mark.parametrize("steps, lines", [(20_000, 1), (20_000, 0), (3, 0)])
+    def test_reader_closing_the_pipe_ends_quietly(self, steps, lines):
+        # The reader leaves after a line, as ``| head -1`` does, or before the
+        # first, as ``| true`` does; 20 000 steps' CSV, about 9 MB, is far more
+        # than a pipe holds.  stdout is block-buffered, as in a shell pipeline.
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "spatialbsa.cli", "sweep", "--steps", str(steps), "--seed", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            for _ in range(lines):
+                assert proc.stdout.readline() == b"# spatial-mode analyzer quality sweep\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 0
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+
+    def test_peak_memory_per_row(self, tmp_path):
+        # The text goes out a chunk at a time, so the peak is sweep_points'
+        # 64 bytes a row of records, twice while its blocks are joined.
+        steps = 20_000
+        argv = ["sweep", "--steps", str(steps), "--ks", "0,0.3,0.7", "--seed", "1",
+                "--out", str(tmp_path / "sweep.csv")]
+        assert cli.main(argv) == 0  # the first call's imports and caches are not counted
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (3 * steps) < 150  # 134 measured; holding the text adds 146
 
 
 class TestQsdcCommand:

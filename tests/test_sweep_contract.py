@@ -10,6 +10,7 @@ squares by libm's pow.  The references here are that scalar arithmetic,
 written out once more in plain Python.
 """
 
+import io
 import math
 import warnings
 from fractions import Fraction
@@ -142,13 +143,20 @@ def test_overflowing_coupling_square_prints_rows_without_warning(capsys):
     assert [row["abs_rh"] for row in rows[1::4]] == [1.0, 1.0, 1.0]
 
 
+def csv_text(points, spec, seed):
+    """The text that ``format_sweep_csv`` writes."""
+    out = io.StringIO()
+    cli.format_sweep_csv(points, spec, seed, out)
+    return out.getvalue()
+
+
 # The reference writer: one template per record, over its tuple of floats.
 CSV_ROW = ",".join(["%.17g"] * len(cli.CSV_HEADER.split(","))) + "\n"
 
 
 def csv_one_template_per_row(points, spec, seed):
     """The CSV as ``CSV_ROW`` applied to every record's tuple, after the writer's head."""
-    return cli.format_sweep_csv(points[:0], spec, seed) + "".join(map(CSV_ROW.__mod__, points.tolist()))
+    return csv_text(points[:0], spec, seed) + "".join(map(CSV_ROW.__mod__, points.tolist()))
 
 
 @settings(deadline=None, max_examples=150)
@@ -164,13 +172,16 @@ def csv_one_template_per_row(points, spec, seed):
 @example(g_range=[0.0, 3.0], steps=2, ks_list=[0.0, -0.0, 0.0], gamma=0.1, detuning=0.5)
 @example(g_range=[0.0, 3.0], steps=40, ks_list=[0.7, 5e-324, 0.7], gamma=0.1, detuning=0.5)
 @example(g_range=[0.1, 3.0], steps=5, ks_list=[1e-310], gamma=0.1, detuning=-0.5)
+# Blocks of two full chunks and a short one.
+@example(g_range=[0.0, 3.0], steps=2 * cli._CHUNK_ROWS + 3, ks_list=[0.0, 0.7], gamma=0.1,
+         detuning=0.5)
 def test_csv_equals_one_template_per_row(g_range, steps, ks_list, gamma, detuning):
     spec = cli.SweepSpec(*g_range, steps, tuple(ks_list), gamma, detuning)
     try:
         points = cli.sweep_points(spec)
     except ValueError:  # an invalid grid writes nothing; its error is checked above
         return
-    assert cli.format_sweep_csv(points, spec, 7) == csv_one_template_per_row(points, spec, 7)
+    assert csv_text(points, spec, 7) == csv_one_template_per_row(points, spec, 7)
 
 
 @pytest.mark.parametrize(
@@ -181,17 +192,21 @@ def test_csv_equals_one_template_per_row(g_range, steps, ks_list, gamma, detunin
 def test_csv_rejects_a_block_whose_shared_columns_vary(name, row, value):
     spec = cli.SweepSpec(0.1, 3.0, 5, (0.0, 0.3))
     points = cli.sweep_points(spec)
-    cli.format_sweep_csv(points, spec, 1)
+    csv_text(points, spec, 1)
     points[name][row] = value
+    out = io.StringIO()
     with pytest.raises(ValueError, match=f"^{name} must hold one value in each block of 5 rows$"):
-        cli.format_sweep_csv(points, spec, 1)
+        cli.format_sweep_csv(points, spec, 1, out)
+    assert out.getvalue() == ""  # not even the head
 
 
 def test_csv_rejects_rows_that_do_not_match_the_spec_blocks():
     # Rows of a 4-step grid written as if the blocks were 8 rows long mix two ks values.
     points = cli.sweep_points(cli.SweepSpec(0.1, 3.0, 4, (0.0, 0.3)))
+    out = io.StringIO()
     with pytest.raises(ValueError, match="^ks_over_k must hold one value in each block of 8 rows$"):
-        cli.format_sweep_csv(points, cli.SweepSpec(0.1, 3.0, 8, (0.0,)), 1)
+        cli.format_sweep_csv(points, cli.SweepSpec(0.1, 3.0, 8, (0.0,)), 1, out)
+    assert out.getvalue() == ""
 
 
 def g17_text(values):
