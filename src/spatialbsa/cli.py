@@ -7,7 +7,8 @@ reproduced exactly.
 
 Exit codes: 0 success, also when stdout's reader leaves early, 1 usage or
 configuration errors, each reported as one ``error:`` line on stderr, 2 when
-a session aborts its channel check.
+a session aborts its channel check.  Output streams as it is made, so a
+session that aborts and whose reader leaves early exits 0 too.
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ from typing import TextIO
 
 import numpy as np
 
-from .bsa import CODE_BELL, DetectorPair, _pick_branch, outcome_distribution, quality_at
+from .bsa import (
+    CODE_BELL, QUALITY_FIELDS, DetectorPair, _pick_branch, outcome_distribution, quality_at,
+)
 from .cavity import check_number, operating_point
 from .qsdc import (
+    CODE_BITS,
     ChannelModel,
     EveModel,
     QsdcConfig,
@@ -41,15 +45,18 @@ from .register import BellState, ZeroNormError
 OUT_DIR_ENV = "SPATIALBSA_OUT_DIR"
 
 CSV_HEADER = "g_over_ktot,ks_over_k,abs_r0,abs_rh,F1,eta1,F2,eta2"
-# Sweep rows are formatted and written in chunks of this many, whose temporaries (up to
-# about 190 KB) reuse heap pages already faulted in: in a fresh interpreter a 30 000-row
-# sweep's writer takes about 150 minor faults, against 5 300 at 2048 rows and 11 000 at
-# 8192, each about 3.5 us on a 2-core VM.  At 512 rows the per-chunk work costs more.
+# Sweep rows and qsdc records are formatted and written in chunks of this many, whose
+# temporaries (a few hundred KB) reuse heap pages already faulted in: in a fresh
+# interpreter a 30 000-row sweep's writer takes about 150 minor faults, against 5 300 at
+# 2048 rows and 11 000 at 8192, each about 3.5 us on a 2-core VM, and the 8 000-pair
+# qsdc_clean report 1, against 169 at 2048 and 1 135 at 4096.  At 512 rows the sweep's
+# per-chunk work costs more.
 _CHUNK_ROWS = 1024
 
 # The largest sweep grid in rows (steps x ks values).  tracemalloc puts the sweep command
-# at about 134 bytes per row (20 000 and 40 000 steps x 3 ks), where sweep_points joins
-# its blocks of 64-byte records; the CSV text goes out a chunk at a time.  So ~0.27 GB.
+# at about 121 bytes per row (20 000 and 40 000 steps x 3 ks): sweep_points' 64-byte
+# records beside one ks block's quality_at, about 152 bytes a step; the CSV text goes
+# out a chunk at a time.  So ~0.25 GB.
 MAX_SWEEP_ROWS = 2_000_000
 
 # The most bsa trials.  tracemalloc puts the command at about 66 bytes per trial
@@ -155,15 +162,15 @@ def sweep_points(spec: SweepSpec) -> np.recarray:
     so a row failing any of them precedes any row whose g overflows.
     """
     g_over_ktot = np.linspace(spec.g_min, spec.g_max, spec.steps)
-    blocks = []
-    for ks in sorted(spec.ks_list):
+    points = np.recarray(spec.steps * len(spec.ks_list), [(name, float) for name in QUALITY_FIELDS])
+    for start, ks in zip(range(0, len(points), spec.steps), sorted(spec.ks_list)):
         params = operating_point(float(g_over_ktot[0]), ks, spec.gamma, spec.detuning)
         with np.errstate(over="ignore"):
             g = g_over_ktot * (1.0 + ks)  # as operating_point scales each row
-        blocks.append(quality_at(params, g))
+        points[start : start + spec.steps] = quality_at(params, g)
         if not np.isfinite(g).all():
             raise ValueError("g must be finite")
-    return np.concatenate(blocks).view(np.recarray)
+    return points
 
 
 def format_sweep_csv(points: np.recarray, spec: SweepSpec, seed: int, out: TextIO) -> None:
@@ -411,32 +418,72 @@ def build_qsdc_config(args) -> QsdcConfig:
     return QsdcConfig(**top, eve_model=eve_model, channel_model=channel_model)
 
 
-# One %-template per transcript record kind, laid out as
-# ``json.dumps(payload, indent=2, sort_keys=True)`` lays out a record of the
-# transcript: keys sorted, every string from a fixed alphabet that JSON
-# needs no escapes for.
+# One %-template per transcript record, laid out as ``json.dumps(payload,
+# indent=2, sort_keys=True)`` lays out a record of the transcript (keys sorted,
+# every string from a fixed alphabet that JSON needs no escapes for) and
+# followed by the ",\n" that a summary record always comes after.  "@" marks
+# the pair index.
 _PHASE1_SAMPLE = """      {
         "agree": %s,
         "alice": %d,
         "basis": "%s",
         "bob": %d,
         "event": "phase1_sample",
-        "pair": %d
-      }"""
+        "pair": @
+      },
+"""
 _PHASE2_PAIR = """      {
         "decoded": "%s",
         "encoded": "%s",
         "event": "phase2_pair",
         "inferred": "%s",
         "match": %s,
-        "pair": %d,
+        "pair": @,
         "role": "%s"
-      }"""
+      },
+"""
 _JSON_BOOL = ("false", "true")
+# A pair index's six digits, by place, and the least index that shows each:
+# the units digit always shows, and leading zeros become NUL.
+_PLACES = np.array([100_000, 10_000, 1_000, 100, 10, 1])
+_SHOWN_FROM = np.array([100_000, 10_000, 1_000, 100, 10, 0])
 
 
-def _json_bools(column: list) -> list:
-    return list(map(_JSON_BOOL.__getitem__, column))
+def _record_table(texts: list) -> tuple[np.ndarray, int]:
+    """One NUL-padded uint8 row per record kind, from its text: the text
+    before "@" ends at column ``slot``, the text after it starts six bytes
+    later, so the pair index's digits fill ``[slot, slot + 6)``."""
+    parts = [text.encode().split(b"@") for text in texts]
+    slot, after = (max(len(part[i]) for part in parts) for i in (0, 1))
+    rows = b"".join(
+        head.rjust(slot, b"\0") + bytes(6) + tail.ljust(after, b"\0") for head, tail in parts)
+    return np.frombuffer(rows, np.uint8).reshape(len(texts), -1), slot
+
+
+# A phase1_sample record's kind is 4*alice + 2*bob + x_basis, and a
+# phase2_pair record's 8*inferred + 2*encoded + is_message; with the pair
+# index, the kind fixes the record's text.
+_PHASE1_TABLE = _record_table([
+    _PHASE1_SAMPLE % (_JSON_BOOL[a == b], a, "zx"[x], b)
+    for a in (0, 1) for b in (0, 1) for x in (0, 1)
+])
+_PHASE2_TABLE = _record_table([
+    _PHASE2_PAIR % (CODE_BITS[i], CODE_BITS[c], CODE_BELL[i], _JSON_BOOL[i == c],
+                    ("check", "message")[m])
+    for i in range(4) for c in range(4) for m in (0, 1)
+])
+
+
+def _emit_records(table: tuple[np.ndarray, int], kinds: np.ndarray, pairs: np.ndarray,
+                  out: TextIO) -> None:
+    # Each chunk's rows come from the table, take their pair digits in the
+    # slot and lose every NUL in one compaction.
+    rows, slot = table
+    for i in range(0, len(kinds), _CHUNK_ROWS):
+        text = rows.take(kinds[i : i + _CHUNK_ROWS], axis=0)
+        pair = pairs[i : i + _CHUNK_ROWS, None]
+        text[:, slot : slot + 6] = (pair // _PLACES % 10 + 48) * (pair >= _SHOWN_FROM)
+        _emit(text[text != 0].tobytes().decode("ascii"), out)
 
 
 def _summary_json(record: dict) -> str:
@@ -444,14 +491,16 @@ def _summary_json(record: dict) -> str:
     return "      " + json.dumps(record, indent=2, sort_keys=True).replace("\n", "\n      ")
 
 
-def format_qsdc_report(config: QsdcConfig, session: SessionColumns) -> str:
-    """The qsdc report: ``json.dumps(payload, indent=2, sort_keys=True)`` plus
-    a newline, for the payload of the config and the session's report with
-    its transcript as dicts (``SessionColumns.transcript``).
+def format_qsdc_report(config: QsdcConfig, session: SessionColumns, out: TextIO) -> None:
+    """Write the qsdc report to out: ``json.dumps(payload, indent=2,
+    sort_keys=True)`` plus a newline, for the payload of the config and the
+    session's report with its transcript as dicts (``SessionColumns.transcript``).
 
     The small rest of the payload goes through the encoder.  With sorted
     keys the transcript is the last value of the report, which is the
-    payload's last value, so the last ``[]`` of that dump is its slot.
+    payload's last value, so the last ``[]`` of that dump is its slot.  The
+    per-pair records go out a chunk at a time, made from a table of each
+    record kind's bytes.
     """
     payload = {
         "command": "qsdc",
@@ -465,26 +514,25 @@ def format_qsdc_report(config: QsdcConfig, session: SessionColumns) -> str:
         },
     }
     head, _, tail = json.dumps(payload, indent=2, sort_keys=True).rpartition("[]")
+    _emit(head + "[\n", out)
     p1 = session.phase1
-    records = [
-        *map(_PHASE1_SAMPLE.__mod__, zip(
-            _json_bools(p1["agree"]), p1["alice"], p1["basis"], p1["bob"], p1["pair"])),
-        _summary_json(session.phase1_summary),
-    ]
+    kinds = 4 * p1["alice"] + 2 * p1["bob"] + p1["x_basis"]
+    _emit_records(_PHASE1_TABLE, kinds, p1["pair"], out)
+    summary = _summary_json(session.phase1_summary)
     if not session.aborted:
+        _emit(summary + ",\n", out)
         p2 = session.phase2
-        records += map(_PHASE2_PAIR.__mod__, zip(
-            p2["decoded"], p2["encoded"], p2["inferred"], _json_bools(p2["match"]),
-            p2["pair"], p2["role"]))
-        records.append(_summary_json(session.phase2_summary))
-    return "".join((head, "[\n", ",\n".join(records), "\n    ]", tail, "\n"))
+        kinds = 8 * p2["inferred"] + 2 * p2["codes"] + p2["is_message"]
+        _emit_records(_PHASE2_TABLE, kinds, p2["pair"], out)
+        summary = _summary_json(session.phase2_summary)
+    _emit(summary + "\n    ]" + tail + "\n", out)
 
 
 def cmd_qsdc(args) -> int:
     config = build_qsdc_config(args)
     session = session_columns(config)
     with _opened(args.out) as out:
-        _emit(format_qsdc_report(config, session), out)
+        format_qsdc_report(config, session, out)
     return 2 if session.aborted else 0
 
 

@@ -48,12 +48,12 @@ from .cavity import check_number
 from .register import HADAMARD, SQRT_HALF, _pick
 
 # The largest session a config may ask for.  tracemalloc puts a session at
-# the default sample fraction at about 1.6 KB per pair (20 000 and 40 000
-# pairs), in phase 2's analyzer contraction, and the whole qsdc command,
-# report text included, at the same 1.6 KB (1.0 KB for both at a fraction
-# of 0.5); the record columns keep about 80 bytes per pair, and
-# run_session's dict transcript about 310.  So this bound holds a command
-# near 1.6 GB.
+# the default sample fraction at about 400 bytes per pair (20 000 and 40 000
+# pairs), in analyze_pairs' branch weights beside the pair arrays, and the
+# whole qsdc command, whose report goes out a chunk at a time, at the same
+# 400 (300 for both at a fraction of 0.5); the record columns keep 25-45
+# bytes per pair, and run_session's dict transcript about 310.  So this bound
+# holds a command near 0.4 GB.
 MAX_PAIR_COUNT = 1_000_000
 
 # The dense-coding alphabet in code order: code c = 2*b0 + b1 carries the
@@ -347,12 +347,14 @@ def _transit(psi: np.ndarray, config: QsdcConfig, trips: np.ndarray) -> None:
 
 
 class SessionColumns(NamedTuple):
-    """One session's records as columns, the form the session produces.
+    """One session's records as columns of numpy arrays, the form the session produces.
 
-    ``phase1`` maps each key of a phase1_sample record to its column, in
-    sampled-pair order, and ``phase2`` each key of a phase2_pair record, in
-    pair order; the two summaries are whole records.  An aborted session
-    has no phase 2: ``phase2`` is empty and its summary None.
+    ``phase1`` holds, in sampled-pair order, the arrays ``pair``, ``x_basis``
+    (bool), ``alice`` and ``bob`` (outcomes 0 or 1), from which each
+    phase1_sample record follows; ``phase2`` holds, in pair order, ``pair``,
+    ``is_message`` (bool), ``codes`` (encoded) and ``inferred``, from which
+    each phase2_pair record follows.  The two summaries are whole records.
+    An aborted session has no phase 2: ``phase2`` is empty and its summary None.
     """
 
     phase1: dict
@@ -370,16 +372,25 @@ class SessionColumns(NamedTuple):
         return 0.0 if self.aborted else self.phase2_summary["check_error_rate"]
 
     def transcript(self) -> list:
-        """The records as one dict each, in session order."""
-        events = _records("phase1_sample", self.phase1) + [self.phase1_summary]
+        """The records as one dict each, in session order, of plain Python values."""
+        p1 = self.phase1
+        events = [
+            {"event": "phase1_sample", "pair": pair, "basis": "zx"[x], "alice": a, "bob": b,
+             "agree": a == b}
+            for pair, x, a, b in zip(*(p1[k].tolist() for k in ("pair", "x_basis", "alice", "bob")))
+        ]
+        events.append(self.phase1_summary)
         if not self.aborted:
-            events += _records("phase2_pair", self.phase2) + [self.phase2_summary]
+            p2 = self.phase2
+            events += [
+                {"event": "phase2_pair", "pair": pair, "role": ("check", "message")[m],
+                 "encoded": CODE_BITS[c], "inferred": CODE_BELL[i], "decoded": CODE_BITS[i],
+                 "match": i == c}
+                for pair, m, c, i in zip(
+                    *(p2[k].tolist() for k in ("pair", "is_message", "codes", "inferred")))
+            ]
+            events.append(self.phase2_summary)
         return events
-
-
-def _records(event: str, columns: dict) -> list:
-    keys = ("event", *columns)
-    return [dict(zip(keys, (event, *row))) for row in zip(*columns.values())]
 
 
 def session_columns(config: QsdcConfig) -> SessionColumns:
@@ -410,15 +421,8 @@ def session_columns(config: QsdcConfig) -> SessionColumns:
     x_basis = u[:, 0] >= 0.5
     alice = measure_photon(checked, "a", x_basis, u[:, 1])
     bob = measure_photon(checked, "b", x_basis, u[:, 2])
-    agree = alice == bob
-    errors = n_sample - int(np.count_nonzero(agree))
-    phase1 = {
-        "pair": sampled.tolist(),
-        "basis": list(map(("z", "x").__getitem__, x_basis.tolist())),
-        "alice": alice.tolist(),
-        "bob": bob.tolist(),
-        "agree": agree.tolist(),
-    }
+    errors = int(np.count_nonzero(alice != bob))
+    phase1 = {"pair": sampled, "x_basis": x_basis, "alice": alice, "bob": bob}
     qber = errors / n_sample
     aborted = qber > config.qber_abort_threshold
     phase1_summary = {
@@ -447,18 +451,9 @@ def session_columns(config: QsdcConfig) -> SessionColumns:
     _transit(back, config, trips)
     inferred = analyze_pairs(back, trips[:, -3:])
 
-    match = inferred == codes
-    got = inferred.tolist()
     check_pairs = len(remaining) - n_message
-    check_errors = int(np.count_nonzero(~match & ~is_message))
-    phase2 = {
-        "pair": remaining.tolist(),
-        "role": list(map(("check", "message").__getitem__, is_message.tolist())),
-        "encoded": list(map(CODE_BITS.__getitem__, codes.tolist())),
-        "inferred": list(map(CODE_BELL.__getitem__, got)),
-        "decoded": list(map(CODE_BITS.__getitem__, got)),
-        "match": match.tolist(),
-    }
+    check_errors = int(np.count_nonzero((inferred != codes) & ~is_message))
+    phase2 = {"pair": remaining, "is_message": is_message, "codes": codes, "inferred": inferred}
     phase2_summary = {
         "event": "phase2_summary",
         "message_pairs": n_message,

@@ -25,6 +25,28 @@ def run_cli(argv, capsys):
     return code, out.out, out.err
 
 
+def close_pipe_early(argv, first_line, lines):
+    """Run the command with stdout piped, block-buffered as in a shell
+    pipeline, and leave after ``lines`` lines, as ``| head -1`` does, or
+    before the first, as ``| true`` does: it must exit 0 with nothing on stderr."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "spatialbsa.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        for _ in range(lines):
+            assert proc.stdout.readline() == first_line
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 0
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
 class TestBsaCommand:
     def test_deterministic_classification_counts(self, capsys):
         code, out, _ = run_cli(
@@ -281,29 +303,13 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("steps, lines", [(20_000, 1), (20_000, 0), (3, 0)])
     def test_reader_closing_the_pipe_ends_quietly(self, steps, lines):
-        # The reader leaves after a line, as ``| head -1`` does, or before the
-        # first, as ``| true`` does; 20 000 steps' CSV, about 9 MB, is far more
-        # than a pipe holds.  stdout is block-buffered, as in a shell pipeline.
-        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "spatialbsa.cli", "sweep", "--steps", str(steps), "--seed", "1"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-        )
-        try:
-            for _ in range(lines):
-                assert proc.stdout.readline() == b"# spatial-mode analyzer quality sweep\n"
-            proc.stdout.close()
-            assert proc.wait(timeout=120) == 0
-            assert proc.stderr.read() == b""
-        finally:
-            proc.kill()
-            proc.wait()
-            proc.stderr.close()
+        # 20 000 steps' CSV, about 9 MB, is far more than a pipe holds.
+        close_pipe_early(["sweep", "--steps", str(steps), "--seed", "1"],
+                         b"# spatial-mode analyzer quality sweep\n", lines)
 
     def test_peak_memory_per_row(self, tmp_path):
         # The text goes out a chunk at a time, so the peak is sweep_points'
-        # 64 bytes a row of records, twice while its blocks are joined.
+        # 64 bytes a row of records beside one ks block's quality_at.
         steps = 20_000
         argv = ["sweep", "--steps", str(steps), "--ks", "0,0.3,0.7", "--seed", "1",
                 "--out", str(tmp_path / "sweep.csv")]
@@ -314,10 +320,35 @@ class TestSweepCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / (3 * steps) < 150  # 134 measured; holding the text adds 146
+        assert peak / (3 * steps) < 130  # 121 measured; joining per-ks blocks made it 134
 
 
 class TestQsdcCommand:
+    @pytest.mark.parametrize("lines", [1, 0])
+    @pytest.mark.parametrize(
+        "extra", [[], ["--eve", "intercept_resend"]], ids=["clean", "aborted"])
+    def test_reader_closing_the_pipe_ends_quietly(self, extra, lines):
+        # 20 000 pairs' report, about 3.5 MB (aborted: 1.6 MB), is far more than a
+        # pipe holds.  A session that aborts, exit code 2 in full, exits 0 too.
+        argv = ["qsdc", "--pairs", "20000", "--sample-fraction", "0.5", "--message", "01",
+                "--seed", "1", *extra]
+        close_pipe_early(argv, b"{\n", lines)
+
+    def test_peak_memory_per_pair(self, tmp_path):
+        # The report goes out a chunk at a time, so the peak is analyze_pairs'
+        # branch weights beside the session's pair arrays.
+        pairs = 20_000
+        argv = ["qsdc", "--pairs", str(pairs), "--message", "01" * (pairs * 9 // 20),
+                "--seed", "1", "--out", str(tmp_path / "session.json")]
+        assert cli.main(argv) == 0  # the first call's imports and caches are not counted
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / pairs < 450  # 397 measured; one (m, 64) contraction made it 1 583
+
     def test_plain_message_round_trip(self, capsys):
         code, out, _ = run_cli(["qsdc", "--message", "1001", "--seed", "5"], capsys)
         assert code == 0

@@ -13,7 +13,9 @@ bit, what one ``analyze`` call per trial on the command's generator gives.
 
 The qsdc report writer must give the text of ``json.dumps(payload,
 indent=2, sort_keys=True)``, with the session's transcript as dicts, on
-small real sessions.
+small real sessions; its record kernel must give each record's dump for
+every record kind and pair indices of every digit count; and the transcript
+must hold plain Python values.
 """
 
 import contextlib
@@ -267,6 +269,13 @@ def sessions(draw):
     )
 
 
+def report_text(config):
+    """What ``cli.format_qsdc_report`` writes for the session of ``config``."""
+    out = io.StringIO()
+    cli.format_qsdc_report(config, session_columns(config), out)
+    return out.getvalue()
+
+
 # An aborted session, and one whose message fills every phase-2 pair.
 ABORTED = QsdcConfig("01", 40, 0.5, EveModel.intercept_resend(1.0), seed=2, qber_abort_threshold=0.0)
 NO_CHECK_PAIRS = QsdcConfig("0110", 4, 0.5, seed=5)
@@ -289,11 +298,71 @@ def test_qsdc_report_text_equals_indented_dump(config):
             "transcript": report.transcript,
         },
     }
-    text = cli.format_qsdc_report(config, session_columns(config))
-    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert report_text(config) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def test_report_examples_abort_and_fill_phase_2():
     assert run_session(ABORTED).aborted
     summary = run_session(NO_CHECK_PAIRS).transcript[-1]
     assert summary["event"] == "phase2_summary" and summary["check_pairs"] == 0
+
+
+# Pair indices with every digit count from one to six, MAX_PAIR_COUNT - 1 the largest.
+PAIR_INDICES = [0, 9, 10, 100, 999, 1000, 9999, 99_999, 100_000, 999_999]
+
+
+def indented_record(record):
+    # A per-pair record as the report lays it out: at the transcript's depth,
+    # and followed, as every one is, by another record.
+    return "      " + json.dumps(record, indent=2, sort_keys=True).replace("\n", "\n      ") + ",\n"
+
+
+def kernel_text(table, kinds, pairs, copies):
+    # The records ``copies`` times over, so that they span several chunks.
+    out = io.StringIO()
+    cli._emit_records(table, np.array(kinds * copies), np.array(pairs * copies), out)
+    return out.getvalue()
+
+
+def test_phase1_kernel_equals_the_dump_of_every_kind():
+    kinds, pairs, want = [], [], []
+    for alice in (0, 1):
+        for bob in (0, 1):
+            for x_basis in (False, True):
+                for pair in PAIR_INDICES:
+                    kinds.append(4 * alice + 2 * bob + x_basis)
+                    pairs.append(pair)
+                    want.append(indented_record({
+                        "event": "phase1_sample", "pair": pair, "basis": "zx"[x_basis],
+                        "alice": alice, "bob": bob, "agree": alice == bob,
+                    }))
+    assert len(set(kinds)) == 8
+    assert kernel_text(cli._PHASE1_TABLE, kinds, pairs, 30) == "".join(want) * 30
+
+
+def test_phase2_kernel_equals_the_dump_of_every_kind():
+    bits, bell = ("00", "01", "10", "11"), ("phi+", "psi+", "phi-", "psi-")
+    kinds, pairs, want = [], [], []
+    for inferred in range(4):
+        for encoded in range(4):
+            for is_message in (False, True):
+                for pair in PAIR_INDICES:
+                    kinds.append(8 * inferred + 2 * encoded + is_message)
+                    pairs.append(pair)
+                    want.append(indented_record({
+                        "event": "phase2_pair", "pair": pair,
+                        "role": "message" if is_message else "check",
+                        "encoded": bits[encoded], "inferred": bell[inferred],
+                        "decoded": bits[inferred], "match": inferred == encoded,
+                    }))
+    assert len(set(kinds)) == 32
+    assert kernel_text(cli._PHASE2_TABLE, kinds, pairs, 8) == "".join(want) * 8
+
+
+@settings(max_examples=30, deadline=None)
+@given(config=sessions())
+@example(config=ABORTED)
+@example(config=NO_CHECK_PAIRS)
+def test_transcript_holds_plain_python_values(config):
+    for record in run_session(config).transcript:
+        assert all(type(v) in (int, bool, str, float) for v in record.values()), record

@@ -382,6 +382,30 @@ class TestAnalyzePairs:
         (got,) = analyze_pairs(amps.reshape(1, 2, 2), np.array([uniforms]))
         assert BellState(CODE_BELL[got]) is want
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([1, 255, 256, 257, 1000]),
+        rows=st.lists(
+            st.tuples(pair_states(), st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                              min_size=3, max_size=3)),
+            min_size=1, max_size=6,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_row_does_not_depend_on_its_block(self, n, rows, seed):
+        # analyze_pairs contracts its rows in blocks; each row's code must be
+        # the one it gets alone, wherever it falls: the drawn rows go to
+        # random places, the last row among them, over random pair states.
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        psi /= np.linalg.norm(psi.reshape(n, 4), axis=1)[:, None, None]
+        uniforms = rng.random((n, 3))
+        places = np.append(rng.permutation(n - 1)[: len(rows) - 1], n - 1)
+        for place, (amps, u) in zip(places, rows):
+            psi[place], uniforms[place] = amps.reshape(2, 2), u
+        alone = [analyze_pairs(psi[i : i + 1], uniforms[i : i + 1])[0] for i in range(n)]
+        assert analyze_pairs(psi, uniforms).tolist() == alone
+
 
 class TestConfigValidation:
     def test_sample_count_rounding(self):
