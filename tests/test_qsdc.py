@@ -13,6 +13,7 @@ from spatialbsa.qsdc import (
     EveModel,
     QsdcConfig,
     SessionReport,
+    _MEASURE_ROWS,
     _draw_trips,
     apply_channel,
     bell_pairs,
@@ -22,7 +23,9 @@ from spatialbsa.qsdc import (
     run_session,
     transcript_jsonl,
 )
-from spatialbsa.register import BellState, Kind, QuantumRegister, Subsystem, make_bell
+from spatialbsa.register import (
+    BellState, Kind, QuantumRegister, Subsystem, ZeroNormError, make_bell,
+)
 
 
 def travel_photon_rows(amps):
@@ -113,6 +116,41 @@ class TestPairArray:
         got = measure_photon(psi, photon, np.array([basis == "x"]), np.array([u]))
         assert got.tolist() == [want]
         assert np.allclose(psi[0].reshape(4), reg.amplitudes, rtol=0.0, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.sampled_from([1, _MEASURE_ROWS - 1, _MEASURE_ROWS, _MEASURE_ROWS + 1,
+                           2 * _MEASURE_ROWS + 1]),
+        rows=st.lists(pair_states(), min_size=1, max_size=6),
+        photon=st.sampled_from(["a", "b"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_row_does_not_depend_on_its_block(self, n, rows, photon, seed):
+        # measure_photon collapses its rows in blocks; each row's outcome and
+        # amplitudes must be, bit for bit, the ones it gets alone, wherever it
+        # falls: the drawn rows go to random places, the last row among them,
+        # over random complex rows in mixed bases.
+        rng = np.random.default_rng(seed)
+        psi = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
+        places = np.append(rng.permutation(n - 1)[: len(rows) - 1], n - 1)
+        for place, amps in zip(places, rows):
+            psi[place] = amps.reshape(2, 2)
+        x_basis, u = rng.random(n) < 0.5, rng.random(n)
+        alone = psi.copy()
+        want = [measure_photon(alone[i : i + 1], photon, x_basis[i : i + 1], u[i : i + 1])[0]
+                for i in range(n)]
+        assert measure_photon(psi, photon, x_basis, u).tolist() == want
+        assert np.array_equal(psi.view(np.uint64), alone.view(np.uint64))
+
+    @pytest.mark.parametrize("photon", ["a", "b"])
+    @pytest.mark.parametrize("row", [0, 3, _MEASURE_ROWS + 1])
+    def test_a_zero_norm_row_raises(self, photon, row):
+        # Such a row has no outcome probabilities; the first one is named.
+        psi = bell_pairs(_MEASURE_ROWS + 4)
+        psi[row] = psi[-1] = 0.0
+        x_basis, u = np.arange(len(psi)) % 2 == 0, np.full(len(psi), 0.5)
+        with pytest.raises(ZeroNormError, match=f"^row {row} has zero norm"):
+            measure_photon(psi, photon, x_basis, u)
 
 
 def scalar_trip(rng, eve, tail=0):
