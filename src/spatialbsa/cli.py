@@ -45,18 +45,22 @@ from .register import BellState, ZeroNormError
 OUT_DIR_ENV = "SPATIALBSA_OUT_DIR"
 
 CSV_HEADER = "g_over_ktot,ks_over_k,abs_r0,abs_rh,F1,eta1,F2,eta2"
-# Sweep rows and qsdc records are formatted and written in chunks of this many, whose
-# temporaries (a few hundred KB) reuse heap pages already faulted in: in a fresh
-# interpreter a 30 000-row sweep's writer takes about 150 minor faults, against 5 300 at
-# 2048 rows and 11 000 at 8192, each about 3.5 us on a 2-core VM, and the 8 000-pair
-# qsdc_clean report 1, against 169 at 2048 and 1 135 at 4096.  At 512 rows the sweep's
-# per-chunk work costs more.
-_CHUNK_ROWS = 1024
+# The sweep CSV is formatted this many rows at a time, into buffers made once per call,
+# and goes out a quarter chunk at a time.  So each temporary of a chunk, and each piece of
+# text, stays far below 128 KiB, the size from which glibc's malloc may map a block afresh
+# or trim freed heap, and no chunk faults in new pages whatever the allocator's thresholds.
+# Larger chunks save little per value.
+_CHUNK_ROWS = 512
+# qsdc records are formatted and written this many at a time, whose temporaries (a few
+# hundred KB) reuse heap pages already faulted in: in a fresh interpreter the 8 000-pair
+# qsdc_clean report takes 1 minor fault, against 169 at 2048 and 1 135 at 4096.
+_RECORD_ROWS = 1024
 
 # The largest sweep grid in rows (steps x ks values).  tracemalloc puts the sweep command
 # at about 121 bytes per row (20 000 and 40 000 steps x 3 ks): sweep_points' 64-byte
-# records beside one ks block's quality_at, about 152 bytes a step; the CSV text goes
-# out a chunk at a time.  So ~0.25 GB.
+# records beside one ks block's quality_at, about 152 bytes a step, which writes its
+# columns into those records; the CSV writer's buffers do not grow with the grid.
+# So ~0.25 GB.
 MAX_SWEEP_ROWS = 2_000_000
 
 # The most bsa trials.  tracemalloc puts the command at about 66 bytes per trial
@@ -167,7 +171,7 @@ def sweep_points(spec: SweepSpec) -> np.recarray:
         params = operating_point(float(g_over_ktot[0]), ks, spec.gamma, spec.detuning)
         with np.errstate(over="ignore"):
             g = g_over_ktot * (1.0 + ks)  # as operating_point scales each row
-        points[start : start + spec.steps] = quality_at(params, g)
+        quality_at(params, g, out=points[start : start + spec.steps])
         if not np.isfinite(g).all():
             raise ValueError("g must be finite")
     return points
@@ -189,23 +193,32 @@ def format_sweep_csv(points: np.recarray, spec: SweepSpec, seed: int, out: TextI
         f"# seed={seed}",
         CSV_HEADER,
     ])
-    # A block's ks_over_k and abs_r0 are formatted once, and spliced in after
-    # g_over_ktot; ``_g17`` formats the other floats a chunk of rows at a time.
     g, ks, r0, *rest = CSV_HEADER.split(",")
     for name in (ks, r0):  # by bits, since -0.0 and 0.0 print apart
         bits = np.asarray(points[name], dtype=float).view(np.uint64)
         if (bits != bits[:: spec.steps].repeat(spec.steps)[: len(bits)]).any():
             raise ValueError(f"{name} must hold one value in each block of {spec.steps} rows")
     _emit(head + "\n", out)
+    # A row is eight 25-byte cells, a column's NUL-padded text and then its comma
+    # or newline.  A block writes its ks_over_k and abs_r0 cells once, and each
+    # chunk of its rows the other six, into these buffers made once per call.
+    line = np.zeros((_CHUNK_ROWS, 8, 25), np.uint8)
+    line[:, :, 24] = np.frombuffer(b",,,,,,,\n", np.uint8)
+    cells = (8 * np.arange(_CHUNK_ROWS)[:, None] + [0, 3, 4, 5, 6, 7]).ravel()
+    values = np.empty((_CHUNK_ROWS, 6))
+    work = _g17_work(values.size)
     for start in range(0, len(points), spec.steps):
         block = points[start : start + spec.steps]
-        shared = np.frombuffer(b"%.17g,%.17g," % (block[ks][0], block[r0][0]), np.uint8)
+        line[:, 1:3, :24] = _g17(np.array([block[ks][0], block[r0][0]]))[:, :24]
+        columns = [block[name] for name in (g, *rest)]
         for i in range(0, len(block), _CHUNK_ROWS):
-            rows = block[i : i + _CHUNK_ROWS]
-            line = _g17(np.ravel([rows[n] for n in (g, *rest)], "F")).reshape(len(rows), -1)
-            line[:, 24::25] = np.frombuffer(b",,,,,\n", np.uint8)
-            line = np.hstack([line[:, :25], np.tile(shared, (len(rows), 1)), line[:, 25:]])
-            _emit(line[line != 0].tobytes().decode("ascii"), out)
+            n = min(_CHUNK_ROWS, len(block) - i)
+            for j, column in enumerate(columns):
+                values[:n, j] = column[i : i + n]
+            _g17(values[:n].reshape(-1), line.reshape(-1, 25), cells, work)
+            for k in range(0, n, _CHUNK_ROWS // 4):
+                piece = line[k : min(n, k + _CHUNK_ROWS // 4)].tobytes()
+                _emit(piece.translate(None, b"\0").decode("ascii"), out)
 
 
 # 10**j for j = -4 ... 20 as the nearest doubles (exact from j = 0, and above
@@ -219,11 +232,17 @@ _DIGITS = np.concatenate(
 _DIGITS = _DIGITS.view(np.uint32).ravel()
 
 
-def _g17(x: np.ndarray) -> np.ndarray:
-    """``'%.17g' % v`` for each float64 v of x, as NUL-padded 25-byte rows
-    (one byte free after the text).  Python formats v outside [1e-4, 1e16);
-    the rest are laid out by slices, one decimal exponent at a time.
+def _g17(x: np.ndarray, out: np.ndarray | None = None, at: np.ndarray | None = None,
+         work: tuple | None = None) -> np.ndarray:
+    """``'%.17g' % v`` for each float64 v of x, as NUL-padded 25-byte rows (one
+    byte free after the text) in the order of x, or in the first 24 bytes of row
+    ``at[i]`` of ``out`` for x[i].  ``work`` is an (n, 5) uint32 and an (n, 24)
+    uint8 buffer, n >= len(x), made anew if None.  Python formats v outside
+    [1e-4, 1e16); the rest are laid out by slices, one decimal exponent at a time.
     """
+    if out is None:
+        out, at = np.zeros((len(x), 25), np.uint8), np.arange(len(x))
+    groups, text = (buffer[: len(x)] for buffer in work or _g17_work(len(x)))
     fast = (x >= 1e-4) & (x < 1e16)
     a = np.where(fast, x, 1.0)
     e = np.searchsorted(_POW10, a, side="right") - 5  # exact, by the table's rounding
@@ -235,33 +254,41 @@ def _g17(x: np.ndarray) -> np.ndarray:
     a_lo, b_lo, p = a - a_hi, b - b_hi, a * b
     err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
     digits = p.astype(np.int64) + np.rint(err).astype(np.int64)
-    del a, b, b_hi, a_hi, a_lo, b_lo, p, err  # freed before the text arrays are made
+    del a, b, b_hi, a_hi, a_lo, b_lo, p, err  # freed before the digit groups are made
     e = np.where(fast, e, 16)
     order = np.argsort(e.astype(np.int8), kind="stable")
     e, digits = e.take(order), digits.take(order)
     # Four-digit groups, last first; a group with only zeros after it is
     # looked up with its trailing zeros as NUL.
-    groups, zeros_after = np.empty((5, len(x)), np.uint32), True
+    zeros_after = True
     for k in range(4, -1, -1):
         q = digits // 10_000
         group = digits - q * 10_000 + zeros_after * 10_000
-        groups[k], zeros_after, digits = _DIGITS.take(group), zeros_after & (group == 10_000), q
-    digits = np.ascontiguousarray(groups.T).view(np.uint8)[:, 3:]
-    text = np.zeros((len(x), 25), np.uint8)
-    ends = np.cumsum(np.bincount(e + 4, minlength=21)).tolist()
-    for exp, rows in zip(range(-4, 17), map(slice, [0, *ends], ends)):
+        _DIGITS.take(group, out=groups[:, k], mode="wrap")
+        zeros_after, digits = zeros_after & (group == 10_000), q
+    digits = groups.view(np.uint8)[:, 3:]
+    text[:] = 0  # it may hold an earlier call's longer texts
+    starts = np.searchsorted(e, np.arange(-4, 18)).tolist()  # e's rows by exponent
+    for exp, rows in zip(range(-4, 17), map(slice, starts, starts[1:])):
+        if rows.start == rows.stop:  # no such exponent in x
+            continue
         if exp < 0:  # "0.", zeros, then the digits
             text[rows, : 1 - exp] = np.frombuffer(b"0.000", np.uint8)[: 1 - exp]
             text[rows, 1 - exp : 18 - exp] = digits[rows]
         elif exp < 16:  # the integer digits, then a point if a fraction follows
-            text[rows, : exp + 1] = digits[rows, : exp + 1] | 48  # "0" for NUL
-            text[rows, exp + 1] = (digits[rows, exp + 1] != 0) * 46
+            np.bitwise_or(digits[rows, : exp + 1], 48, out=text[rows, : exp + 1])  # "0" for NUL
+            np.minimum(digits[rows, exp + 1], 46, out=text[rows, exp + 1])  # "." or NUL
             text[rows, exp + 2 : 18] = digits[rows, exp + 1 :]
         else:
             slow = [b"%.17g" % v for v in x.take(order[rows]).tolist()]
-            text[rows, :24] = np.array(slow, "S24").view(np.uint8).reshape(-1, 24)
-    text.view("V25")[order] = text.view("V25").copy()  # back in the order of x
-    return text
+            text[rows] = np.array(slow, "S24").view(np.uint8).reshape(-1, 24)
+    out[:, :24].view("V24")[at.take(order)] = text.view("V24")
+    return out
+
+
+def _g17_work(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # _g17's digit groups and text for up to n values.
+    return np.empty((n, 5), np.uint32), np.empty((n, 24), np.uint8)
 
 
 def _seed(args) -> int:
@@ -479,9 +506,9 @@ def _emit_records(table: tuple[np.ndarray, int], kinds: np.ndarray, pairs: np.nd
     # Each chunk's rows come from the table, take their pair digits in the
     # slot and lose every NUL in one compaction.
     rows, slot = table
-    for i in range(0, len(kinds), _CHUNK_ROWS):
-        text = rows.take(kinds[i : i + _CHUNK_ROWS], axis=0)
-        pair = pairs[i : i + _CHUNK_ROWS, None]
+    for i in range(0, len(kinds), _RECORD_ROWS):
+        text = rows.take(kinds[i : i + _RECORD_ROWS], axis=0)
+        pair = pairs[i : i + _RECORD_ROWS, None]
         text[:, slot : slot + 6] = (pair // _PLACES % 10 + 48) * (pair >= _SHOWN_FROM)
         _emit(text[text != 0].tobytes().decode("ascii"), out)
 

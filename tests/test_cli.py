@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 from conftest import parse_sweep_csv
 from spatialbsa import cli
-from spatialbsa.bsa import quality
+from spatialbsa.bsa import QUALITY_FIELDS, quality
 from spatialbsa.cavity import operating_point
 from spatialbsa.qsdc import ChannelModel, EveModel, QsdcConfig
 
@@ -306,6 +307,27 @@ class TestSweepCommand:
         # 20 000 steps' CSV, about 9 MB, is far more than a pipe holds.
         close_pipe_early(["sweep", "--steps", str(steps), "--seed", "1"],
                          b"# spatial-mode analyzer quality sweep\n", lines)
+
+    @pytest.mark.parametrize(
+        "steps", [cli._CHUNK_ROWS - 1, cli._CHUNK_ROWS + 1, 2 * cli._CHUNK_ROWS + 3])
+    def test_no_bytes_of_an_earlier_chunk_are_left(self, steps):
+        # The writer reuses its buffers.  Block 0 opens with a chunk of long texts
+        # (17 digits at exponent -4, and a long abs_r0); every later row is short
+        # ("1", "0.5"), and block 1 also takes _g17's slow path (1e16 and up).
+        points = np.recarray(2 * steps, [(name, float) for name in QUALITY_FIELDS])
+        rows = np.arange(2 * steps)
+        short = np.where(rows % 2 == 0, 1.0, 0.5)
+        long = 1e-4 + np.random.default_rng(steps).random(2 * steps) * 9e-4
+        for name in QUALITY_FIELDS:
+            points[name] = np.where(rows < min(steps, cli._CHUNK_ROWS), long, short)
+        points["ks_over_k"] = np.repeat([0.0, 0.7], steps)
+        points["abs_r0"] = np.repeat([0.98765432109876543, 0.5], steps)
+        points["F2"][[steps, 2 * steps - 1]] = [1e16, 2.5e300]
+        out = io.StringIO()
+        cli.format_sweep_csv(points, cli.SweepSpec(0.1, 3.0, steps, (0.0, 0.7)), 1, out)
+        lines = out.getvalue().splitlines()[5:]
+        assert lines == [",".join("%.17g" % v for v in row) for row in points.tolist()]
+        assert len(lines[0]) > len(lines[-1]) + 80
 
     def test_peak_memory_per_row(self, tmp_path):
         # The text goes out a chunk at a time, so the peak is sweep_points'
