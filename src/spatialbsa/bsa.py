@@ -29,6 +29,7 @@ contraction with these maps, cached per Bell-state label; a run then draws
 three uniforms, for the readout photon, photon a and photon b in that order.
 ``analyze_pairs`` runs the ideal analyzer on every row of a pair array at
 once: one contraction with the same maps, and the same three-uniform pick.
+A Bell-state label's distribution is that contraction on the label's row.
 
 The module also scores the analyzer against realistic cavity amplitudes:
 fidelity and efficiency of the two measurement rounds as functions of the
@@ -48,6 +49,7 @@ import numpy as np
 
 from .cavity import CavityParams, check_number, hot_reflection, reflection, scatter_factors
 from .register import (
+    _BELL_AMPLITUDES,
     HADAMARD,
     BellState,
     Kind,
@@ -57,7 +59,6 @@ from .register import (
     ZeroNormError,
     _pick,
     basis_vectors,
-    make_bell,
 )
 
 SPIN_NAME = "spin"
@@ -284,7 +285,8 @@ def _distribution(reg: QuantumRegister, maps: np.ndarray) -> OutcomeDistribution
 
 @functools.lru_cache(maxsize=256)
 def _label_distribution(label: BellState, params: CavityParams | None) -> OutcomeDistribution:
-    return _distribution(make_bell(label, with_polarization="R"), _branch_maps(params))
+    joint = _pair_joint(_BELL_AMPLITUDES[label].reshape(1, 2, 2), params)  # |R> photons
+    return OutcomeDistribution(joint.reshape(2, 2, 2))
 
 
 def outcome_distribution(
@@ -341,12 +343,28 @@ def classify(spin_changed: bool, detectors: DetectorPair) -> BellState:
     return BellState(CODE_BELL[2 * (j ^ l) + spin_changed])
 
 
-# analyze_pairs contracts this many rows at a time, so the temporaries, about
+# _pair_joint contracts this many rows at a time, so the temporaries, about
 # 256 KB, reuse heap pages already faulted in.  In a fresh interpreter the
 # 4 000-row contraction of the 8 000-pair qsdc_clean session took 2, 34, 111,
 # 1 275, 675 and 1 560 minor faults in blocks of 64, 128, 256, 512, 1 024 and
 # 2 048 rows (about 3.5 us each on a 2-core VM); 64 rows took the most time.
 _BLOCK_ROWS = 256
+
+
+def _pair_joint(psi: np.ndarray, params: CavityParams | None = None) -> np.ndarray:
+    """The joint outcome distribution, shape (n, 8), of each row of ``psi``,
+    read as ``analyze_pairs`` reads it, at the operating point ``params``."""
+    n = len(psi)
+    branch = _branch_maps(params)[..., 0, 0].reshape(8, 8, 4)
+    # No block has one row: numpy multiplies a lone row by its vector
+    # routine, which rounds apart from the matrix product, so a row's
+    # figures would depend on its block.
+    cols = psi.reshape(n, 4) if n != 1 else psi.reshape(1, 4).repeat(2, axis=0)
+    joint = np.empty((len(cols), 8))
+    for start in range(0, len(cols), _BLOCK_ROWS):
+        rows = slice(min(start, len(cols) - 2), start + _BLOCK_ROWS)
+        joint[rows] = _joint(branch, cols[rows].T)
+    return joint[:n]
 
 
 def analyze_pairs(psi: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -360,17 +378,8 @@ def analyze_pairs(psi: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     code depends on that row and its draws alone.
     """
     n = len(psi)
-    branch = _branch_maps(None)[..., 0, 0].reshape(8, 8, 4)
-    # No block has one row: numpy multiplies a lone row by its vector
-    # routine, which rounds apart from the matrix product, so a row's
-    # figures would depend on its block.
-    cols = psi.reshape(n, 4) if n != 1 else psi.reshape(1, 4).repeat(2, axis=0)
-    joint = np.empty((len(cols), 8))
-    for start in range(0, len(cols), _BLOCK_ROWS):
-        rows = slice(min(start, len(cols) - 2), start + _BLOCK_ROWS)
-        joint[rows] = _joint(branch, cols[rows].T)
     k, j, l = _pick_branch(
-        _branch_weights(joint[:n].reshape(n, 2, 2, 2)).ravel(),
+        _branch_weights(_pair_joint(psi).reshape(n, 2, 2, 2)).ravel(),
         uniforms[:, 0],
         uniforms[:, 1],
         uniforms[:, 2],

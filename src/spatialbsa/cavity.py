@@ -24,8 +24,9 @@ IDEAL_COLD = complex(np.exp(-0.5j * np.pi))
 IDEAL_HOT = 1.0 + 0.0j
 
 
-def check_number(name: str, value, whole: bool = False) -> None:
-    """Raise a ValueError naming ``name`` unless ``value`` is a real number.
+def check_number(name: str, value, whole: bool = False):
+    """Return ``value`` as a Python int or float, or raise a ValueError naming
+    ``name`` unless it is a real number.
 
     Python's and numpy's ints and floats pass, but a bool does not, nor a
     Python int too large for a float; with ``whole`` only the ints pass, of
@@ -39,6 +40,9 @@ def check_number(name: str, value, whole: bool = False) -> None:
             float(value)
         except OverflowError:
             raise ValueError(f"{name} must be a number within float range") from None
+    if isinstance(value, np.integer):
+        return int(value)
+    return float(value) if isinstance(value, np.floating) else value
 
 
 @dataclass(frozen=True)

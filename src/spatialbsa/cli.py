@@ -32,7 +32,8 @@ from .bsa import (
 )
 from .cavity import check_number, operating_point
 from .qsdc import (
-    CODE_BITS,
+    PHASE1_RECORDS,
+    PHASE2_RECORDS,
     ChannelModel,
     EveModel,
     QsdcConfig,
@@ -445,60 +446,33 @@ def build_qsdc_config(args) -> QsdcConfig:
     return QsdcConfig(**top, eve_model=eve_model, channel_model=channel_model)
 
 
-# One %-template per transcript record, laid out as ``json.dumps(payload,
-# indent=2, sort_keys=True)`` lays out a record of the transcript (keys sorted,
-# every string from a fixed alphabet that JSON needs no escapes for) and
-# followed by the ",\n" that a summary record always comes after.  "@" marks
-# the pair index.
-_PHASE1_SAMPLE = """      {
-        "agree": %s,
-        "alice": %d,
-        "basis": "%s",
-        "bob": %d,
-        "event": "phase1_sample",
-        "pair": @
-      },
-"""
-_PHASE2_PAIR = """      {
-        "decoded": "%s",
-        "encoded": "%s",
-        "event": "phase2_pair",
-        "inferred": "%s",
-        "match": %s,
-        "pair": @,
-        "role": "%s"
-      },
-"""
-_JSON_BOOL = ("false", "true")
 # A pair index's six digits, by place, and the least index that shows each:
 # the units digit always shows, and leading zeros become NUL.
 _PLACES = np.array([100_000, 10_000, 1_000, 100, 10, 1])
 _SHOWN_FROM = np.array([100_000, 10_000, 1_000, 100, 10, 0])
 
 
-def _record_table(texts: list) -> tuple[np.ndarray, int]:
-    """One NUL-padded uint8 row per record kind, from its text: the text
-    before "@" ends at column ``slot``, the text after it starts six bytes
-    later, so the pair index's digits fill ``[slot, slot + 6)``."""
-    parts = [text.encode().split(b"@") for text in texts]
+def _record_json(record: dict) -> str:
+    # A transcript record at the transcript's depth.
+    return "      " + json.dumps(record, indent=2, sort_keys=True).replace("\n", "\n      ")
+
+
+def _record_table(records: tuple) -> tuple[np.ndarray, int]:
+    """One NUL-padded uint8 row per record kind: its record with the string
+    "@" as the pair index, laid out by ``_record_json`` and followed by the
+    ",\n" of a record that its phase's summary comes after.  The text before
+    "@" ends at column ``slot``, the text after it starts six bytes later, so
+    the pair index's digits fill ``[slot, slot + 6)``."""
+    parts = [(_record_json({**record, "pair": "@"}) + ",\n").encode().split(b'"@"')
+             for record in records]
     slot, after = (max(len(part[i]) for part in parts) for i in (0, 1))
     rows = b"".join(
         head.rjust(slot, b"\0") + bytes(6) + tail.ljust(after, b"\0") for head, tail in parts)
-    return np.frombuffer(rows, np.uint8).reshape(len(texts), -1), slot
+    return np.frombuffer(rows, np.uint8).reshape(len(records), -1), slot
 
 
-# A phase1_sample record's kind is 4*alice + 2*bob + x_basis, and a
-# phase2_pair record's 8*inferred + 2*encoded + is_message; with the pair
-# index, the kind fixes the record's text.
-_PHASE1_TABLE = _record_table([
-    _PHASE1_SAMPLE % (_JSON_BOOL[a == b], a, "zx"[x], b)
-    for a in (0, 1) for b in (0, 1) for x in (0, 1)
-])
-_PHASE2_TABLE = _record_table([
-    _PHASE2_PAIR % (CODE_BITS[i], CODE_BITS[c], CODE_BELL[i], _JSON_BOOL[i == c],
-                    ("check", "message")[m])
-    for i in range(4) for c in range(4) for m in (0, 1)
-])
+_PHASE1_TABLE = _record_table(PHASE1_RECORDS)
+_PHASE2_TABLE = _record_table(PHASE2_RECORDS)
 
 
 def _emit_records(table: tuple[np.ndarray, int], kinds: np.ndarray, pairs: np.ndarray,
@@ -513,11 +487,6 @@ def _emit_records(table: tuple[np.ndarray, int], kinds: np.ndarray, pairs: np.nd
         _emit(text[text != 0].tobytes().decode("ascii"), out)
 
 
-def _summary_json(record: dict) -> str:
-    # A summary record at the transcript's depth.
-    return "      " + json.dumps(record, indent=2, sort_keys=True).replace("\n", "\n      ")
-
-
 def format_qsdc_report(config: QsdcConfig, session: SessionColumns, out: TextIO) -> None:
     """Write the qsdc report to out: ``json.dumps(payload, indent=2,
     sort_keys=True)`` plus a newline, for the payload of the config and the
@@ -529,30 +498,16 @@ def format_qsdc_report(config: QsdcConfig, session: SessionColumns, out: TextIO)
     per-pair records go out a chunk at a time, made from a table of each
     record kind's bytes.
     """
-    payload = {
-        "command": "qsdc",
-        "config": asdict(config),
-        "report": {
-            "phase1_qber": session.phase1_summary["qber"],
-            "aborted": session.aborted,
-            "decoded_bits": session.decoded_bits,
-            "phase2_sample_error_rate": session.phase2_sample_error_rate,
-            "transcript": [],
-        },
-    }
+    payload = {"command": "qsdc", "config": asdict(config), "report": asdict(session.report([]))}
     head, _, tail = json.dumps(payload, indent=2, sort_keys=True).rpartition("[]")
-    _emit(head + "[\n", out)
-    p1 = session.phase1
-    kinds = 4 * p1["alice"] + 2 * p1["bob"] + p1["x_basis"]
-    _emit_records(_PHASE1_TABLE, kinds, p1["pair"], out)
-    summary = _summary_json(session.phase1_summary)
-    if not session.aborted:
-        _emit(summary + ",\n", out)
-        p2 = session.phase2
-        kinds = 8 * p2["inferred"] + 2 * p2["codes"] + p2["is_message"]
-        _emit_records(_PHASE2_TABLE, kinds, p2["pair"], out)
-        summary = _summary_json(session.phase2_summary)
-    _emit(summary + "\n    ]" + tail + "\n", out)
+    # A phase's records follow the head or the last phase's summary and its
+    # comma; the transcript's end follows the last summary, without one.
+    before = head + "["
+    for table, (pairs, kinds, summary) in zip((_PHASE1_TABLE, _PHASE2_TABLE), session.phases):
+        _emit(before + "\n", out)
+        _emit_records(table, kinds, pairs, out)
+        before = _record_json(summary) + ","
+    _emit(before[:-1] + "\n    ]" + tail + "\n", out)
 
 
 def cmd_qsdc(args) -> int:

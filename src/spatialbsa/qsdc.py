@@ -53,15 +53,30 @@ from .register import HADAMARD, SQRT_HALF, ZeroNormError, _pick
 # whole qsdc command, whose report goes out a chunk at a time, at the same
 # 400 (300 for both at a fraction of 0.5).  measure_photon works a block at a
 # time and adds nothing to those peaks; a command that aborts under Eve at a
-# fraction of 0.8 peaks at 204-214.  The record columns keep 25-45 bytes per
-# pair, and run_session's dict transcript about 310.  So this bound holds a
-# command near 0.4 GB.
+# fraction of 0.8 peaks at about 215.  The record columns, a pair index and a
+# kind per record, keep 17 bytes per pair, and run_session's dict transcript
+# about 310.  So this bound holds a command near 0.4 GB.
 MAX_PAIR_COUNT = 1_000_000
 
 # The dense-coding alphabet in code order: code c = 2*b0 + b1 carries the
 # bits CODE_BITS[c] and turns phi+ into CODE_BELL[c].  b1 is the swap, which
 # makes the parity odd, and b0 the phase, which makes the sign minus.
 CODE_BITS = ("00", "01", "10", "11")
+
+# Each per-pair record's fields but its pair index, by kind: 4*alice + 2*bob +
+# x_basis for a phase1_sample record, 8*inferred + 2*encoded + is_message for a
+# phase2_pair record.  With its pair index filled in, a kind's entry is the
+# whole record; "pair" sits here to keep its place among the keys.
+PHASE1_RECORDS = tuple(
+    {"event": "phase1_sample", "pair": None, "basis": "zx"[x], "alice": a, "bob": b,
+     "agree": a == b}
+    for a in (0, 1) for b in (0, 1) for x in (0, 1)
+)
+PHASE2_RECORDS = tuple(
+    {"event": "phase2_pair", "pair": None, "role": ("check", "message")[m],
+     "encoded": CODE_BITS[c], "inferred": CODE_BELL[i], "decoded": CODE_BITS[i], "match": i == c}
+    for i in range(4) for c in range(4) for m in (0, 1)
+)
 
 
 @dataclass(frozen=True)
@@ -74,7 +89,7 @@ class EveModel:
     def __post_init__(self):
         if self.kind not in ("none", "intercept_resend"):
             raise ValueError(f"unknown eve model {self.kind!r}")
-        check_number("eve fraction", self.fraction)
+        object.__setattr__(self, "fraction", check_number("eve fraction", self.fraction))
         if not (0.0 <= self.fraction <= 1.0):
             raise ValueError("eve fraction must lie in [0, 1]")
         if self.kind == "none" and self.fraction != 0.0:
@@ -102,8 +117,8 @@ class ChannelModel:
 
     def __post_init__(self):
         for label in ("mode_flip_prob", "phase_flip_prob"):
-            p = getattr(self, label)
-            check_number(label, p)
+            p = check_number(label, getattr(self, label))
+            object.__setattr__(self, label, p)
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"{label} must lie in [0, 1]")
 
@@ -127,7 +142,8 @@ class QsdcConfig:
         if len(self.message_bits) % 2 != 0:
             raise ValueError("message_bits must have even length (2 bits per pair)")
         for name in ("pair_count", "sample_fraction", "seed", "qber_abort_threshold"):
-            check_number(name, getattr(self, name), whole=name in ("pair_count", "seed"))
+            value = check_number(name, getattr(self, name), whole=name in ("pair_count", "seed"))
+            object.__setattr__(self, name, value)
         if not 1 <= self.pair_count <= MAX_PAIR_COUNT:
             raise ValueError(f"pair_count must lie between 1 and {MAX_PAIR_COUNT}")
         if not (0.0 < self.sample_fraction < 1.0):
@@ -380,48 +396,37 @@ def _transit(psi: np.ndarray, config: QsdcConfig, trips: np.ndarray) -> None:
 class SessionColumns(NamedTuple):
     """One session's records as columns of numpy arrays, the form the session produces.
 
-    ``phase1`` holds, in sampled-pair order, the arrays ``pair``, ``x_basis``
-    (bool), ``alice`` and ``bob`` (outcomes 0 or 1), from which each
-    phase1_sample record follows; ``phase2`` holds, in pair order, ``pair``,
-    ``is_message`` (bool), ``codes`` (encoded) and ``inferred``, from which
-    each phase2_pair record follows.  The two summaries are whole records.
-    An aborted session has no phase 2: ``phase2`` is empty and its summary None.
+    ``phases`` holds phase 1 and, unless the session aborted, phase 2, each
+    as ``(pair, kind, summary)``: the pair index and kind of each per-pair
+    record in session order, whose record is the kind's entry of
+    ``PHASE1_RECORDS`` or ``PHASE2_RECORDS``, then the phase's summary record.
     """
 
-    phase1: dict
-    phase1_summary: dict
-    phase2: dict
-    phase2_summary: dict | None
+    phases: tuple
     decoded_bits: str
 
     @property
     def aborted(self) -> bool:
-        return self.phase1_summary["aborted"]
-
-    @property
-    def phase2_sample_error_rate(self) -> float:
-        return 0.0 if self.aborted else self.phase2_summary["check_error_rate"]
+        return self.phases[0][2]["aborted"]
 
     def transcript(self) -> list:
         """The records as one dict each, in session order, of plain Python values."""
-        p1 = self.phase1
-        events = [
-            {"event": "phase1_sample", "pair": pair, "basis": "zx"[x], "alice": a, "bob": b,
-             "agree": a == b}
-            for pair, x, a, b in zip(*(p1[k].tolist() for k in ("pair", "x_basis", "alice", "bob")))
-        ]
-        events.append(self.phase1_summary)
-        if not self.aborted:
-            p2 = self.phase2
-            events += [
-                {"event": "phase2_pair", "pair": pair, "role": ("check", "message")[m],
-                 "encoded": CODE_BITS[c], "inferred": CODE_BELL[i], "decoded": CODE_BITS[i],
-                 "match": i == c}
-                for pair, m, c, i in zip(
-                    *(p2[k].tolist() for k in ("pair", "is_message", "codes", "inferred")))
-            ]
-            events.append(self.phase2_summary)
+        events = []
+        for table, (pairs, kinds, summary) in zip((PHASE1_RECORDS, PHASE2_RECORDS), self.phases):
+            events += [{**table[k], "pair": p} for p, k in zip(pairs.tolist(), kinds.tolist())]
+            events.append(summary)
         return events
+
+    def report(self, transcript: list) -> SessionReport:
+        """The session's report, carrying ``transcript`` as its transcript."""
+        check_error_rate = 0.0 if self.aborted else self.phases[1][2]["check_error_rate"]
+        return SessionReport(
+            phase1_qber=self.phases[0][2]["qber"],
+            aborted=self.aborted,
+            decoded_bits=self.decoded_bits,
+            phase2_sample_error_rate=check_error_rate,
+            transcript=transcript,
+        )
 
 
 def session_columns(config: QsdcConfig) -> SessionColumns:
@@ -453,18 +458,17 @@ def session_columns(config: QsdcConfig) -> SessionColumns:
     alice = measure_photon(checked, "a", x_basis, u[:, 1])
     bob = measure_photon(checked, "b", x_basis, u[:, 2])
     errors = int(np.count_nonzero(alice != bob))
-    phase1 = {"pair": sampled, "x_basis": x_basis, "alice": alice, "bob": bob}
     qber = errors / n_sample
     aborted = qber > config.qber_abort_threshold
-    phase1_summary = {
+    phase1 = (sampled, 4 * alice + 2 * bob + x_basis, {
         "event": "phase1_summary",
         "sampled": n_sample,
         "errors": errors,
         "qber": qber,
         "aborted": aborted,
-    }
+    })
     if aborted:
-        return SessionColumns(phase1, phase1_summary, {}, None, "")
+        return SessionColumns((phase1,), "")
 
     remaining = np.delete(np.arange(config.pair_count), sampled)
     n_message = config.message_pair_count
@@ -484,25 +488,18 @@ def session_columns(config: QsdcConfig) -> SessionColumns:
 
     check_pairs = len(remaining) - n_message
     check_errors = int(np.count_nonzero((inferred != codes) & ~is_message))
-    phase2 = {"pair": remaining, "is_message": is_message, "codes": codes, "inferred": inferred}
-    phase2_summary = {
+    phase2 = (remaining, 8 * inferred + 2 * codes + is_message, {
         "event": "phase2_summary",
         "message_pairs": n_message,
         "check_pairs": check_pairs,
         "check_errors": check_errors,
         "check_error_rate": check_errors / check_pairs if check_pairs else 0.0,
-    }
+    })
     decoded_bits = "".join(CODE_BITS[c] for c in inferred[is_message].tolist())
-    return SessionColumns(phase1, phase1_summary, phase2, phase2_summary, decoded_bits)
+    return SessionColumns((phase1, phase2), decoded_bits)
 
 
 def run_session(config: QsdcConfig) -> SessionReport:
     """Run one complete session and return its report (``session_columns``)."""
     columns = session_columns(config)
-    return SessionReport(
-        phase1_qber=columns.phase1_summary["qber"],
-        aborted=columns.aborted,
-        decoded_bits=columns.decoded_bits,
-        phase2_sample_error_rate=columns.phase2_sample_error_rate,
-        transcript=columns.transcript(),
-    )
+    return columns.report(columns.transcript())

@@ -15,7 +15,7 @@ from conftest import parse_sweep_csv
 from spatialbsa import cli
 from spatialbsa.bsa import QUALITY_FIELDS, quality
 from spatialbsa.cavity import operating_point
-from spatialbsa.qsdc import ChannelModel, EveModel, QsdcConfig
+from spatialbsa.qsdc import ChannelModel, EveModel, QsdcConfig, session_columns
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -466,6 +466,25 @@ class TestQsdcCommand:
         code, out, _ = run_cli(["qsdc", "--config", str(config)], capsys)
         assert code == 2
         assert json.loads(out)["report"]["aborted"] is True
+
+    def test_numpy_scalars_in_a_config_write_the_same_bytes(self):
+        # A config accepts numpy's ints and floats and keeps each as a Python
+        # number, which the report's encoder can write.
+        def report(number, whole):
+            config = QsdcConfig(
+                "0110", whole(40), number(0.5), EveModel.intercept_resend(number(0.25)),
+                ChannelModel(number(0.125), number(0.0)), seed=whole(3),
+                qber_abort_threshold=number(1.0),
+            )
+            assert {type(v) for v in (config.pair_count, config.seed)} == {int}
+            out = io.StringIO()
+            cli.format_qsdc_report(config, session_columns(config), out)
+            return out.getvalue()
+
+        want = report(float, int)
+        for number, whole in ((np.float32, np.int64), (np.float64, np.uint64),
+                              (np.float16, np.int32)):
+            assert report(number, whole) == want
 
     def test_auto_pair_count_is_recorded(self, capsys):
         code, out, _ = run_cli(["qsdc", "--message", "01", "--seed", "2"], capsys)

@@ -229,6 +229,39 @@ def test_label_and_register_share_one_distribution():
         assert np.allclose(from_label.joint, from_register.joint, rtol=0.0, atol=1e-15)
 
 
+def register_label_joint(label, params):
+    # A label's joint distribution computed as for any register input.
+    register = make_bell(label, with_polarization="R")
+    return bsa._distribution(register, bsa._branch_maps(params)).joint
+
+
+# Ideal, then couplings from none to strong, leakage from none to above kappa,
+# and detunings on both sides of the default 0.5.
+LABEL_GRID = [None] + [
+    operating_point(g, ks, gamma, detuning)
+    for g in (0.0, 0.25, 1.0, 2.4, 4.0)
+    for ks in (0.0, 0.3, 0.7, 1.5)
+    for gamma in (0.01, 0.1, 0.5)
+    for detuning in (0.1368, 0.5, 0.5534, 1.0)
+]
+
+
+def test_label_path_equals_register_path_on_grid():
+    # A label's distribution is one row of the pair contraction; it must
+    # equal the register path's bit for bit, as the goldens were recorded on it.
+    for params in [*golden_operating_points(), *LABEL_GRID]:
+        for label in BellState:
+            got = bsa._label_distribution.__wrapped__(label, params).joint
+            assert np.array_equal(got, register_label_joint(label, params)), (label, params)
+
+
+@settings(max_examples=100, deadline=None)
+@given(label=st.sampled_from(list(BellState)), params=operating_points)
+def test_label_path_equals_register_path(label, params):
+    got = outcome_distribution(label, params).joint
+    assert np.array_equal(got, register_label_joint(label, params))
+
+
 def test_passed_operating_point_is_used():
     # A CavityParams alone selects the lossy cavity; None is the ideal one.
     lossy = outcome_distribution(BellState.PHI_PLUS, operating_point(2.4, 0.7))
