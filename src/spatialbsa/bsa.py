@@ -115,8 +115,8 @@ class DecoherenceParams:
     t2e: float
 
     def __post_init__(self):
-        check_number("delta_t", self.delta_t)
-        check_number("t2e", self.t2e)
+        for name in ("delta_t", "t2e"):
+            object.__setattr__(self, name, check_number(name, getattr(self, name)))
         if not (self.delta_t > 0.0):
             raise ValueError("delta_t must be positive")
         if not (self.t2e > 0.0):

@@ -62,8 +62,9 @@ class CavityParams:
     delta_x: float = 0.5
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            check_number(name, value)
+        for name, value in list(vars(self).items()):
+            value = check_number(name, value)
+            object.__setattr__(self, name, value)  # a numpy scalar as its Python number
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if not (self.g >= 0.0):
@@ -96,7 +97,9 @@ def operating_point(
     the probe sits at the stated detuning from both resonances, with kappa as
     the unit rate.
     """
-    kappa_s = ks_over_k
+    # Python numbers before the product, which float32 scalars would round.
+    g_over_ktot = check_number("g_over_ktot", g_over_ktot)
+    kappa_s = check_number("ks_over_k", ks_over_k)
     return CavityParams(
         g=g_over_ktot * (1.0 + kappa_s),
         kappa=1.0,

@@ -45,17 +45,19 @@ from .register import BellState, ZeroNormError
 
 OUT_DIR_ENV = "SPATIALBSA_OUT_DIR"
 
-CSV_HEADER = "g_over_ktot,ks_over_k,abs_r0,abs_rh,F1,eta1,F2,eta2"
+CSV_HEADER = ",".join(QUALITY_FIELDS)
 # The sweep CSV is formatted this many rows at a time, into buffers made once per call,
 # and goes out a quarter chunk at a time.  So each temporary of a chunk, and each piece of
 # text, stays far below 128 KiB, the size from which glibc's malloc may map a block afresh
 # or trim freed heap, and no chunk faults in new pages whatever the allocator's thresholds.
 # Larger chunks save little per value.
 _CHUNK_ROWS = 512
-# qsdc records are formatted and written this many at a time, whose temporaries (a few
-# hundred KB) reuse heap pages already faulted in: in a fresh interpreter the 8 000-pair
-# qsdc_clean report takes 1 minor fault, against 169 at 2048 and 1 135 at 4096.
-_RECORD_ROWS = 1024
+# qsdc records are formatted and written this many at a time.  The longest record,
+# a phase-2 one with a six-digit pair index, is 201 bytes, so a chunk's text stays
+# below 52 KB, and tracemalloc puts the writer at 0.13 MB whatever the pair count.
+# In a fresh interpreter the 8 000-pair qsdc_clean report takes 26 minor faults,
+# whether or not glibc's mmap threshold is pinned at 128 KiB.
+_RECORD_ROWS = 256
 
 # The largest sweep grid in rows (steps x ks values).  tracemalloc puts the sweep command
 # at about 121 bytes per row (20 000 and 40 000 steps x 3 ks): sweep_points' 64-byte
@@ -132,11 +134,11 @@ class SweepSpec:
     detuning: float = 0.5
 
     def __post_init__(self):
-        check_number("steps", self.steps, whole=True)
+        object.__setattr__(self, "steps", check_number("steps", self.steps, whole=True))
         if self.steps < 2:
             raise ValueError("steps must be at least 2")
         for name in ("g_min", "g_max", "gamma", "detuning"):
-            check_number(name, getattr(self, name))
+            object.__setattr__(self, name, check_number(name, getattr(self, name)))
             if not math.isfinite(getattr(self, name)):
                 raise ValueError("sweep ranges must be finite")
         if not (self.g_min < self.g_max):
@@ -147,8 +149,8 @@ class SweepSpec:
             raise ValueError(f"ks_list must be a tuple or list, got {type(self.ks_list).__name__}")
         if not self.ks_list:
             raise ValueError("at least one ks_over_k value is required")
-        for ks in self.ks_list:
-            check_number("ks_over_k", ks)
+        ks_list = tuple(check_number("ks_over_k", ks) for ks in self.ks_list)
+        object.__setattr__(self, "ks_list", ks_list)
         if any(not math.isfinite(ks) or ks < 0.0 for ks in self.ks_list):
             raise ValueError("ks_over_k values must be finite and nonnegative")
         if self.steps * len(self.ks_list) > MAX_SWEEP_ROWS:
@@ -446,45 +448,29 @@ def build_qsdc_config(args) -> QsdcConfig:
     return QsdcConfig(**top, eve_model=eve_model, channel_model=channel_model)
 
 
-# A pair index's six digits, by place, and the least index that shows each:
-# the units digit always shows, and leading zeros become NUL.
-_PLACES = np.array([100_000, 10_000, 1_000, 100, 10, 1])
-_SHOWN_FROM = np.array([100_000, 10_000, 1_000, 100, 10, 0])
-
-
 def _record_json(record: dict) -> str:
     # A transcript record at the transcript's depth.
     return "      " + json.dumps(record, indent=2, sort_keys=True).replace("\n", "\n      ")
 
 
-def _record_table(records: tuple) -> tuple[np.ndarray, int]:
-    """One NUL-padded uint8 row per record kind: its record with the string
-    "@" as the pair index, laid out by ``_record_json`` and followed by the
-    ",\n" of a record that its phase's summary comes after.  The text before
-    "@" ends at column ``slot``, the text after it starts six bytes later, so
-    the pair index's digits fill ``[slot, slot + 6)``."""
-    parts = [(_record_json({**record, "pair": "@"}) + ",\n").encode().split(b'"@"')
-             for record in records]
-    slot, after = (max(len(part[i]) for part in parts) for i in (0, 1))
-    rows = b"".join(
-        head.rjust(slot, b"\0") + bytes(6) + tail.ljust(after, b"\0") for head, tail in parts)
-    return np.frombuffer(rows, np.uint8).reshape(len(records), -1), slot
+def _record_table(records: tuple) -> tuple[tuple[str, str], ...]:
+    """Each record kind's text before and after its pair index: its record with
+    the string "@" as the pair index, laid out by ``_record_json``, followed by
+    the ",\n" of a record that its phase's summary comes after, and split at the "@"."""
+    return tuple(tuple((_record_json({**record, "pair": "@"}) + ",\n").split('"@"'))
+                 for record in records)
 
 
 _PHASE1_TABLE = _record_table(PHASE1_RECORDS)
 _PHASE2_TABLE = _record_table(PHASE2_RECORDS)
 
 
-def _emit_records(table: tuple[np.ndarray, int], kinds: np.ndarray, pairs: np.ndarray,
+def _emit_records(table: tuple[tuple[str, str], ...], kinds: np.ndarray, pairs: np.ndarray,
                   out: TextIO) -> None:
-    # Each chunk's rows come from the table, take their pair digits in the
-    # slot and lose every NUL in one compaction.
-    rows, slot = table
+    # Each chunk's records are their kinds' texts around their pair indices.
     for i in range(0, len(kinds), _RECORD_ROWS):
-        text = rows.take(kinds[i : i + _RECORD_ROWS], axis=0)
-        pair = pairs[i : i + _RECORD_ROWS, None]
-        text[:, slot : slot + 6] = (pair // _PLACES % 10 + 48) * (pair >= _SHOWN_FROM)
-        _emit(text[text != 0].tobytes().decode("ascii"), out)
+        chunk = zip(kinds[i : i + _RECORD_ROWS].tolist(), pairs[i : i + _RECORD_ROWS].tolist())
+        _emit("".join([f"{table[kind][0]}{pair}{table[kind][1]}" for kind, pair in chunk]), out)
 
 
 def format_qsdc_report(config: QsdcConfig, session: SessionColumns, out: TextIO) -> None:

@@ -1,9 +1,13 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import same_up_to_global_phase
-from spatialbsa.bsa import parity_qnd
+from spatialbsa.bsa import DecoherenceParams, decoherence_factor, parity_qnd, quality
+from spatialbsa.cli import SweepSpec, sweep_points
 from spatialbsa.cavity import (
     CavityParams,
     IDEAL_COLD,
@@ -57,6 +61,26 @@ class TestCavityParams:
     def test_non_finite_fields_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             CavityParams(**{"g": 1.0, field: value})
+
+    @pytest.mark.parametrize("scalar", [np.float32, np.float16])
+    def test_numpy_scalars_compute_as_the_python_numbers_they_equal(self, scalar):
+        # Each field keeps the Python number, so no figure is computed in the
+        # scalar's own precision and every field dumps to JSON.
+        values = [scalar(v) for v in (2.4, 0.7, 0.1, 0.5, 3.0)]
+        plain = [v.item() for v in values]
+        got, want = (operating_point(*vs[:4]) for vs in (values, plain))
+        assert json.dumps(asdict(got)) == json.dumps(asdict(want))
+        assert [type(v) for v in asdict(got).values()] == [type(v) for v in asdict(want).values()]
+        got, want = (CavityParams(*vs) for vs in (values, plain))
+        assert json.dumps(asdict(got)) == json.dumps(asdict(want))
+        for coupled in (False, True):
+            assert reflection(got, coupled) == reflection(want, coupled)
+        assert quality(got) == quality(want)
+        got, want = (decoherence_factor(DecoherenceParams(*vs[2:4])) for vs in (values, plain))
+        assert got == want
+        got, want = (sweep_points(SweepSpec(vs[2], vs[4], 5, tuple(vs[:2]), *vs[2:4])).tobytes()
+                     for vs in (values, plain))
+        assert got == want
 
 
 class TestReflection:

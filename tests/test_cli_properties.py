@@ -35,6 +35,7 @@ from spatialbsa.cavity import operating_point
 from spatialbsa.qsdc import (
     ChannelModel,
     EveModel,
+    MAX_PAIR_COUNT,
     QsdcConfig,
     run_session,
     session_columns,
@@ -357,6 +358,15 @@ def test_phase2_kernel_equals_the_dump_of_every_kind():
                     }))
     assert len(set(kinds)) == 32
     assert kernel_text(cli._PHASE2_TABLE, kinds, pairs, 8) == "".join(want) * 8
+
+
+def test_a_record_chunk_stays_below_128_kib():
+    # Below glibc's largest default mmap threshold, so a chunk's text reuses heap
+    # pages whatever the allocator's state; the longest record takes the largest index.
+    for table, kinds in ((cli._PHASE1_TABLE, 8), (cli._PHASE2_TABLE, 32)):
+        longest = max(len(kernel_text(table, [kind], [MAX_PAIR_COUNT - 1], 1))
+                      for kind in range(kinds))
+        assert cli._RECORD_ROWS * longest < 131_072
 
 
 @settings(max_examples=30, deadline=None)
