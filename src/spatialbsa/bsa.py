@@ -27,8 +27,8 @@ algebra; ``parity_qnd`` and ``apply_bs`` stay as its register reference.
 An input's exact joint distribution over the eight branches is a
 contraction with these maps, cached per Bell-state label; a run then draws
 three uniforms, for the readout photon, photon a and photon b in that order.
-``analyze_pairs`` runs the ideal analyzer on every row of a pair array at
-once: one contraction with the same maps, and the same three-uniform pick.
+``analyze_pairs`` runs the ideal analyzer on every row of a pair array, a
+block at a time: a contraction with the same maps, and the same pick.
 A Bell-state label's distribution is that contraction on the label's row.
 
 The module also scores the analyzer against realistic cavity amplitudes:
@@ -200,13 +200,12 @@ def _branch_maps(params: CavityParams | None) -> np.ndarray:
     return maps
 
 
-def _branch_weights(joint: np.ndarray) -> np.ndarray:
-    """The 14 weights the three draws of a run compare, from joint (..., 2, 2, 2).
+def _branch_weights(photon_b: np.ndarray) -> np.ndarray:
+    """The 14 weights the three draws of a run compare, from joint (..., 8).
 
     In order: ``readout`` (2), ``photon_a[k][j]`` (4) and ``photon_b[k][j][l]``
     (8), each pair summing the joint entries below it.
     """
-    photon_b = joint.reshape(*joint.shape[:-3], 8)
     photon_a = photon_b[..., 0::2] + photon_b[..., 1::2]
     readout = photon_a[..., 0::2] + photon_a[..., 1::2]
     return np.concatenate([readout, photon_a, photon_b], axis=-1)
@@ -240,26 +239,27 @@ class OutcomeDistribution:
     """
 
     def __init__(self, joint: np.ndarray):
-        joint.setflags(write=False)
-        self.joint = joint
         self.weights = w = tuple(_branch_weights(joint).tolist())
+        self.joint = joint.reshape(2, 2, 2)
+        self.joint.setflags(write=False)
         self.success = w[0] + w[1]
 
 
 def _joint(branch: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Branch probabilities of input columns: (m, 8) from ``cols`` (d, m).
 
-    ``branch`` (8, 8, d) maps the d input amplitudes to each branch's 8
-    output kets; a row of the result sums a column's squared moduli over
-    those kets.
+    ``branch`` (8, o, d) maps the d input amplitudes to each branch's o
+    output kets, 8 or a leading 2 of them; a row of the result sums a
+    column's squared moduli over those kets.
     """
-    # (m, 64) is the contraction's largest array, so its real and imaginary
-    # parts are squared in place, and it is freed by the first add.
-    parts = (cols.T @ branch.reshape(64, -1).T).view(float)
+    # (m, 8 * o) is the contraction's largest array, so its real and
+    # imaginary parts are squared in place, and it is freed by the first add.
+    parts = (cols.T @ branch.reshape(-1, branch.shape[-1]).T).view(float)
     parts **= 2
-    # re + im, then the eight output kets, in pairwise adds: the tree that
-    # numpy's sum takes over eight terms, without its loop per row.
-    for _ in range(4):
+    # re + im, then the output kets, in pairwise adds: the tree that numpy's
+    # sum takes over eight terms, without its loop per row.  The kets a
+    # narrow branch leaves out are exact zeros there, which add nothing.
+    while parts.shape[-1] > 8:
         parts = parts[..., 0::2] + parts[..., 1::2]
     return parts
 
@@ -279,14 +279,12 @@ def _distribution(reg: QuantumRegister, maps: np.ndarray) -> OutcomeDistribution
             inputs.append(slice(None))
     branch = maps[(slice(None), slice(None), *inputs)].reshape(8, 8, -1)
     psi = np.moveaxis(reg.amplitudes.reshape([2] * reg.n), axes, range(len(axes)))
-    joint = _joint(branch, psi.reshape(branch.shape[-1], -1)).sum(axis=0)
-    return OutcomeDistribution(joint.reshape(2, 2, 2))
+    return OutcomeDistribution(_joint(branch, psi.reshape(branch.shape[-1], -1)).sum(axis=0))
 
 
 @functools.lru_cache(maxsize=256)
 def _label_distribution(label: BellState, params: CavityParams | None) -> OutcomeDistribution:
-    joint = _pair_joint(_BELL_AMPLITUDES[label].reshape(1, 2, 2), params)  # |R> photons
-    return OutcomeDistribution(joint.reshape(2, 2, 2))
+    return OutcomeDistribution(_pair_joint(_BELL_AMPLITUDES[label].reshape(1, 2, 2), params)[0])
 
 
 def outcome_distribution(
@@ -343,11 +341,9 @@ def classify(spin_changed: bool, detectors: DetectorPair) -> BellState:
     return BellState(CODE_BELL[2 * (j ^ l) + spin_changed])
 
 
-# _pair_joint contracts this many rows at a time, so the temporaries, about
-# 256 KB, reuse heap pages already faulted in.  In a fresh interpreter the
-# 4 000-row contraction of the 8 000-pair qsdc_clean session took 2, 34, 111,
-# 1 275, 675 and 1 560 minor faults in blocks of 64, 128, 256, 512, 1 024 and
-# 2 048 rows (about 3.5 us each on a 2-core VM); 64 rows took the most time.
+# analyze_pairs takes its rows this many at a time, from amplitudes to codes,
+# so a block's largest temporary, its (256, 16) complex contraction, is
+# 64 KiB: below glibc's 128 KiB mmap threshold, it reuses heap pages.
 _BLOCK_ROWS = 256
 
 
@@ -355,16 +351,12 @@ def _pair_joint(psi: np.ndarray, params: CavityParams | None = None) -> np.ndarr
     """The joint outcome distribution, shape (n, 8), of each row of ``psi``,
     read as ``analyze_pairs`` reads it, at the operating point ``params``."""
     n = len(psi)
-    branch = _branch_maps(params)[..., 0, 0].reshape(8, 8, 4)
-    # No block has one row: numpy multiplies a lone row by its vector
-    # routine, which rounds apart from the matrix product, so a row's
-    # figures would depend on its block.
+    # The cavity keeps the photons' |R>, so only the two (R, R, spin) output
+    # kets are contracted.  A lone row is repeated: numpy multiplies it by its
+    # vector routine, which rounds apart from the matrix product.
+    branch = _branch_maps(params)[:, :2, :, :, 0, 0].reshape(8, 2, 4)
     cols = psi.reshape(n, 4) if n != 1 else psi.reshape(1, 4).repeat(2, axis=0)
-    joint = np.empty((len(cols), 8))
-    for start in range(0, len(cols), _BLOCK_ROWS):
-        rows = slice(min(start, len(cols) - 2), start + _BLOCK_ROWS)
-        joint[rows] = _joint(branch, cols[rows].T)
-    return joint[:n]
+    return _joint(branch, cols.T)[:n]
 
 
 def analyze_pairs(psi: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -377,15 +369,14 @@ def analyze_pairs(psi: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     state that ``analyze`` infers on that pair with those draws.  A row's
     code depends on that row and its draws alone.
     """
-    n = len(psi)
-    k, j, l = _pick_branch(
-        _branch_weights(_pair_joint(psi).reshape(n, 2, 2, 2)).ravel(),
-        uniforms[:, 0],
-        uniforms[:, 1],
-        uniforms[:, 2],
-        base=14 * np.arange(n),
-    )
-    return 2 * (j ^ l) + k
+    codes = np.empty(len(psi), dtype=int)
+    base = 14 * np.arange(_BLOCK_ROWS)
+    for start in range(0, len(psi), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        weights = _branch_weights(_pair_joint(psi[rows]))
+        k, j, l = _pick_branch(weights.ravel(), *uniforms[rows].T, base=base[: len(weights)])
+        codes[rows] = 2 * (j ^ l) + k
+    return codes
 
 
 def _square(x):
@@ -453,7 +444,7 @@ def quality_from_moduli(r0, rh):
         f2_second = _square(r0 + rh) / (4.0 * (r0_2 + rh_2))
         f2 = f2_first + f2_second
 
-        eta2 = 0.5 + _square(0.5 * r0_4 + 0.5 * rh_4)
+        eta2 = 0.5 + _square(eta1)
     return f1, eta1, f2, eta2
 
 

@@ -48,14 +48,14 @@ from .cavity import check_number
 from .register import HADAMARD, SQRT_HALF, ZeroNormError, _pick
 
 # The largest session a config may ask for.  tracemalloc puts a session at
-# the default sample fraction at about 400 bytes per pair (20 000 and 40 000
-# pairs), in analyze_pairs' branch weights beside the pair arrays, and the
-# whole qsdc command, whose report goes out a chunk at a time in 0.13 MB, at
-# the same 400 (300 for both at a fraction of 0.5).  measure_photon works a
-# block at a time and adds nothing to those peaks; a command that aborts under
-# Eve at a fraction of 0.8 peaks at about 215.  The record columns, a pair index and a
-# kind per record, keep 17 bytes per pair, and run_session's dict transcript
-# about 310.  So this bound holds a command near 0.4 GB.
+# the default sample fraction at about 250 bytes per pair (20 000 and 40 000
+# pairs), in phase 2's trip draws beside the pair arrays, and the whole qsdc
+# command, whose report goes out a chunk at a time in 0.13 MB, at the same
+# 250 (230 for both at a fraction of 0.5).  measure_photon and analyze_pairs
+# work a block at a time and add nothing to those peaks; a command aborting
+# under Eve at a fraction of 0.8 peaks at about 215.  The record columns, a
+# pair index and a kind per record, keep 17 bytes per pair, and run_session's
+# dict transcript about 310.  So this bound holds a command near 0.25 GB.
 MAX_PAIR_COUNT = 1_000_000
 
 # The dense-coding alphabet in code order: code c = 2*b0 + b1 carries the

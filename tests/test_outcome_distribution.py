@@ -342,6 +342,27 @@ def test_joint_reduction_matches_two_axis_sum(m, point):
         assert np.array_equal(bsa._joint(branch, cols), summed_joint(branch, cols))
 
 
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257])
+def test_pair_joint_equals_the_full_contraction(n):
+    # _pair_joint contracts only the two output kets an |R>|R> pair reaches;
+    # the other six are exact zeros, so on finite rows it must give the bits
+    # of the contraction over all eight.  A lone row is contracted repeated
+    # to two, as _pair_joint does.  The ideal cavity, then random lossy points.
+    gen = np.random.default_rng(n)
+    points = [None] + [
+        operating_point(*gen.uniform((0.0, 0.0, 0.01, 0.05), (4.0, 1.5, 0.5, 1.0)))
+        for _ in range(12)
+    ]
+    for point in points:
+        psi = gen.normal(size=(n, 2, 2)) + 1j * gen.normal(size=(n, 2, 2))
+        psi *= 2.0 ** gen.integers(-100, 100, size=(n, 1, 1))
+        psi[gen.random((n, 2, 2)) < 0.2] = 0.0
+        cols = psi.reshape(n, 4).T.repeat(2 if n == 1 else 1, axis=1)
+        full = bsa._branch_maps(point)[..., 0, 0].reshape(8, 8, 4)
+        want = bsa._joint(full, cols)[:n]
+        assert np.array_equal(bsa._pair_joint(psi, point), want), point
+
+
 @pytest.mark.parametrize("point", [None, operating_point(1.0, 0.7, detuning=0.2)])
 def test_register_with_extra_subsystem_keeps_its_joint(point, monkeypatch):
     subsystems = [
