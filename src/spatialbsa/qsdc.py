@@ -28,11 +28,11 @@ while a photon is actually in transit.
 
 Every random choice flows from one seeded generator in a fixed order, so a
 session is a pure function of its config and the transcript is reproducible
-bit for bit.  The pairs live in one complex array of shape (pair_count, 2, 2)
-(pair, rail of photon a, rail of photon b).  Each phase first takes all its
-draws, in that order, and then applies them to its rows at once.  Both
-transits take theirs from one reader of the generator's raw 64-bit words,
-``_draw_trips``.
+bit for bit.  The pairs live in one real array of shape (pair_count, 2, 2)
+(pair, rail of photon a, rail of photon b), as every session operation is
+real.  Each phase first takes all its draws, in that order, and then applies
+them to its rows at once.  Both transits take theirs from one reader of the
+generator's raw 64-bit words, ``_draw_trips``.
 """
 
 from __future__ import annotations
@@ -48,14 +48,14 @@ from .cavity import check_number
 from .register import HADAMARD, SQRT_HALF, ZeroNormError, _pick
 
 # The largest session a config may ask for.  tracemalloc puts a session at
-# the default sample fraction at about 250 bytes per pair (20 000 and 40 000
+# the default sample fraction at about 160 bytes per pair (20 000 and 40 000
 # pairs), in phase 2's trip draws beside the pair arrays, and the whole qsdc
 # command, whose report goes out a chunk at a time in 0.13 MB, at the same
-# 250 (230 for both at a fraction of 0.5).  measure_photon and analyze_pairs
-# work a block at a time and add nothing to those peaks; a command aborting
-# under Eve at a fraction of 0.8 peaks at about 215.  The record columns, a
-# pair index and a kind per record, keep 17 bytes per pair, and run_session's
-# dict transcript about 310.  So this bound holds a command near 0.25 GB.
+# 160 (130 for both at a fraction of 0.5).  Phase 1 and analyze_pairs work a
+# block at a time and add nothing to those peaks; a command aborting under
+# Eve at a fraction of 0.8 peaks at about 100, in preparation's draws.  The
+# record columns keep 17 bytes per pair, and run_session's dict transcript
+# about 310.  So this bound holds a command near 0.16 GB.
 MAX_PAIR_COUNT = 1_000_000
 
 # The dense-coding alphabet in code order: code c = 2*b0 + b1 carries the
@@ -179,7 +179,9 @@ def check_seed(seed: int) -> int:
 
 
 def phase1_sample_count(config: QsdcConfig) -> int:
-    """Number of positions Alice samples in phase 1 (nearest-integer rounding)."""
+    """Number of positions Alice samples in phase 1: the nearest integer to
+    fraction * pairs, a tie rounding half to even as ``round`` does.  The
+    seeded transcripts rest on that rule."""
     return int(round(config.sample_fraction * config.pair_count))
 
 
@@ -200,8 +202,8 @@ def transcript_jsonl(report: SessionReport) -> str:
 
 
 def bell_pairs(n: int) -> np.ndarray:
-    """n copies of phi+ as one array of shape (n, 2, 2): pair, rail of a, rail of b."""
-    psi = np.zeros((n, 2, 2), dtype=complex)
+    """n copies of phi+ as one real array of shape (n, 2, 2): pair, rail of a, rail of b."""
+    psi = np.zeros((n, 2, 2))
     psi[:, 0, 0] = psi[:, 1, 1] = SQRT_HALF
     return psi
 
@@ -225,8 +227,8 @@ def flip_rails(psi: np.ndarray, swap, phase) -> np.ndarray:
 _MEASURE_ROWS = 1024
 
 # Column 2 * x + outcome is the measured photon's collapsed ket: the outcome's
-# Z basis ket where x is 0, and its X basis ket where x is 1.
-_KETS = np.hstack([np.eye(2), HADAMARD.real]).astype(complex)
+# Z basis ket where x is 0, and its X basis ket where x is 1; complex rows cast it.
+_KETS = np.hstack([np.eye(2), HADAMARD.real])
 
 
 def measure_photon(psi: np.ndarray, photon: str, x_basis, u) -> np.ndarray:
@@ -242,9 +244,9 @@ def measure_photon(psi: np.ndarray, photon: str, x_basis, u) -> np.ndarray:
     The rows collapse ``_MEASURE_ROWS`` at a time, each block copied into
     contiguous (measured rail, partner rail, row) planes.  Every step is
     elementwise, so a row's outcome and amplitudes do not depend on its
-    block.  A row whose weights sum to zero has no outcome probabilities:
-    it raises ZeroNormError naming the first such row, and the contents of
-    ``psi`` are then undefined.
+    block; real rows get what their complex copies get.  A row whose weights
+    sum to zero has no outcome probabilities: it raises ZeroNormError naming
+    the first such row, and the contents of ``psi`` are then undefined.
     """
     t = psi if photon == "a" else psi.transpose(0, 2, 1)  # axis 1: measured rail
     outcome = np.empty(len(psi), dtype=int)
@@ -319,6 +321,8 @@ def _draw_trips(rng, check: np.ndarray, eve: EveModel, tail: int) -> tuple[np.nd
       word, whose high half is then buffered.
 
     NEP 19 does not promise this rule; ``tests/test_qsdc.py`` checks it.
+    The words become their uniforms in place; a check pair's word w comes
+    back from its uniform u as ``(u * 2**53) << 11``, w's top 53 bits.
     """
     bitgen = rng.bit_generator
     state = bitgen.state
@@ -331,15 +335,17 @@ def _draw_trips(rng, check: np.ndarray, eve: EveModel, tail: int) -> tuple[np.nd
     checks = np.flatnonzero(check)
     fresh = np.zeros(n, dtype=bool)
     fresh[checks[buffered::2]] = True
+    # Shifted and converted in place through an int64 view: numpy converts
+    # int64 to float64 much faster than uint64, w >> 11 < 2**53 is exact, and
+    # an assignment converts in place, where a ufunc's out= copies its input.
     words = bitgen.random_raw(n * width + np.count_nonzero(fresh))
-    # Shifted in place and converted through an int64 view: numpy converts
-    # int64 to float64 much faster than uint64, and w >> 11 < 2**53 is exact.
     words >>= 11
-    u = words.view(np.int64).astype(float)
+    u = words.view(float)
+    u[:] = words.view(np.int64)
     u *= 2.0**-53
     if _one_length(eve):
         starts = np.arange(n) * width + np.cumsum(fresh)
-        used = len(words)
+        used = len(u)
         trips = (np.delete(u, starts[fresh] - 1) if fresh.any() else u).reshape(n, width)
     else:
         # A trip is two words shorter when the coin spares the photon, so
@@ -358,9 +364,9 @@ def _draw_trips(rng, check: np.ndarray, eve: EveModel, tail: int) -> tuple[np.nd
         trips = np.full((n, width), np.nan)
         trips[drawn] = np.delete(u[:used], starts[fresh] - 1) if fresh.any() else u[:used]
 
-    # The shift lost each word's low 11 bits, which no code and no buffered
-    # high half reads.
-    fresh_words = words[starts[fresh] - 1] << 11
+    # u * 2**53 is w >> 11 exactly.  The shift lost each word's low 11 bits,
+    # which no code and no buffered high half reads.
+    fresh_words = (u[starts[fresh] - 1] * 2.0**53).astype(np.uint64) << 11
     halves = np.empty(2 * len(fresh_words) + 1, dtype=np.uint64)
     halves[0] = state["uinteger"]
     halves[1::2] = fresh_words & 0xFFFFFFFF
@@ -370,7 +376,7 @@ def _draw_trips(rng, check: np.ndarray, eve: EveModel, tail: int) -> tuple[np.nd
     # after a low half its high half stays buffered, and after a high half
     # nothing does, though the generator keeps its value.
     last = len(checks) - buffered
-    if used < len(words):
+    if used < len(u):
         bitgen.state = state
         bitgen.advance(used)
     end = bitgen.state
@@ -447,16 +453,19 @@ def session_columns(config: QsdcConfig) -> SessionColumns:
     eve = config.eve_model
 
     psi = bell_pairs(config.pair_count)
-    _, trips = _draw_trips(rng, np.zeros(config.pair_count, dtype=bool), eve, 0)
-    _transit(psi, config, trips)
+    # Preparation's trip table is freed as soon as it has run.
+    _transit(psi, config, _draw_trips(rng, np.zeros(config.pair_count, dtype=bool), eve, 0)[1])
 
     n_sample = phase1_sample_count(config)
     sampled = np.sort(rng.choice(config.pair_count, size=n_sample, replace=False))
     u = rng.random((n_sample, 3))
-    checked = psi[sampled]
     x_basis = u[:, 0] >= 0.5
-    alice = measure_photon(checked, "a", x_basis, u[:, 1])
-    bob = measure_photon(checked, "b", x_basis, u[:, 2])
+    alice, bob = np.empty((2, n_sample), dtype=int)
+    for start in range(0, n_sample, _MEASURE_ROWS):
+        rows = slice(start, start + _MEASURE_ROWS)
+        checked = psi[sampled[rows]]
+        alice[rows] = measure_photon(checked, "a", x_basis[rows], u[rows, 1])
+        bob[rows] = measure_photon(checked, "b", x_basis[rows], u[rows, 2])
     errors = int(np.count_nonzero(alice != bob))
     qber = errors / n_sample
     aborted = qber > config.qber_abort_threshold

@@ -356,22 +356,38 @@ class TestQsdcCommand:
                 "--seed", "1", *extra]
         close_pipe_early(argv, b"{\n", lines)
 
+    @staticmethod
+    def traced_peak(argv, code):
+        assert cli.main(argv) == code  # the first call's imports and caches are not counted
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == code
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_peak_memory_per_pair(self, tmp_path):
-        # The report goes out a chunk at a time, and the analyzer a block at a
-        # time, so the peak is phase 2's trip draws beside the pair arrays.
+        # The report goes out a chunk at a time, the analyzer and phase 1 a
+        # block at a time, and the trip reader converts its words in place,
+        # so the peak is phase 2's trip draws beside the real pair arrays.
         pairs = 20_000
         argv = ["qsdc", "--pairs", str(pairs), "--message", "01" * (pairs * 9 // 20),
                 "--seed", "1", "--out", str(tmp_path / "session.json")]
-        assert cli.main(argv) == 0  # the first call's imports and caches are not counted
-        tracemalloc.start()
-        try:
-            assert cli.main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # 251 measured; a weight table of all rows made it 397, one (m, 64)
-        # contraction 1 583.
-        assert peak / pairs < 300
+        # 160 measured; complex pairs, a second word buffer and preparation's
+        # trips kept to the end made it 251, a weight table of all rows 397,
+        # one (m, 64) contraction 1 583.
+        assert self.traced_peak(argv, 0) / pairs < 170
+
+    def test_peak_memory_per_pair_when_eve_aborts(self, tmp_path):
+        # The session ends after phase 1, whose samples are measured a block
+        # at a time, not gathered whole, after preparation's trips are freed.
+        pairs = 20_000
+        argv = ["qsdc", "--pairs", str(pairs), "--message", "01", "--seed", "1",
+                "--eve", "intercept_resend", "--sample-fraction", "0.8",
+                "--out", str(tmp_path / "session.json")]
+        # 100 measured; complex pairs, the whole gather and preparation's
+        # trips kept through phase 1 made it 216.
+        assert self.traced_peak(argv, 2) / pairs < 110
 
     def test_plain_message_round_trip(self, capsys):
         code, out, _ = run_cli(["qsdc", "--message", "1001", "--seed", "5"], capsys)

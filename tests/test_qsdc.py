@@ -24,7 +24,7 @@ from spatialbsa.qsdc import (
     transcript_jsonl,
 )
 from spatialbsa.register import (
-    BellState, Kind, QuantumRegister, Subsystem, ZeroNormError, make_bell,
+    SQRT_HALF, BellState, Kind, QuantumRegister, Subsystem, ZeroNormError, make_bell,
 )
 
 
@@ -141,6 +141,51 @@ class TestPairArray:
                 for i in range(n)]
         assert measure_photon(psi, photon, x_basis, u).tolist() == want
         assert np.array_equal(psi.view(np.uint64), alone.view(np.uint64))
+
+    def test_pairs_are_real(self):
+        assert bell_pairs(5).dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "scaled, scale",
+        [(None, 1.0), ("rows", 1e-300), ("rows", 1e300), ("rails", 1e-300), ("rails", 1e300)])
+    @pytest.mark.parametrize("basis", ["z", "x", "mixed"])
+    @pytest.mark.parametrize("photon", ["a", "b"])
+    @pytest.mark.parametrize("n", [1, _MEASURE_ROWS - 1, _MEASURE_ROWS, _MEASURE_ROWS + 1,
+                                   2 * _MEASURE_ROWS + 1])
+    def test_real_rows_measure_as_their_complex_copy(self, n, photon, basis, scaled, scale):
+        # Session rows are real.  They must take the outcomes their complex
+        # copies take, and keep the real parts of the copies' amplitudes:
+        # random rows and product eigenstates (exact zeros and ties) in
+        # random places, with a quarter of the rows, or photon a's rail 1 in
+        # them, scaled.  A scaled row's weights underflow to a zero norm at
+        # 1e-300 and overflow at 1e300; a scaled rail's, only in part.
+        rng = np.random.default_rng([n, len(str(scaled)), scale > 1.0])
+        psi = rng.normal(size=(n, 2, 2))
+        kets = np.array([[1.0, 0.0], [0.0, 1.0], [SQRT_HALF, SQRT_HALF], [SQRT_HALF, -SQRT_HALF]])
+        eigen = rng.random(n) < 0.25
+        psi[eigen] = np.einsum("ni,nj->nij", *kets[rng.integers(4, size=(2, np.count_nonzero(eigen)))])
+        rows = np.flatnonzero(rng.random(n) < 0.25) if n > 1 else [0]
+        if scaled == "rows":
+            psi[rows] *= scale
+        elif scaled == "rails":
+            psi[rows, 0] *= scale
+        x_basis = {"z": np.zeros(n, dtype=bool), "x": np.ones(n, dtype=bool),
+                   "mixed": rng.random(n) < 0.5}[basis]
+        u = rng.random(n)
+        twin = psi.astype(complex)
+
+        def outcomes(rows):
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    return measure_photon(rows, photon, x_basis, u).tolist()
+            except ZeroNormError as exc:
+                return str(exc)
+
+        got = outcomes(psi)
+        assert got == outcomes(twin)
+        assert psi.dtype == np.float64
+        if not isinstance(got, str):  # after a raise the contents are undefined
+            assert np.array_equal(psi, twin, equal_nan=True)
 
     @pytest.mark.parametrize("photon", ["a", "b"])
     @pytest.mark.parametrize("row", [0, 3, _MEASURE_ROWS + 1])
@@ -263,6 +308,10 @@ class TestTripDraws:
 RAW_RULE_CHANGED = "NumPy's Generator no longer reads raw words as qsdc._draw_trips assumes"
 
 
+# About a third of 2 049 pairs are check pairs.
+LONG_CHECK = (np.random.default_rng(7).random(2 * _MEASURE_ROWS + 1) < 0.35).tolist()
+
+
 class TestPhase2Draws:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -297,9 +346,15 @@ class TestPhase2Draws:
     @example(check=[False] * 5, fraction=0.3, tail=3, lead=1, seed=3)
     @example(check=[True] * 5, fraction=None, tail=3, lead=1, seed=3)
     @example(check=[False] * 7, fraction=0.3, tail=0, lead=0, seed=3)
+    @example(check=LONG_CHECK, fraction=None, tail=3, lead=0, seed=101)
+    @example(check=LONG_CHECK, fraction=None, tail=3, lead=1, seed=101)
+    @example(check=LONG_CHECK, fraction=0.3, tail=3, lead=0, seed=101)
+    @example(check=LONG_CHECK, fraction=0.3, tail=3, lead=1, seed=101)
     def test_block_equals_per_pair_draws(self, check, fraction, tail, lead, seed):
         # ``lead`` codes drawn first leave a 32-bit half buffered when odd.
-        # No check pairs and no tail is preparation's call.
+        # No check pairs and no tail is preparation's call.  The long
+        # examples recover several hundred check words from their uniforms,
+        # in the one-length path and in the fractional-Eve walk.
         eve = EveModel.none() if fraction is None else EveModel.intercept_resend(fraction)
         block_rng, pair_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for rng in (block_rng, pair_rng):
