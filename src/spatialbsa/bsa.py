@@ -43,7 +43,6 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, fields
-from itertools import repeat
 
 import numpy as np
 
@@ -379,45 +378,11 @@ def analyze_pairs(psi: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _square(x):
-    """``x ** 2`` for a float or each value of an array, as Python's ``**`` rounds it.
-
-    That is libm's pow, which numpy's square and power loops do not always
-    match in the last bit.  Where x * x is exact to within 0.45 ulp, pow,
-    which errs by less than 0.54 ulp, returns that product.  The rest, about
-    a tenth, go to ``math.pow``: near-ties, powers of two, and squares that
-    are not finite or are below 2**-900, where the error terms may underflow.
-    """
-    values = np.asarray(x, dtype=float)
-    x = values.reshape(-1)
-    with np.errstate(all="ignore"):  # what overflows goes to pow, which raises
-        s, hi = x * x, x * 134217729.0
-        lo = hi - x
-        hi -= lo  # Veltkamp's split by 2**27 + 1: x is hi + lo, each of 26 bits
-        np.subtract(x, hi, out=lo)
-        err = hi * hi  # then Dekker's TwoProduct: x * x is s + err exactly
-        err -= s
-        hi *= lo
-        err += hi
-        err += hi
-        lo *= lo
-        err += lo
-    ulp = hi  # 2**floor(log2(s)), from the exponent bits of s, then 0.45 ulp of s
-    np.bitwise_and(s.view(np.uint64), np.uint64(0x7FF << 52), out=ulp.view(np.uint64))
-    kept = s != ulp
-    ulp *= 0.45 * 2.0**-52
-    kept &= np.abs(err, out=err) < ulp
-    kept &= s >= 2.0**-900
-    rest = np.flatnonzero(~kept)
-    s[rest] = list(map(math.pow, x[rest].tolist(), repeat(2.0)))
-    return s.reshape(values.shape)
-
-
 def quality_from_moduli(r0, rh):
     """(F1, eta1, F2, eta2) from the cold and hot reflection moduli.
 
-    ``r0`` and ``rh`` are floats or arrays that broadcast together; every
-    value is the one Python float arithmetic gives.  F1/eta1: fidelity and
+    ``r0`` and ``rh`` are floats or arrays that broadcast together, and
+    the figures are their float64 arithmetic.  F1/eta1: fidelity and
     efficiency of identifying an odd-parity state, in which each photon
     makes a corrected double pass and the two rails see amplitude imbalance
     r0^2 versus rh^2 per photon.  F2/eta2: the same for an even-parity
@@ -431,20 +396,17 @@ def quality_from_moduli(r0, rh):
         r0_4, rh_4 = r0_2 * r0_2, rh_2 * rh_2
         r0_5, rh_5 = r0_4 * r0, rh_4 * rh
 
-        f1_num = _square(r0_3 + rh_3 + r0_2 * rh + r0 * rh_2)
+        f1_sum = r0_3 + rh_3 + r0_2 * rh + r0 * rh_2
+        f2_sum = r0_5 + rh_5 + r0_4 * rh + r0 * rh_4
+        r_sum = r0 + rh
         f1_den = 4.0 * (r0_3 * r0_3 + rh_3 * rh_3 + r0_4 * rh_2 + r0_2 * rh_4)
         f2_den = 8.0 * (r0_5 * r0_5 + rh_5 * rh_5 + r0_4 * r0_4 * rh_2 + r0_2 * rh_4 * rh_4)
         if np.any(f1_den == 0.0) or np.any(f2_den == 0.0):
             raise ValueError("degenerate parameters: the fidelities need nonzero reflection")
-        f1 = f1_num / f1_den
-
+        f1 = f1_sum * f1_sum / f1_den
         eta1 = 0.5 * r0_4 + 0.5 * rh_4
-
-        f2_first = _square(r0_5 + rh_5 + r0_4 * rh + r0 * rh_4) / f2_den
-        f2_second = _square(r0 + rh) / (4.0 * (r0_2 + rh_2))
-        f2 = f2_first + f2_second
-
-        eta2 = 0.5 + _square(eta1)
+        f2 = f2_sum * f2_sum / f2_den + r_sum * r_sum / (4.0 * (r0_2 + rh_2))
+        eta2 = 0.5 + eta1 * eta1
     return f1, eta1, f2, eta2
 
 
@@ -456,7 +418,10 @@ def quality_at(params: CavityParams, g: np.ndarray, out: np.recarray | None = No
     given and into a new record array if not.
     """
     abs_r0 = abs(reflection(params, coupled=False))
-    abs_rh = np.hypot(*hot_reflection(params, g))  # hypot is abs() of a Python complex
+    r_hot = hot_reflection(params, g)
+    # libm's hypot, as abs() of a Python complex; numpy's complex abs rounds
+    # apart from it, and differently with and without its CPU dispatch.
+    abs_rh = np.hypot(r_hot.real, r_hot.imag)
     f1, eta1, f2, eta2 = quality_from_moduli(abs_r0, abs_rh)
     if out is None:
         out = np.recarray(len(g), [(name, float) for name in QUALITY_FIELDS])

@@ -123,8 +123,7 @@ def reflection(params: CavityParams, coupled: bool = True) -> complex:
     with D_x = gamma/2 - i delta_x and D_c = (kappa + kappa_s)/2 - i delta_c.
     """
     if coupled:
-        real, imag = hot_reflection(params, np.array([params.g]))
-        return complex(real[0], imag[0])
+        return complex(hot_reflection(params, np.array([params.g]))[0])
     kappa, kappa_s, delta_c = params.kappa, params.kappa_s, params.delta_c
     if max(kappa, kappa_s, abs(delta_c)) < 2.0**-900:
         # Halving a subnormal rate loses bits, all of them at kappa = 5e-324,
@@ -135,15 +134,12 @@ def reflection(params: CavityParams, coupled: bool = True) -> complex:
     return (0.5 * kappa_s - 0.5 * kappa - 1j * delta_c) / d_cavity
 
 
-def hot_reflection(params: CavityParams, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of r_hot at each coupling in the array ``g``.
+def hot_reflection(params: CavityParams, g: np.ndarray) -> np.ndarray:
+    """r_hot at each coupling in the array ``g``, as a complex array.
 
-    ``params`` gives every other rate; its own g is not used.  Only g varies,
-    so D_x, D_x * D_c and kappa * D_x are Python complex scalars, and the
-    rest is CPython's complex arithmetic (3.13 and before) spelled out in
-    float64 arrays, operation for operation, so each value is bit for bit
-    the one Python's complex type gives.  numpy's own complex division
-    rounds about half of them differently.
+    ``params`` gives every other rate; its own g is not used.  The value is
+    1 - kappa * D_x / (D_x * D_c + g^2) in numpy's complex arithmetic, which
+    agrees with Python's complex type to a few ulps, not bit for bit.
     """
     d_exciton = 0.5 * params.gamma - 1j * params.delta_x
     d_cavity = 0.5 * (params.kappa + params.kappa_s) - 1j * params.delta_c
@@ -154,24 +150,14 @@ def hot_reflection(params: CavityParams, g: np.ndarray) -> tuple[np.ndarray, np.
             # D_x by 2**1000 and g by 2**500 is exact and leaves the ratio as is.
             d_exciton *= 2.0**1000
             g = g * 2.0**500
-        # D_x * D_c + g^2: a float joins a complex sum as (g^2, 0.0).
-        product = d_exciton * d_cavity
-        b_re, b_im = product.real + g * g, product.imag + 0.0
-        if np.any((b_re == 0.0) & (b_im == 0.0)):
+        denominator = d_exciton * d_cavity + g * g
+        if np.any(denominator == 0.0):
             raise ValueError("degenerate parameters: hot-cavity response is undefined")
-        # kappa * D_x / denominator as _Py_c_quot divides: scaled by the
-        # larger of |Re| and |Im| of the denominator.
-        a = params.kappa * d_exciton
-        first = np.abs(b_re) >= np.abs(b_im)
-        ratio = np.where(first, b_im / b_re, b_re / b_im)
-        scale = np.where(first, b_re + b_im * ratio, b_re * ratio + b_im)
-        q_re = np.where(first, a.real + a.imag * ratio, a.real * ratio + a.imag) / scale
-        q_im = np.where(first, a.imag - a.real * ratio, a.imag * ratio - a.real) / scale
-        if np.any(np.isnan(q_re) | np.isnan(q_im)):
+        r_hot = 1.0 - params.kappa * d_exciton / denominator
+        if np.any(np.isnan(r_hot)):
             # inf / inf or inf - inf: both parts of D_x * D_c, or one and g^2, overflowed.
             raise ValueError("rates too large: the hot-cavity response overflows")
-        # 1.0 - q: the float joins as (1.0, 0.0).
-        return 1.0 - q_re, 0.0 - q_im
+    return r_hot
 
 
 def phase_shifts(params: CavityParams) -> tuple[float, float]:

@@ -60,15 +60,14 @@ _CHUNK_ROWS = 512
 _RECORD_ROWS = 256
 
 # The largest sweep grid in rows (steps x ks values).  tracemalloc puts the sweep command
-# at about 121 bytes per row (20 000 and 40 000 steps x 3 ks): sweep_points' 64-byte
-# records beside one ks block's quality_at, about 152 bytes a step, which writes its
+# at about 112 bytes per row (20 000 and 40 000 steps x 3 ks): sweep_points' 64-byte
+# records beside one ks block's quality_at, about 136 bytes a step, which writes its
 # columns into those records; the CSV writer's buffers do not grow with the grid.
-# So ~0.25 GB.
+# So ~0.23 GB.
 MAX_SWEEP_ROWS = 2_000_000
 
 # The most bsa trials.  tracemalloc puts the command at about 66 bytes per trial
-# (200 000 and 2 000 000 trials), in the pick over its one draw block; the success
-# sum's 8 bytes a trial come later, below that peak.  So ~1.3 GB.
+# (200 000 and 2 000 000 trials), in the pick over its one draw block.  So ~1.3 GB.
 MAX_BSA_TRIALS = 20_000_000
 
 _EPILOG = (
@@ -314,9 +313,6 @@ def cmd_bsa(args) -> int:
     k, j, l = _pick_branch(np.asarray(dist.weights), *u.T)
     codes = np.bincount(2 * (j ^ l) + k, minlength=4)
     pairs = np.bincount(2 * j + l, minlength=4)
-    # Summed one trial at a time, left to right, in place: the goldens pin the last bit.
-    success = np.full(args.trials, dist.success)
-    np.add.accumulate(success, out=success)
     report = {
         "command": "bsa",
         "state": label.value,
@@ -332,7 +328,7 @@ def cmd_bsa(args) -> int:
         "counts": dict(zip(CODE_BELL, codes.tolist())),
         "detectors": {d.value: n for d, n in zip(DetectorPair, pairs.tolist())},
         "spin_changed_count": int(codes[1::2].sum()),
-        "mean_success_probability": float(success[-1]) / args.trials,
+        "mean_success_probability": dist.success,  # every trial's, so their exact mean
     }
     with _opened(args.out) as out:
         _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out)

@@ -1,13 +1,10 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import same_up_to_global_phase
 from spatialbsa.bsa import (
     BsaRecord,
-    _square,
     DecoherenceParams,
     DetectorPair,
     analyze,
@@ -292,48 +289,6 @@ class TestQuality:
         point = quality(operating_point(2.4, 0.7))
         assert point.g_over_ktot == pytest.approx(2.4)
         assert point.ks_over_k == pytest.approx(0.7)
-
-
-def pow_bits(values):
-    """The bits of ``math.pow(v, 2.0)`` for each value; OverflowError if one overflows."""
-    return np.array([math.pow(v, 2.0) for v in values]).view(np.uint64)
-
-
-class TestSquare:
-    """``_square`` is libm's pow bit for bit, though it calls pow for a tenth of its values."""
-
-    @settings(deadline=None, max_examples=300)
-    @given(st.lists(st.one_of(st.floats(), st.floats(0.0, 3.0), st.floats(-1e-150, 1e-150),
-                              st.floats(1e150, 1.5e154)), min_size=1, max_size=40))
-    # x * x rounds apart from pow for each of these.
-    @example([0.7794015848519977, 1.8721953329394538, 2.098480186182519, 0.47558838221280664,
-              5.086592249504837e-151, 9.592225156395125e149, 7.992093968393488e152])
-    # Signed zeros, subnormals, squares that are subnormal or round to zero, powers of
-    # two and the neighbours of 2**0.5, the 2**-900 edge of the fast path, inf and nan.
-    @example([0.0, -0.0, 5e-324, -1e-310, 1e-160, -1.5e-162, 2.0**-600, 2.0**-450,
-              math.nextafter(2.0**-450, 0.0), math.nextafter(2.0**-450, 1.0), 2.0**0.5,
-              math.nextafter(2.0**0.5, 0.0), -(2.0**0.5), 1.0, 3.0, 1.3407807929942596e154,
-              math.inf, -math.inf, math.nan])
-    @example([2.0, 1.5e154])  # the square overflows: pow raises
-    def test_equals_pow_bit_for_bit(self, values):
-        try:
-            want = pow_bits(values)
-        except OverflowError:
-            with pytest.raises(OverflowError):
-                _square(np.array(values))
-            return
-        assert _square(np.array(values)).view(np.uint64).tolist() == want.tolist()
-
-    def test_a_million_uniforms(self):
-        x = np.random.default_rng(21).uniform(0.0, 3.0, 1_000_000)
-        want = pow_bits(x.tolist())
-        assert ((x * x).view(np.uint64) != want).sum() > 100  # numpy's product is no stand-in
-        assert np.array_equal(_square(x).view(np.uint64), want)
-
-    def test_keeps_the_shape(self):
-        assert _square(0.1).shape == ()
-        assert _square(0.1) == 0.1**2
-        assert _square(np.full((2, 3), 0.1)).tolist() == [[0.1**2] * 3] * 2
 
 
 class TestClosedFormGap:

@@ -13,9 +13,10 @@ import pytest
 
 from conftest import parse_sweep_csv
 from spatialbsa import cli
-from spatialbsa.bsa import QUALITY_FIELDS, quality
+from spatialbsa.bsa import QUALITY_FIELDS, outcome_distribution, quality
 from spatialbsa.cavity import operating_point
 from spatialbsa.qsdc import ChannelModel, EveModel, QsdcConfig, session_columns
+from spatialbsa.register import BellState
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -88,6 +89,20 @@ class TestBsaCommand:
         report = json.loads(out)
         assert report["ideal"] is False
         assert 0.0 < report["mean_success_probability"] < 1.0
+
+    @pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
+    @pytest.mark.parametrize("label", list(BellState), ids=lambda label: label.value)
+    def test_mean_success_is_the_distribution_success(self, capsys, label, lossy):
+        # Every trial has the same success probability, so that is the mean, bit for bit.
+        code, out, _ = run_cli(
+            ["bsa", label.value, "--lossy" if lossy else "--ideal", "--g-over-ktot", "1.3",
+             "--ks-over-k", "0.3", "--trials", "37", "--seed", "11"],
+            capsys,
+        )
+        assert code == 0
+        params = operating_point(1.3, 0.3) if lossy else None
+        want = outcome_distribution(label, params).success
+        assert json.loads(out)["mean_success_probability"] == want
 
     def test_absent_seed_is_drawn_and_recorded(self, capsys):
         _, out_a, _ = run_cli(["bsa", "phi+", "--trials", "1"], capsys)

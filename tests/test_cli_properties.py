@@ -158,19 +158,21 @@ def test_cli_never_raises_and_reports_errors_on_one_line(argv, config):
 
 
 def per_trial_bsa(label, params, trials, seed):
-    """The bsa report fields as one analyzer run per trial counts them."""
+    """The bsa report fields as one analyzer run per trial counts them; the
+    mean is the success probability that every trial must share."""
     rng = np.random.default_rng(seed)
     counts = {m.value: 0 for m in BellState}
     detectors = {d.value: 0 for d in DetectorPair}
     changed = 0
-    success_total = 0.0
+    success = set()
     for _ in range(trials):
         record = analyze(label, params=params, rng=rng)
         counts[record.inferred.value] += 1
         detectors[record.detectors.value] += 1
         changed += 1 if record.spin_changed else 0
-        success_total += record.success_probability
-    return counts, detectors, changed, success_total / trials
+        success.add(record.success_probability)
+    assert len(success) == 1
+    return counts, detectors, changed, success.pop()
 
 
 @settings(max_examples=80, deadline=None)
