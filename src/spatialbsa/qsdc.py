@@ -291,15 +291,9 @@ def eve_intercept_resend(psi: np.ndarray, u) -> np.ndarray:
 
 
 def _trip_width(eve: EveModel) -> int:
-    # The channel's two uniforms, Eve's coin if she is active, and her basis
-    # and outcome if her fraction is above 0.
-    return 2 + eve.active + 2 * (eve.active and eve.fraction > 0.0)
-
-
-def _one_length(eve: EveModel) -> bool:
-    # No coin, or one whose fall is certain: a uniform in [0, 1) is always
-    # below 1 and never below 0.  Then every trip draws as many uniforms.
-    return not eve.active or eve.fraction in (0.0, 1.0)
+    # The channel's two uniforms, then, while Eve is active, her coin, basis
+    # and outcome: a spared photon's basis and outcome are drawn and unread.
+    return 5 if eve.active else 2
 
 
 def _draw_trips(rng, check: np.ndarray, eve: EveModel, tail: int) -> tuple[np.ndarray, np.ndarray]:
@@ -307,13 +301,13 @@ def _draw_trips(rng, check: np.ndarray, eve: EveModel, tail: int) -> tuple[np.nd
     pair's trip, then ``tail`` more uniforms.
 
     Returns the check pairs' codes in pair order, and one row per pair
-    holding its uniforms in draw order: the two channel uniforms, Eve's coin
-    if she is active, her basis and outcome if her fraction is above 0 (NaN
-    where the coin spared the photon), then the tail.  The draws equal those
-    of ``rng.integers(4)`` per check pair and ``rng.random()`` per uniform,
-    and leave the generator where those calls leave it.  They come from one
-    block of the bit generator's raw 64-bit words, read by the rule NumPy's
-    ``Generator`` follows:
+    holding its uniforms in draw order: the two channel uniforms, Eve's
+    coin, basis and outcome if she is active, then the tail.  Every row has
+    the same width, so the rows are one reshape of the words.  The draws
+    equal those of ``rng.integers(4)`` per check pair and ``rng.random()``
+    per uniform, and leave the generator where those calls leave it.  They
+    come from one block of the bit generator's raw 64-bit words, read by the
+    rule NumPy's ``Generator`` follows:
 
     * ``random()`` is ``(w >> 11) * 2**-53`` of the next word w;
     * ``integers(4)`` is the top two bits of one 32-bit half: the buffered
@@ -331,42 +325,24 @@ def _draw_trips(rng, check: np.ndarray, eve: EveModel, tail: int) -> tuple[np.nd
     width = _trip_width(eve) + tail
     # The check pairs take the 32-bit halves in turn: the buffered half if
     # there is one, then each fresh word's low and high half.  A check pair
-    # that takes a low half draws a word before its trip.
+    # that takes a low half draws a word before its trip: the k-th such word,
+    # counting from 0, follows k of them and the trips of the pairs before it.
     checks = np.flatnonzero(check)
-    fresh = np.zeros(n, dtype=bool)
-    fresh[checks[buffered::2]] = True
+    fresh = checks[buffered::2]
+    at = fresh * width + np.arange(len(fresh))
     # Shifted and converted in place through an int64 view: numpy converts
     # int64 to float64 much faster than uint64, w >> 11 < 2**53 is exact, and
     # an assignment converts in place, where a ufunc's out= copies its input.
-    words = bitgen.random_raw(n * width + np.count_nonzero(fresh))
+    words = bitgen.random_raw(n * width + len(fresh))
     words >>= 11
     u = words.view(float)
     u[:] = words.view(np.int64)
     u *= 2.0**-53
-    if _one_length(eve):
-        starts = np.arange(n) * width + np.cumsum(fresh)
-        used = len(u)
-        trips = (np.delete(u, starts[fresh] - 1) if fresh.any() else u).reshape(n, width)
-    else:
-        # A trip is two words shorter when the coin spares the photon, so
-        # the starts follow the coins one trip at a time.
-        below = (u < eve.fraction).tolist()
-        starts, used = [], 0
-        for f in fresh.tolist():
-            used += f
-            starts.append(used)
-            used += width if below[used + 2] else width - 2
-        starts = np.array(starts)
-        # A spared photon draws no basis or outcome: its cells 3 and 4 stay
-        # NaN, and its tail follows its coin.
-        drawn = np.ones((n, width), dtype=bool)
-        drawn[u[starts + 2] >= eve.fraction, 3:5] = False
-        trips = np.full((n, width), np.nan)
-        trips[drawn] = np.delete(u[:used], starts[fresh] - 1) if fresh.any() else u[:used]
+    trips = (np.delete(u, at) if len(fresh) else u).reshape(n, width)
 
     # u * 2**53 is w >> 11 exactly.  The shift lost each word's low 11 bits,
     # which no code and no buffered high half reads.
-    fresh_words = (u[starts[fresh] - 1] * 2.0**53).astype(np.uint64) << 11
+    fresh_words = (u[at] * 2.0**53).astype(np.uint64) << 11
     halves = np.empty(2 * len(fresh_words) + 1, dtype=np.uint64)
     halves[0] = state["uinteger"]
     halves[1::2] = fresh_words & 0xFFFFFFFF
@@ -376,9 +352,6 @@ def _draw_trips(rng, check: np.ndarray, eve: EveModel, tail: int) -> tuple[np.nd
     # after a low half its high half stays buffered, and after a high half
     # nothing does, though the generator keeps its value.
     last = len(checks) - buffered
-    if used < len(u):
-        bitgen.state = state
-        bitgen.advance(used)
     end = bitgen.state
     end["has_uint32"] = last % 2
     end["uinteger"] = int(halves[last + last % 2])
@@ -460,16 +433,18 @@ def session_columns(config: QsdcConfig) -> SessionColumns:
     sampled = np.sort(rng.choice(config.pair_count, size=n_sample, replace=False))
     u = rng.random((n_sample, 3))
     x_basis = u[:, 0] >= 0.5
-    alice, bob = np.empty((2, n_sample), dtype=int)
+    kinds = np.empty(n_sample, dtype=int)
+    errors = 0
     for start in range(0, n_sample, _MEASURE_ROWS):
         rows = slice(start, start + _MEASURE_ROWS)
         checked = psi[sampled[rows]]
-        alice[rows] = measure_photon(checked, "a", x_basis[rows], u[rows, 1])
-        bob[rows] = measure_photon(checked, "b", x_basis[rows], u[rows, 2])
-    errors = int(np.count_nonzero(alice != bob))
+        alice = measure_photon(checked, "a", x_basis[rows], u[rows, 1])
+        bob = measure_photon(checked, "b", x_basis[rows], u[rows, 2])
+        errors += int(np.count_nonzero(alice != bob))
+        kinds[rows] = 4 * alice + 2 * bob + x_basis[rows]
     qber = errors / n_sample
     aborted = qber > config.qber_abort_threshold
-    phase1 = (sampled, 4 * alice + 2 * bob + x_basis, {
+    phase1 = (sampled, kinds, {
         "event": "phase1_summary",
         "sampled": n_sample,
         "errors": errors,

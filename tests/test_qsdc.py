@@ -200,14 +200,11 @@ class TestPairArray:
 
 def scalar_trip(rng, eve, tail=0):
     """One trip's draws by scalar calls, then ``tail`` more: the reference
-    for the block draws, with NaN where Eve's coin spared the photon."""
+    for the block draws.  While Eve is active every trip draws her coin,
+    basis and outcome, whether or not the coin spares the photon."""
     trip = [rng.random(), rng.random()]
     if eve.active:
-        trip.append(rng.random())
-        if trip[2] < eve.fraction:
-            trip += [rng.random(), rng.random()]
-        elif eve.fraction > 0.0:
-            trip += [np.nan, np.nan]
+        trip += [rng.random(), rng.random(), rng.random()]
     return trip + [rng.random() for _ in range(tail)]
 
 
@@ -252,7 +249,7 @@ def raw_word_draws(state, kinds):
 
 class TestTripDraws:
     # Seed 0's first uniforms: 0.637 0.270, coin 0.041, 0.017 0.813, then
-    # 0.913 0.607, coin 0.729.
+    # 0.913 0.607, coin 0.729, 0.544 0.935.
     def test_trips_without_eve_draw_twice_each(self):
         rng, twin = np.random.default_rng(0), np.random.default_rng(0)
         trips = prepare_trips(rng, 2, EveModel.none())
@@ -262,20 +259,21 @@ class TestTripDraws:
 
     def test_intercepted_trips_take_basis_and_outcome(self):
         # Trip 0's coin 0.041 < 0.5 takes a basis and an outcome; trip 1's
-        # coin 0.729 spares the photon.
+        # coin 0.729 spares the photon, which draws them all the same.
         eve = EveModel.intercept_resend(0.5)
         rng, twin = np.random.default_rng(0), np.random.default_rng(0)
         trips = prepare_trips(rng, 2, eve)
-        np.testing.assert_array_equal(trips, [scalar_trip(twin, eve) for _ in range(2)])
-        assert np.isfinite(trips[0]).all()
-        assert np.isnan(trips[1, 3:5]).all()
+        draws = [twin.random() for _ in range(10)]
+        assert trips[0, 2] < eve.fraction <= trips[1, 2]
+        assert trips[1, 3:5].tolist() == draws[8:10]
+        assert trips.ravel().tolist() == draws
         assert rng.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize(
         "eve, width",
         [
             (EveModel.none(), 2),
-            (EveModel.intercept_resend(0.0), 3),
+            (EveModel.intercept_resend(0.0), 5),
             (EveModel.intercept_resend(1.0), 5),
             (EveModel.intercept_resend(0.5), 5),
         ],
@@ -354,7 +352,7 @@ class TestPhase2Draws:
         # ``lead`` codes drawn first leave a 32-bit half buffered when odd.
         # No check pairs and no tail is preparation's call.  The long
         # examples recover several hundred check words from their uniforms,
-        # in the one-length path and in the fractional-Eve walk.
+        # with no Eve and with Eve at a fraction of 0.3.
         eve = EveModel.none() if fraction is None else EveModel.intercept_resend(fraction)
         block_rng, pair_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for rng in (block_rng, pair_rng):

@@ -11,7 +11,7 @@ import json
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from conftest import RAIL_OPS, measure
+from conftest import RAIL_OPS, ScriptedRng, measure
 from spatialbsa.bsa import analyze
 from spatialbsa.qsdc import (
     ChannelModel,
@@ -39,14 +39,18 @@ BITS_BY_BELL = {
 
 
 def transit(reg, config, rng):
-    # Channel errors first, then the eavesdropper.
+    # Channel errors first, then the eavesdropper, who draws her coin, basis
+    # and outcome on every trip and measures only where the coin falls below
+    # her fraction.
     if rng.random() < config.channel_model.mode_flip_prob:
         reg.apply_one("a", SWAP)
     if rng.random() < config.channel_model.phase_flip_prob:
         reg.apply_one("a", PHASE)
-    if config.eve_model.active and rng.random() < config.eve_model.fraction:
-        basis = "z" if rng.random() < 0.5 else "x"
-        measure(reg, "a", basis, rng)
+    if config.eve_model.active:
+        coin, basis_u, outcome_u = rng.random(), rng.random(), rng.random()
+        if coin < config.eve_model.fraction:
+            basis = "z" if basis_u < 0.5 else "x"
+            measure(reg, "a", basis, ScriptedRng([outcome_u]))
 
 
 def per_register_session(config):
