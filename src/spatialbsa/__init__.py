@@ -10,9 +10,26 @@ the stage functions live in their modules.
 from .bsa import BsaRecord, DetectorPair, QualityPoint, analyze, quality
 from .cavity import CavityParams, operating_point
 from .qsdc import ChannelModel, EveModel, QsdcConfig, SessionReport, run_session
-from .register import BellState, QuantumRegister, ZeroNormError, make_bell
+from .states import BellState, ZeroNormError
 
 __version__ = "0.1.0"
+
+# The statevector register is loaded when one of these is first looked up, so
+# importing the package, as every command does, does not load it (PEP 562).
+_REGISTER_NAMES = ("QuantumRegister", "make_bell")
+
+
+def __getattr__(name):
+    if name in _REGISTER_NAMES:
+        from . import register
+
+        return getattr(register, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_REGISTER_NAMES})
+
 
 __all__ = [
     "BellState",

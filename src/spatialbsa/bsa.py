@@ -23,7 +23,9 @@ Together the flip bit and the detector pair identify the Bell state:
 linear map that the cavity enters only through the cold and hot reflection
 amplitudes, so its map onto each outcome branch (flip bit, detector of
 photon a, detector of photon b) is built once per operating point by array
-algebra; ``parity_qnd`` and ``apply_bs`` stay as its register reference.
+algebra; ``parity_qnd`` (here) and ``apply_bs`` (in ``register``) stay as
+its register reference.  This module imports ``register`` only inside the
+functions that are handed a register, so no command loads it.
 An input's exact joint distribution over the eight branches is a
 contraction with these maps, cached per Bell-state label; a run then draws
 three uniforms, for the readout photon, photon a and photon b in that order.
@@ -42,23 +44,17 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .cavity import CavityParams, check_number, hot_reflection, reflection, scatter_factors
-from .register import (
-    _BELL_AMPLITUDES,
-    HADAMARD,
-    BellState,
-    Kind,
-    QuantumRegister,
-    SQRT_HALF,
-    Subsystem,
-    ZeroNormError,
-    _pick,
-    basis_vectors,
+from .cavity import (
+    CavityParams, Frozen, check_number, hot_reflection, reflection, scatter_factors,
 )
+from .states import _BELL_AMPLITUDES, DA_BASIS, HADAMARD, SQRT_HALF, BellState, ZeroNormError, _pick
+
+if TYPE_CHECKING:
+    from .register import QuantumRegister
 
 SPIN_NAME = "spin"
 AUX_NAME = "aux_pol"
@@ -73,8 +69,7 @@ class DetectorPair(enum.Enum):
     C2D2 = "c2d2"
 
 
-@dataclass(frozen=True)
-class BsaRecord:
+class BsaRecord(NamedTuple):
     """Outcome of one analyzer run."""
 
     spin_changed: bool
@@ -83,8 +78,7 @@ class BsaRecord:
     success_probability: float
 
 
-@dataclass(frozen=True)
-class QualityPoint:
+class QualityPoint(NamedTuple):
     """Analyzer quality figures at one cavity operating point.
 
     F1/eta1 score the odd-parity round (two double passes), F2/eta2 the even
@@ -103,23 +97,21 @@ class QualityPoint:
     eta2: float
 
 
-QUALITY_FIELDS = tuple(field.name for field in fields(QualityPoint))
+QUALITY_FIELDS = QualityPoint._fields
 
 
-@dataclass(frozen=True)
-class DecoherenceParams:
+class DecoherenceParams(Frozen):
     """Spin dephasing between the two rounds: gap delta_t and coherence time t2e."""
 
-    delta_t: float
-    t2e: float
+    __slots__ = ("delta_t", "t2e")
 
-    def __post_init__(self):
-        for name in ("delta_t", "t2e"):
-            object.__setattr__(self, name, check_number(name, getattr(self, name)))
-        if not (self.delta_t > 0.0):
+    def __init__(self, delta_t: float, t2e: float):
+        delta_t, t2e = check_number("delta_t", delta_t), check_number("t2e", t2e)
+        if not (delta_t > 0.0):
             raise ValueError("delta_t must be positive")
-        if not (self.t2e > 0.0):
+        if not (t2e > 0.0):
             raise ValueError("t2e must be positive")
+        self._set(delta_t, t2e)
 
 
 # Diagonal over (rail, polarization): the half-wave correction on rail 1
@@ -143,6 +135,8 @@ def parity_qnd(reg: QuantumRegister, params: CavityParams | None = None) -> Quan
     measuring the photons.  The spin must enter in |+> or |-> exactly.
     ``params`` None is the ideal cavity.
     """
+    from .register import Kind  # loaded already, as ``reg`` is a register
+
     reg.require_kind(SPIN_NAME, Kind.SPIN)
     p_minus = reg.probabilities(SPIN_NAME, "x")[1]
     if 1e-9 < p_minus < 1.0 - 1e-9:
@@ -159,13 +153,9 @@ def parity_qnd(reg: QuantumRegister, params: CavityParams | None = None) -> Quan
     return reg
 
 
-# The analyzer's input: both photons' rails and polarizations, in this order.
-_INPUTS = (
-    Subsystem("a", Kind.SPATIAL),
-    Subsystem("b", Kind.SPATIAL),
-    Subsystem("a_pol", Kind.POLARIZATION),
-    Subsystem("b_pol", Kind.POLARIZATION),
-)
+# The analyzer's input: both photons' rails and polarizations, in this order,
+# each with the name of its register kind.
+_INPUTS = (("a", "SPATIAL"), ("b", "SPATIAL"), ("a_pol", "POLARIZATION"), ("b_pol", "POLARIZATION"))
 
 
 @functools.lru_cache(maxsize=64)
@@ -191,7 +181,7 @@ def _branch_maps(params: CavityParams | None) -> np.ndarray:
     # Splitters, photon a then photon b: axes (j, l, a, b, a_pol, b_pol, spin, photon).
     psi = HADAMARD.reshape(2, 1, 2, 1, 1, 1, 1, 1) * psi
     psi = HADAMARD.reshape(1, 2, 1, 2, 1, 1, 1, 1) * psi
-    out = np.einsum("xk,...x->k...", basis_vectors(Kind.POLARIZATION, "da").conj(), psi)
+    out = np.einsum("xk,...x->k...", DA_BASIS.conj(), psi)
     # Polarizations leave as they entered: the map is zero off that diagonal.
     maps = np.zeros((8, 8, 2, 2, 2, 2), dtype=complex)
     np.einsum("kjlpqsabpq->kjlabpqs", maps.reshape((2,) * 10))[...] = out
@@ -264,17 +254,19 @@ def _joint(branch: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def _distribution(reg: QuantumRegister, maps: np.ndarray) -> OutcomeDistribution:
+    from .register import Kind  # loaded already, as ``reg`` is a register
+
     present = {s.name for s in reg.subsystems}
     for name in (SPIN_NAME, AUX_NAME):
         if name in present:
             raise ValueError(f"subsystem {name!r} already present")
     axes, inputs = [], []
-    for sub in _INPUTS:
-        if sub.kind is Kind.POLARIZATION and sub.name not in present:
+    for name, kind in _INPUTS:
+        if kind == "POLARIZATION" and name not in present:
             inputs.append(0)  # a missing polarization enters as |R>
         else:
-            reg.require_kind(sub.name, sub.kind)
-            axes.append(reg.axis(sub.name))
+            reg.require_kind(name, Kind[kind])
+            axes.append(reg.axis(name))
             inputs.append(slice(None))
     branch = maps[(slice(None), slice(None), *inputs)].reshape(8, 8, -1)
     psi = np.moveaxis(reg.amplitudes.reshape([2] * reg.n), axes, range(len(axes)))

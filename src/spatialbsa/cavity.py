@@ -45,6 +45,41 @@ def check_number(name: str, value, whole: bool = False):
     return float(value) if isinstance(value, np.floating) else value
 
 
+class Frozen:
+    """Base of an immutable record whose fields are its ``__slots__``.
+
+    ``__init__`` checks its arguments and sets the fields once, by ``_set``;
+    assigning or deleting a field afterwards raises AttributeError.  Records
+    compare, hash and print by their fields, as a frozen dataclass does, at a
+    fraction of a dataclass's cost to define.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
 @dataclass(frozen=True)
 class CavityParams:
     """Physical parameters of the dot-cavity system, in units of kappa.
@@ -154,6 +189,10 @@ def hot_reflection(params: CavityParams, g: np.ndarray) -> np.ndarray:
         if np.any(denominator == 0.0):
             raise ValueError("degenerate parameters: hot-cavity response is undefined")
         r_hot = 1.0 - params.kappa * d_exciton / denominator
+        if d_exciton == 0.0:
+            # The quotient is 0, but numpy's complex division makes 0 / B NaN
+            # where B = g^2 is below 2**-1024, whose reciprocal overflows.
+            r_hot[np.isnan(r_hot)] = 1.0
         if np.any(np.isnan(r_hot)):
             # inf / inf or inf - inf: both parts of D_x * D_c, or one and g^2, overflowed.
             raise ValueError("rates too large: the hot-cavity response overflows")

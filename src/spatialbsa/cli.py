@@ -21,7 +21,7 @@ import re
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import TextIO
 
@@ -30,7 +30,7 @@ import numpy as np
 from .bsa import (
     CODE_BELL, QUALITY_FIELDS, DetectorPair, _pick_branch, outcome_distribution, quality_at,
 )
-from .cavity import check_number, operating_point
+from .cavity import Frozen, check_number, operating_point
 from .qsdc import (
     PHASE1_RECORDS,
     PHASE2_RECORDS,
@@ -41,7 +41,7 @@ from .qsdc import (
     check_seed,
     session_columns,
 )
-from .register import BellState, ZeroNormError
+from .states import BellState, ZeroNormError
 
 OUT_DIR_ENV = "SPATIALBSA_OUT_DIR"
 
@@ -121,39 +121,37 @@ def _opened(path_text: str | None) -> Iterator[TextIO]:
         raise ValueError(f"cannot write {out}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Frozen):
     """Grid of cavity operating points for a quality sweep."""
 
-    g_min: float
-    g_max: float
-    steps: int
-    ks_list: tuple[float, ...]
-    gamma: float = 0.1
-    detuning: float = 0.5
+    __slots__ = ("g_min", "g_max", "steps", "ks_list", "gamma", "detuning")
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", check_number("steps", self.steps, whole=True))
-        if self.steps < 2:
+    def __init__(self, g_min: float, g_max: float, steps: int, ks_list: tuple[float, ...],
+                 gamma: float = 0.1, detuning: float = 0.5):
+        steps = check_number("steps", steps, whole=True)
+        if steps < 2:
             raise ValueError("steps must be at least 2")
-        for name in ("g_min", "g_max", "gamma", "detuning"):
-            object.__setattr__(self, name, check_number(name, getattr(self, name)))
-            if not math.isfinite(getattr(self, name)):
+        ranges = []
+        for name, value in zip(("g_min", "g_max", "gamma", "detuning"),
+                               (g_min, g_max, gamma, detuning)):
+            ranges.append(check_number(name, value))
+            if not math.isfinite(ranges[-1]):
                 raise ValueError("sweep ranges must be finite")
-        if not (self.g_min < self.g_max):
+        g_min, g_max, gamma, detuning = ranges
+        if not (g_min < g_max):
             raise ValueError("g range must satisfy min < max")
-        if self.g_min < 0.0:
+        if g_min < 0.0:
             raise ValueError("g must be nonnegative")
-        if not isinstance(self.ks_list, (tuple, list)):
-            raise ValueError(f"ks_list must be a tuple or list, got {type(self.ks_list).__name__}")
-        if not self.ks_list:
+        if not isinstance(ks_list, (tuple, list)):
+            raise ValueError(f"ks_list must be a tuple or list, got {type(ks_list).__name__}")
+        if not ks_list:
             raise ValueError("at least one ks_over_k value is required")
-        ks_list = tuple(check_number("ks_over_k", ks) for ks in self.ks_list)
-        object.__setattr__(self, "ks_list", ks_list)
-        if any(not math.isfinite(ks) or ks < 0.0 for ks in self.ks_list):
+        ks_list = tuple(check_number("ks_over_k", ks) for ks in ks_list)
+        if any(not math.isfinite(ks) or ks < 0.0 for ks in ks_list):
             raise ValueError("ks_over_k values must be finite and nonnegative")
-        if self.steps * len(self.ks_list) > MAX_SWEEP_ROWS:
+        if steps * len(ks_list) > MAX_SWEEP_ROWS:
             raise ValueError(f"sweep must have at most {MAX_SWEEP_ROWS} rows (steps x ks values)")
+        self._set(g_min, g_max, steps, ks_list, gamma, detuning)
 
 
 def sweep_points(spec: SweepSpec) -> np.recarray:
@@ -480,7 +478,7 @@ def format_qsdc_report(config: QsdcConfig, session: SessionColumns, out: TextIO)
     per-pair records go out a chunk at a time, made from a table of each
     record kind's bytes.
     """
-    payload = {"command": "qsdc", "config": asdict(config), "report": asdict(session.report([]))}
+    payload = {"command": "qsdc", "config": asdict(config), "report": session.report([])._asdict()}
     head, _, tail = json.dumps(payload, indent=2, sort_keys=True).rpartition("[]")
     # A phase's records follow the head or the last phase's summary and its
     # comma; the transcript's end follows the last summary, without one.

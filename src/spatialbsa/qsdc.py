@@ -45,7 +45,7 @@ import numpy as np
 
 from .bsa import CODE_BELL, analyze_pairs
 from .cavity import check_number
-from .register import HADAMARD, SQRT_HALF, ZeroNormError, _pick
+from .states import HADAMARD, SQRT_HALF, ZeroNormError, _pick
 
 # The largest session a config may ask for.  tracemalloc puts a session at
 # the default sample fraction at about 160 bytes per pair (20 000 and 40 000
@@ -185,8 +185,7 @@ def phase1_sample_count(config: QsdcConfig) -> int:
     return int(round(config.sample_fraction * config.pair_count))
 
 
-@dataclass(frozen=True)
-class SessionReport:
+class SessionReport(NamedTuple):
     """Everything observable about one finished session."""
 
     phase1_qber: float

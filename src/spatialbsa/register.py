@@ -23,17 +23,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SQRT_HALF = 1.0 / np.sqrt(2.0)
-
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * SQRT_HALF
+# What the analyzer's maps and the session use lives in ``states``, which the
+# commands import without this module; it is re-exported here.
+from .states import (  # noqa: F401
+    _BELL_AMPLITUDES,
+    DA_BASIS,
+    HADAMARD,
+    SQRT_HALF,
+    BellState,
+    ZeroNormError,
+    _pick,
+)
 
 
 class SubsystemKindError(ValueError):
     """An operation was applied to a subsystem of the wrong kind."""
-
-
-class ZeroNormError(ValueError):
-    """The register carries no amplitude, so probabilities are undefined."""
 
 
 class Kind(enum.Enum):
@@ -50,18 +54,9 @@ class Subsystem:
     kind: Kind
 
 
-class BellState(enum.Enum):
-    """The four maximally entangled states of two spatial qubits."""
-
-    PHI_PLUS = "phi+"
-    PHI_MINUS = "phi-"
-    PSI_PLUS = "psi+"
-    PSI_MINUS = "psi-"
-
-
 # Measurement bases per kind.  Columns are the basis kets expressed in the
-# subsystem's native basis.  "da" is the circular-diagonal pair
-# (|R> + i|L>)/sqrt2, (|R> - i|L>)/sqrt2 used for the readout photon.
+# subsystem's native basis.  "da" is the readout photon's circular-diagonal
+# pair, ``states.DA_BASIS``.
 _BASES = {
     Kind.SPATIAL: {
         "z": np.eye(2, dtype=complex),
@@ -73,7 +68,7 @@ _BASES = {
     },
     Kind.POLARIZATION: {
         "rl": np.eye(2, dtype=complex),
-        "da": np.array([[1.0, 1.0], [1.0j, -1.0j]], dtype=complex) * SQRT_HALF,
+        "da": DA_BASIS,
     },
 }
 
@@ -84,18 +79,6 @@ def basis_vectors(kind: Kind, basis: str) -> np.ndarray:
         return _BASES[kind][basis]
     except KeyError:
         raise ValueError(f"no basis {basis!r} for kind {kind.value}") from None
-
-
-def _pick(w0, w1, u):
-    """Outcome 0 or 1 of one uniform ``u`` against the weights ``w0``, ``w1``.
-
-    The outcome is 1 when ``u`` reaches the conditional probability of 0;
-    a pick of a zero-weight outcome flips to the other one, a case only
-    floating-point corners reach.  That makes the rule ``u >= w0 / (w0 + w1)``
-    while ``w1`` is nonzero, and 0 otherwise.  It works elementwise, on
-    floats and on arrays alike.
-    """
-    return (u >= w0 / (w0 + w1)) & (w1 != 0.0)
 
 
 class QuantumRegister:
@@ -191,13 +174,6 @@ class QuantumRegister:
         self.amplitudes = np.kron(self.amplitudes, chi)
         return self
 
-
-_BELL_AMPLITUDES = {
-    BellState.PHI_PLUS: np.array([1, 0, 0, 1], dtype=complex) * SQRT_HALF,
-    BellState.PHI_MINUS: np.array([1, 0, 0, -1], dtype=complex) * SQRT_HALF,
-    BellState.PSI_PLUS: np.array([0, 1, 1, 0], dtype=complex) * SQRT_HALF,
-    BellState.PSI_MINUS: np.array([0, 1, -1, 0], dtype=complex) * SQRT_HALF,
-}
 
 _POLARIZATION_KETS = {
     "R": np.array([1, 0], dtype=complex),

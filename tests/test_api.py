@@ -1,12 +1,17 @@
 """The package namespace: the README's library example runs, __all__ resolves,
-and the version matches the project metadata."""
+the version matches the project metadata, and no command loads the register."""
 
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import spatialbsa
+from spatialbsa import bsa, cli, qsdc, register, states
 
 ROOT = Path(__file__).parent.parent
 README = (ROOT / "README.md").read_text()
@@ -29,3 +34,48 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert spatialbsa.__version__ == project["version"]
+
+
+# One command through cli.main in a fresh interpreter, which then prints its
+# exit code and the package's modules it has loaded.
+PROBE = """
+import contextlib, io, json, sys
+from spatialbsa import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("spatialbsa"))]))
+"""
+COMMANDS = {
+    "bsa": ["bsa", "psi-", "--lossy", "--trials", "5", "--seed", "1"],
+    "sweep": ["sweep", "--steps", "3", "--seed", "1"],
+    "qsdc": ["qsdc", "--message", "0110", "--pairs", "40", "--seed", "1"],
+}
+
+
+def test_no_command_loads_the_register():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for name, argv in COMMANDS.items():
+        proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)],
+                              capture_output=True, text=True, env=env, timeout=120, check=True)
+        code, loaded = json.loads(proc.stdout)
+        assert code == 0, name
+        assert "spatialbsa.register" not in loaded, (name, loaded)
+        assert "spatialbsa.states" in loaded, (name, loaded)
+
+    # Every name that lived in the register still resolves where it did.
+    assert spatialbsa.QuantumRegister is register.QuantumRegister
+    assert spatialbsa.make_bell is register.make_bell
+    assert {"QuantumRegister", "make_bell", *spatialbsa.__all__} <= set(dir(spatialbsa))
+    namespace = {}
+    exec("from spatialbsa import *", namespace)
+    assert namespace["QuantumRegister"] is register.QuantumRegister
+    assert namespace["make_bell"] is register.make_bell
+    assert spatialbsa.bsa.parity_qnd is bsa.parity_qnd
+    with pytest.raises(AttributeError, match="no attribute 'Kind'"):
+        spatialbsa.Kind
+    # One object each, whichever module it is imported from (qsdc names no Bell state).
+    for module in (bsa, cli, register, spatialbsa):
+        assert module.BellState is states.BellState, module
+    for module in (bsa, qsdc, cli, register, spatialbsa):
+        assert module.ZeroNormError is states.ZeroNormError, module

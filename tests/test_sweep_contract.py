@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from conftest import parse_sweep_csv
 from spatialbsa import cli
 from spatialbsa.bsa import QUALITY_FIELDS, quality, quality_at, quality_from_moduli
-from spatialbsa.cavity import CavityParams, hot_reflection, operating_point
+from spatialbsa.cavity import CavityParams, hot_reflection, operating_point, reflection
 
 # Zero, subnormal and tiny values reach the 2**1000 rescale of D_x, the
 # vanishing denominators and the overflowing couplings.
@@ -112,6 +112,17 @@ def test_hot_reflection_is_within_bound_of_python_complex_arithmetic(g, kappa_s,
         bound = ULPS * (1.0 + abs(1.0 - w))
         assert abs(r.real - w.real) <= bound
         assert abs(r.imag - w.imag) <= bound
+
+
+def test_hot_reflection_is_one_with_no_exciton_term_at_any_coupling():
+    # gamma = detuning = 0 makes D_x = 0, so r_hot is 1 wherever g^2 > 0, as in
+    # Python's arithmetic; numpy's complex division gave NaN for g^2 < 2**-1024.
+    g = [2.1509460641736884e-160, 1e-155, 1.5e-154, 1e-10, 1.0, 1e200]
+    params = operating_point(1.0, 0.0, 0.0, 0.0)
+    assert hot_reflection(params, np.array(g)).tolist() == [1.0] * len(g)
+    assert [python_hot_reflection(CavityParams(v, gamma=0.0, delta_c=0.0, delta_x=0.0))
+            for v in g] == [1.0] * len(g)
+    assert reflection(CavityParams(g[0], gamma=0.0, delta_c=0.0, delta_x=0.0)) == 1.0
 
 
 def test_abs_rh_is_python_abs_of_r_hot():
