@@ -69,6 +69,11 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
+    def __reduce__(self):
+        # pickle and copy rebuild the record through its class, not by
+        # assigning its fields.
+        return type(self), self._values()
+
     def __eq__(self, other):
         return self._values() == other._values() if type(other) is type(self) else NotImplemented
 

@@ -5,6 +5,9 @@ immutable and check their arguments.  Each keeps its fields, their order,
 defaults and immutability, its equality, hash and repr, and the checked ones
 their error messages in their order."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -264,3 +267,18 @@ def test_qsdc_config_messages(kwargs, message):
     with pytest.raises(ValueError) as info:
         QsdcConfig(**{"message_bits": "0110", "pair_count": 40, **kwargs})
     assert str(info.value) == message
+
+
+# The six records on cavity.Frozen.
+FROZEN = {**{name: RECORDS[name] for name in ("DecoherenceParams", "SweepSpec")}, **CONFIGS}
+
+
+@pytest.mark.parametrize("name", FROZEN)
+def test_frozen_records_pickle_and_copy(name):
+    cls, fields = FROZEN[name]
+    record = cls(*fields.values())
+    twins = [pickle.loads(pickle.dumps(record, protocol))
+             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in [*twins, copy.copy(record), copy.deepcopy(record)]:
+        assert type(twin) is cls
+        assert twin == record and repr(twin) == repr(record)
