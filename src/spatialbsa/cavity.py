@@ -16,7 +16,6 @@ and exp(i 0) for hot, which is the regime the analyzer is designed around.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +50,11 @@ class Frozen:
     ``__init__`` checks its arguments and sets the fields once, by ``_set``;
     assigning or deleting a field afterwards raises AttributeError.  Records
     compare, hash and print by their fields, as a frozen dataclass does, at a
-    fraction of a dataclass's cost to define.
+    fraction of a dataclass's cost to define, and pickle and copy through
+    their class.  ``_asdict()`` gives the fields as a dict.  The records on
+    this base are the configs ``CavityParams``, ``qsdc.EveModel``,
+    ``qsdc.ChannelModel`` and ``qsdc.QsdcConfig``, and ``bsa.DecoherenceParams``
+    and ``cli.SweepSpec``.
     """
 
     __slots__ = ()
@@ -62,6 +65,11 @@ class Frozen:
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _asdict(self) -> dict:
+        """The fields by name in field order, a record field as its own dict."""
+        return {name: value._asdict() if isinstance(value, Frozen) else value
+                for name, value in zip(self.__slots__, self._values())}
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -85,8 +93,7 @@ class Frozen:
         return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class CavityParams:
+class CavityParams(Frozen):
     """Physical parameters of the dot-cavity system, in units of kappa.
 
     g is the dot-cavity coupling, kappa the output-coupler decay, kappa_s the
@@ -94,27 +101,25 @@ class CavityParams:
     the detunings of the probe from the cavity and exciton resonances.
     """
 
-    g: float
-    kappa: float = 1.0
-    kappa_s: float = 0.0
-    gamma: float = 0.1
-    delta_c: float = 0.5
-    delta_x: float = 0.5
+    __slots__ = ("g", "kappa", "kappa_s", "gamma", "delta_c", "delta_x")
 
-    def __post_init__(self):
-        for name, value in list(vars(self).items()):
-            value = check_number(name, value)
-            object.__setattr__(self, name, value)  # a numpy scalar as its Python number
-            if not math.isfinite(value):
+    def __init__(self, g: float, kappa: float = 1.0, kappa_s: float = 0.0, gamma: float = 0.1,
+                 delta_c: float = 0.5, delta_x: float = 0.5):
+        values = []
+        for name, value in zip(self.__slots__, (g, kappa, kappa_s, gamma, delta_c, delta_x)):
+            values.append(check_number(name, value))  # a numpy scalar as its Python number
+            if not math.isfinite(values[-1]):
                 raise ValueError(f"{name} must be finite")
-        if not (self.g >= 0.0):
+        g, kappa, kappa_s, gamma = values[:4]
+        if not (g >= 0.0):
             raise ValueError("g must be nonnegative")
-        if not (self.kappa > 0.0):
+        if not (kappa > 0.0):
             raise ValueError("kappa must be positive")
-        if not (self.kappa_s >= 0.0):
+        if not (kappa_s >= 0.0):
             raise ValueError("kappa_s must be nonnegative")
-        if not (self.gamma >= 0.0):
+        if not (gamma >= 0.0):
             raise ValueError("gamma must be nonnegative")
+        self._set(*values)
 
     @property
     def g_over_ktot(self) -> float:

@@ -21,7 +21,6 @@ import re
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import asdict
 from pathlib import Path
 from typing import TextIO
 
@@ -32,6 +31,7 @@ from .bsa import (
 )
 from .cavity import Frozen, check_number, operating_point
 from .qsdc import (
+    DEFAULT_SAMPLE_FRACTION,
     PHASE1_RECORDS,
     PHASE2_RECORDS,
     ChannelModel,
@@ -333,13 +333,21 @@ def cmd_bsa(args) -> int:
     return 0
 
 
+def _ks_value(text: str) -> float:
+    # One item of --ks, named in the error when float() cannot read it.
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"ks_over_k must be a number, got {text!r}") from None
+
+
 def cmd_sweep(args) -> int:
     seed = _seed(args)
     spec = SweepSpec(
         g_min=args.g_min,
         g_max=args.g_max,
         steps=args.steps,
-        ks_list=tuple(float(v) for v in args.ks.split(",") if v.strip()),
+        ks_list=tuple(_ks_value(v) for v in args.ks.split(",") if v.strip()),
         gamma=args.gamma,
         detuning=args.detuning,
     )
@@ -435,7 +443,7 @@ def build_qsdc_config(args) -> QsdcConfig:
     if "message_bits" not in top:
         raise ValueError("a message is required (--message or config file)")
     if "pair_count" not in top:
-        fraction = top.get("sample_fraction", QsdcConfig.sample_fraction)
+        fraction = top.get("sample_fraction", DEFAULT_SAMPLE_FRACTION)
         top["pair_count"] = _auto_pair_count(top["message_bits"], fraction)
     if "seed" not in top:
         top["seed"] = draw_seed()
@@ -449,10 +457,17 @@ def _record_json(record: dict) -> str:
 
 def _record_table(records: tuple) -> tuple[tuple[str, str], ...]:
     """Each record kind's text before and after its pair index: its record with
-    the string "@" as the pair index, laid out by ``_record_json``, followed by
-    the ",\n" of a record that its phase's summary comes after, and split at the "@"."""
-    return tuple(tuple((_record_json({**record, "pair": "@"}) + ",\n").split('"@"'))
-                 for record in records)
+    the string "@" as the pair index, laid out as ``_record_json`` lays it out,
+    followed by the ",\n" of a record that its phase's summary comes after, and
+    split at the "@".
+
+    A record is flat, so json's C encoder, with the indented text's item
+    separator and the braces laid out again, gives that text at a fraction of
+    the cost of the indenting encoder, which is pure Python.
+    """
+    texts = (json.dumps({**record, "pair": "@"}, sort_keys=True, separators=(",\n        ", ": "))
+             for record in records)
+    return tuple(tuple(f"      {{\n        {text[1:-1]}\n      }},\n".split('"@"')) for text in texts)
 
 
 _PHASE1_TABLE = _record_table(PHASE1_RECORDS)
@@ -478,7 +493,7 @@ def format_qsdc_report(config: QsdcConfig, session: SessionColumns, out: TextIO)
     per-pair records go out a chunk at a time, made from a table of each
     record kind's bytes.
     """
-    payload = {"command": "qsdc", "config": asdict(config), "report": session.report([])._asdict()}
+    payload = {"command": "qsdc", "config": config._asdict(), "report": session.report([])._asdict()}
     head, _, tail = json.dumps(payload, indent=2, sort_keys=True).rpartition("[]")
     # A phase's records follow the head or the last phase's summary and its
     # comma; the transcript's end follows the last summary, without one.

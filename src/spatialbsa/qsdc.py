@@ -38,13 +38,12 @@ generator's raw 64-bit words, ``_draw_trips``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .bsa import CODE_BELL, analyze_pairs
-from .cavity import check_number
+from .cavity import Frozen, check_number
 from .states import HADAMARD, SQRT_HALF, ZeroNormError, _pick
 
 # The largest session a config may ask for.  tracemalloc puts a session at
@@ -57,6 +56,9 @@ from .states import HADAMARD, SQRT_HALF, ZeroNormError, _pick
 # record columns keep 17 bytes per pair, and run_session's dict transcript
 # about 310.  So this bound holds a command near 0.16 GB.
 MAX_PAIR_COUNT = 1_000_000
+
+# The share of pairs phase 1 samples when a config names none.
+DEFAULT_SAMPLE_FRACTION = 0.1
 
 # The dense-coding alphabet in code order: code c = 2*b0 + b1 carries the
 # bits CODE_BITS[c] and turns phi+ into CODE_BELL[c].  b1 is the swap, which
@@ -79,21 +81,20 @@ PHASE2_RECORDS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class EveModel:
+class EveModel(Frozen):
     """Eavesdropper configuration: no attack, or intercept-resend on a fraction."""
 
-    kind: str = "none"
-    fraction: float = 0.0
+    __slots__ = ("kind", "fraction")
 
-    def __post_init__(self):
-        if self.kind not in ("none", "intercept_resend"):
-            raise ValueError(f"unknown eve model {self.kind!r}")
-        object.__setattr__(self, "fraction", check_number("eve fraction", self.fraction))
-        if not (0.0 <= self.fraction <= 1.0):
+    def __init__(self, kind: str = "none", fraction: float = 0.0):
+        if kind not in ("none", "intercept_resend"):
+            raise ValueError(f"unknown eve model {kind!r}")
+        fraction = check_number("eve fraction", fraction)
+        if not (0.0 <= fraction <= 1.0):
             raise ValueError("eve fraction must lie in [0, 1]")
-        if self.kind == "none" and self.fraction != 0.0:
+        if kind == "none" and fraction != 0.0:
             raise ValueError("eve model 'none' cannot have a nonzero fraction")
+        self._set(kind, fraction)
 
     @classmethod
     def none(cls) -> "EveModel":
@@ -108,61 +109,59 @@ class EveModel:
         return self.kind != "none"
 
 
-@dataclass(frozen=True)
-class ChannelModel:
+class ChannelModel(Frozen):
     """Independent rail-swap and rail-phase error probabilities per transit."""
 
-    mode_flip_prob: float = 0.0
-    phase_flip_prob: float = 0.0
+    __slots__ = ("mode_flip_prob", "phase_flip_prob")
 
-    def __post_init__(self):
-        for label in ("mode_flip_prob", "phase_flip_prob"):
-            p = check_number(label, getattr(self, label))
-            object.__setattr__(self, label, p)
-            if not (0.0 <= p <= 1.0):
+    def __init__(self, mode_flip_prob: float = 0.0, phase_flip_prob: float = 0.0):
+        probs = []
+        for label, p in zip(self.__slots__, (mode_flip_prob, phase_flip_prob)):
+            probs.append(check_number(label, p))
+            if not (0.0 <= probs[-1] <= 1.0):
                 raise ValueError(f"{label} must lie in [0, 1]")
+        self._set(*probs)
 
 
-@dataclass(frozen=True)
-class QsdcConfig:
+class QsdcConfig(Frozen):
     """Full description of one session; the session is a pure function of it."""
 
-    message_bits: str
-    pair_count: int
-    sample_fraction: float = 0.1
-    eve_model: EveModel = field(default_factory=EveModel.none)
-    channel_model: ChannelModel = field(default_factory=ChannelModel)
-    seed: int = 0
-    qber_abort_threshold: float = 0.11
+    __slots__ = ("message_bits", "pair_count", "sample_fraction", "eve_model", "channel_model",
+                 "seed", "qber_abort_threshold")
 
-    def __post_init__(self):
-        bits = self.message_bits
-        if not isinstance(bits, str) or not bits or set(bits) - {"0", "1"}:
+    def __init__(self, message_bits: str, pair_count: int,
+                 sample_fraction: float = DEFAULT_SAMPLE_FRACTION,
+                 eve_model: EveModel = EveModel(), channel_model: ChannelModel = ChannelModel(),
+                 seed: int = 0, qber_abort_threshold: float = 0.11):
+        if not isinstance(message_bits, str) or not message_bits or set(message_bits) - {"0", "1"}:
             raise ValueError("message_bits must be a nonempty string of 0s and 1s")
-        if len(self.message_bits) % 2 != 0:
+        if len(message_bits) % 2 != 0:
             raise ValueError("message_bits must have even length (2 bits per pair)")
-        for name in ("pair_count", "sample_fraction", "seed", "qber_abort_threshold"):
-            value = check_number(name, getattr(self, name), whole=name in ("pair_count", "seed"))
-            object.__setattr__(self, name, value)
-        if not 1 <= self.pair_count <= MAX_PAIR_COUNT:
+        pair_count = check_number("pair_count", pair_count, whole=True)
+        sample_fraction = check_number("sample_fraction", sample_fraction)
+        seed = check_number("seed", seed, whole=True)
+        qber_abort_threshold = check_number("qber_abort_threshold", qber_abort_threshold)
+        if not 1 <= pair_count <= MAX_PAIR_COUNT:
             raise ValueError(f"pair_count must lie between 1 and {MAX_PAIR_COUNT}")
-        if not (0.0 < self.sample_fraction < 1.0):
+        if not (0.0 < sample_fraction < 1.0):
             raise ValueError("sample_fraction must lie strictly between 0 and 1")
         # Any threshold of 1 or more never aborts, and an infinite one has no
         # JSON form.
-        if not (0.0 <= self.qber_abort_threshold < np.inf):
+        if not (0.0 <= qber_abort_threshold < np.inf):
             raise ValueError("qber_abort_threshold must be finite and nonnegative")
-        check_seed(self.seed)
-        for name, model in (("eve_model", EveModel), ("channel_model", ChannelModel)):
-            value = getattr(self, name)
+        check_seed(seed)
+        for name, value, model in (("eve_model", eve_model, EveModel),
+                                   ("channel_model", channel_model, ChannelModel)):
             if not isinstance(value, model):
                 raise ValueError(f"{name} must be a {model.__name__}, got {value!r}")
+        self._set(message_bits, pair_count, sample_fraction, eve_model, channel_model, seed,
+                  qber_abort_threshold)
         n_sample = phase1_sample_count(self)
         if n_sample < 1:
             raise ValueError("sample_fraction rounds to zero sampled pairs")
-        if self.pair_count - n_sample < self.message_pair_count:
+        if pair_count - n_sample < self.message_pair_count:
             raise ValueError(
-                f"infeasible config: {self.pair_count} pairs minus {n_sample} "
+                f"infeasible config: {pair_count} pairs minus {n_sample} "
                 f"samples cannot carry {self.message_pair_count} message pairs"
             )
 

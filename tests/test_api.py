@@ -1,5 +1,6 @@
 """The package namespace: the README's library example runs, __all__ resolves,
-the version matches the project metadata, and no command loads the register."""
+the version matches the project metadata, and no command loads the register
+or dataclasses."""
 
 import json
 import os
@@ -37,13 +38,15 @@ def test_version_matches_pyproject():
 
 
 # One command through cli.main in a fresh interpreter, which then prints its
-# exit code and the package's modules it has loaded.
+# exit code, the package's modules it has loaded and whether it has loaded
+# dataclasses.
 PROBE = """
 import contextlib, io, json, sys
 from spatialbsa import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("spatialbsa"))]))
+loaded = sorted(m for m in sys.modules if m.startswith("spatialbsa") or m == "dataclasses")
+print(json.dumps([code, loaded]))
 """
 COMMANDS = {
     "bsa": ["bsa", "psi-", "--lossy", "--trials", "5", "--seed", "1"],
@@ -61,6 +64,7 @@ def test_no_command_loads_the_register():
         code, loaded = json.loads(proc.stdout)
         assert code == 0, name
         assert "spatialbsa.register" not in loaded, (name, loaded)
+        assert "dataclasses" not in loaded, (name, loaded)
         assert "spatialbsa.states" in loaded, (name, loaded)
 
     # Every name that lived in the register still resolves where it did.

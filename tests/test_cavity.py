@@ -1,5 +1,4 @@
 import json
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -69,10 +68,10 @@ class TestCavityParams:
         values = [scalar(v) for v in (2.4, 0.7, 0.1, 0.5, 3.0)]
         plain = [v.item() for v in values]
         got, want = (operating_point(*vs[:4]) for vs in (values, plain))
-        assert json.dumps(asdict(got)) == json.dumps(asdict(want))
-        assert [type(v) for v in asdict(got).values()] == [type(v) for v in asdict(want).values()]
+        assert json.dumps(got._asdict()) == json.dumps(want._asdict())
+        assert [type(v) for v in got._asdict().values()] == [type(v) for v in want._asdict().values()]
         got, want = (CavityParams(*vs) for vs in (values, plain))
-        assert json.dumps(asdict(got)) == json.dumps(asdict(want))
+        assert json.dumps(got._asdict()) == json.dumps(want._asdict())
         for coupled in (False, True):
             assert reflection(got, coupled) == reflection(want, coupled)
         assert quality(got) == quality(want)

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +214,11 @@ class TestSweepCommand:
         code, _, err = self.run_sweep(capsys, ["--steps", "1"])
         assert code == 1
         assert "steps" in err
+
+    def test_unreadable_ks_item_is_named(self, capsys):
+        code, out, err = self.run_sweep(capsys, ["--ks", "0,abc"])
+        assert (code, out) == (1, "")
+        assert err == "error: ks_over_k must be a number, got 'abc'\n"
 
     def test_oversized_grid_gives_one_error_line(self, capsys):
         # Rejected before any grid point exists; unchecked, numpy would fail
@@ -743,10 +747,10 @@ BASE_CONFIG = {
 }
 SECTIONS = {"config": QsdcConfig, "eve_model": EveModel, "channel_model": ChannelModel}
 SETTABLE = [
-    (where, f.name)
+    (where, name)
     for where, model in SECTIONS.items()
-    for f in fields(model)
-    if f.name not in SECTIONS
+    for name in model.__slots__
+    if name not in SECTIONS
 ]
 
 

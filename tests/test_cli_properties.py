@@ -23,7 +23,6 @@ import io
 import json
 import math
 import tempfile
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +35,8 @@ from spatialbsa.qsdc import (
     ChannelModel,
     EveModel,
     MAX_PAIR_COUNT,
+    PHASE1_RECORDS,
+    PHASE2_RECORDS,
     QsdcConfig,
     run_session,
     session_columns,
@@ -292,7 +293,18 @@ def test_qsdc_report_text_equals_indented_dump(config):
     report = run_session(config)
     payload = {
         "command": "qsdc",
-        "config": asdict(config),
+        "config": {
+            "message_bits": config.message_bits,
+            "pair_count": config.pair_count,
+            "sample_fraction": config.sample_fraction,
+            "eve_model": {"kind": config.eve_model.kind, "fraction": config.eve_model.fraction},
+            "channel_model": {
+                "mode_flip_prob": config.channel_model.mode_flip_prob,
+                "phase_flip_prob": config.channel_model.phase_flip_prob,
+            },
+            "seed": config.seed,
+            "qber_abort_threshold": config.qber_abort_threshold,
+        },
         "report": {
             "phase1_qber": report.phase1_qber,
             "aborted": report.aborted,
@@ -360,6 +372,16 @@ def test_phase2_kernel_equals_the_dump_of_every_kind():
                     }))
     assert len(set(kinds)) == 32
     assert kernel_text(cli._PHASE2_TABLE, kinds, pairs, 8) == "".join(want) * 8
+
+
+def test_record_tables_are_the_indented_dumps_of_their_kinds():
+    # The tables come from json's C encoder; each entry must be its kind's
+    # indent=2 text as _record_json lays it out, split at the pair index.
+    for table, records in ((cli._PHASE1_TABLE, PHASE1_RECORDS), (cli._PHASE2_TABLE, PHASE2_RECORDS)):
+        assert len(table) == len(records)
+        for entry, record in zip(table, records):
+            text = cli._record_json({**record, "pair": "@"}) + ",\n"
+            assert entry == tuple(text.split('"@"')), record
 
 
 def test_a_record_chunk_stays_below_128_kib():

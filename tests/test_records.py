@@ -282,3 +282,17 @@ def test_frozen_records_pickle_and_copy(name):
     for twin in [*twins, copy.copy(record), copy.deepcopy(record)]:
         assert type(twin) is cls
         assert twin == record and repr(twin) == repr(record)
+
+
+def test_asdict_nests_the_record_fields():
+    cls, fields = CONFIGS["QsdcConfig"]
+    config = cls(*fields.values())
+    assert config._asdict() == {
+        "message_bits": "0110", "pair_count": 40, "sample_fraction": 0.2,
+        "eve_model": {"kind": "intercept_resend", "fraction": 0.25},
+        "channel_model": {"mode_flip_prob": 0.01, "phase_flip_prob": 0.02},
+        "seed": 7, "qber_abort_threshold": 0.3,
+    }
+    assert list(config._asdict()) == list(fields)
+    spec = cli.SweepSpec(*RECORDS["SweepSpec"][1].values())
+    assert spec._asdict() == RECORDS["SweepSpec"][1]
