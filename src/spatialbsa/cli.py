@@ -59,11 +59,21 @@ _CHUNK_ROWS = 512
 # whether or not glibc's mmap threshold is pinned at 128 KiB.
 _RECORD_ROWS = 256
 
+# sweep_points evaluates a ks block this many rows at a time, so that each of quality_at's
+# temporaries, 64 KB at most (a complex column), stays below 128 KiB and the blocks reuse
+# heap pages that the block before freed.  In one evaluation per ks block, the sweep's
+# page faults followed import-time allocations in modules it never runs.  In a fresh
+# interpreter as the benchmark makes it, on the seed-1 sweep_grid argv (10 000 steps x 3
+# ks), cli.main then took 1 432 minor faults, or 1 566 once the configs stopped loading
+# dataclasses; in blocks of 1 024, 2 048 and 4 096 rows it took 571, 568 and 510.  Each
+# block costs a Python call: warm, sweep_points took 2.4, 6.7, 4.9 and 3.1 ms.
+_SWEEP_ROWS = 4096
+
 # The largest sweep grid in rows (steps x ks values).  tracemalloc puts the sweep command
-# at about 112 bytes per row (20 000 and 40 000 steps x 3 ks): sweep_points' 64-byte
-# records beside one ks block's quality_at, about 136 bytes a step, which writes its
-# columns into those records; the CSV writer's buffers do not grow with the grid.
-# So ~0.23 GB.
+# at 83 and 75 bytes per row (20 000 and 40 000 steps x 3 ks): sweep_points' 64-byte
+# records and its two columns of couplings; one block's quality_at, which writes its
+# columns into those records, and the CSV writer's buffers do not grow with the grid.
+# So ~0.15 GB.
 MAX_SWEEP_ROWS = 2_000_000
 
 # The most bsa trials.  tracemalloc puts the command at about 66 bytes per trial
@@ -157,13 +167,16 @@ class SweepSpec(Frozen):
 def sweep_points(spec: SweepSpec) -> np.recarray:
     """Evaluate the quality figures over the grid, one record per row, ordered (ks, g).
 
-    Each ks value's rows are one array evaluation.  A CavityParams for its
-    first row checks what the rows share, and the other checks run in an
-    order that raises the error of the first failing row: a zero hot-cavity
-    denominator needs D_x = 0 and g^2 = 0, and D_x = 0 keeps r_hot at 1 on
-    every other row, a vanishing reflection needs a small g, and an
-    overflowing hot response fails every row or those whose g^2 overflows;
-    so a row failing any of them precedes any row whose g overflows.
+    Each ks value's rows are array evaluations of ``_SWEEP_ROWS`` rows in
+    row order; every figure is elementwise, so a row's bits do not depend on
+    its block.  A CavityParams for its first row checks what the rows share,
+    and the other checks run in an order that raises the error of the first
+    failing row: a zero hot-cavity denominator needs D_x = 0 and g^2 = 0,
+    and D_x = 0 keeps r_hot at 1 on every other row, a vanishing reflection
+    needs a small g, and an overflowing hot response fails every row or
+    those whose g^2 overflows; so a row failing any of them precedes any row
+    whose g overflows.  That holds in each block, and the first block with a
+    failing row holds the first failing row.
     """
     g_over_ktot = np.linspace(spec.g_min, spec.g_max, spec.steps)
     points = np.recarray(spec.steps * len(spec.ks_list), [(name, float) for name in QUALITY_FIELDS])
@@ -171,7 +184,9 @@ def sweep_points(spec: SweepSpec) -> np.recarray:
         params = operating_point(float(g_over_ktot[0]), ks, spec.gamma, spec.detuning)
         with np.errstate(over="ignore"):
             g = g_over_ktot * (1.0 + ks)  # as operating_point scales each row
-        quality_at(params, g, out=points[start : start + spec.steps])
+        block = points[start : start + spec.steps]
+        for i in range(0, spec.steps, _SWEEP_ROWS):
+            quality_at(params, g[i : i + _SWEEP_ROWS], out=block[i : i + _SWEEP_ROWS])
         if not np.isfinite(g).all():
             raise ValueError("g must be finite")
     return points

@@ -73,6 +73,43 @@ def test_rows_equal_one_point_quality(g_range, steps, ks_list, gamma, detuning):
             assert getattr(record, name) == getattr(point, name), name
 
 
+@settings(deadline=None, max_examples=100)
+@given(
+    g_range=st.lists(g_values, min_size=2, max_size=2, unique=True).map(sorted),
+    steps=st.integers(2, 40),
+    ks_list=st.lists(rates, min_size=1, max_size=3),
+    gamma=rates,
+    detuning=detunings,
+    rows=st.integers(1, 9),
+)
+@example(g_range=[0.0, 1e308], steps=7, ks_list=[1.0], gamma=0.0, detuning=0.0, rows=2)
+@example(g_range=[0.0, 1e308], steps=7, ks_list=[1.0], gamma=0.1, detuning=0.0, rows=3)
+def test_blocks_of_rows_equal_one_point_quality(g_range, steps, ks_list, gamma, detuning, rows):
+    # The same contract with a ks block's rows evaluated a few at a time.
+    spec = cli.SweepSpec(*g_range, steps, tuple(ks_list), gamma, detuning)
+    points, error = rows_one_at_a_time(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_SWEEP_ROWS", rows)
+        if error is not None:
+            with pytest.raises(ValueError) as exc:
+                cli.sweep_points(spec)
+            assert str(exc.value) == error
+            return
+        records = cli.sweep_points(spec)
+    assert records.tolist() == [tuple(point) for point in points]
+
+
+def test_blocks_of_rows_equal_one_evaluation_per_ks_block():
+    steps = 2 * cli._SWEEP_ROWS + 123
+    spec = cli.SweepSpec(0.05, 3.1, steps, (0.7, 0.0, 0.3), 0.1, 0.5)
+    records = cli.sweep_points(spec)
+    g_over_ktot = np.linspace(spec.g_min, spec.g_max, steps)
+    for start, ks in zip(range(0, len(records), steps), sorted(spec.ks_list)):
+        params = operating_point(float(g_over_ktot[0]), ks, spec.gamma, spec.detuning)
+        whole = quality_at(params, g_over_ktot * (1.0 + ks))
+        assert records[start : start + steps].tobytes() == whole.tobytes()
+
+
 def python_hot_reflection(params: CavityParams) -> complex:
     """r_hot in Python's complex arithmetic, one coupling at a time."""
     d_exciton = 0.5 * params.gamma - 1j * params.delta_x
