@@ -466,23 +466,20 @@ def build_qsdc_config(args) -> QsdcConfig:
 
 
 def _record_json(record: dict) -> str:
-    # A transcript record at the transcript's depth.
-    return "      " + json.dumps(record, indent=2, sort_keys=True).replace("\n", "\n      ")
+    # A flat, nonempty record at the transcript's depth, as json.dumps(record,
+    # indent=2, sort_keys=True) lays it out: json's C encoder with the indented
+    # text's item separator and the braces laid out again, at a fraction of the
+    # cost of the indenting encoder, which is pure Python.
+    text = json.dumps(record, sort_keys=True, separators=(",\n        ", ": "))
+    return f"      {{\n        {text[1:-1]}\n      }}"
 
 
 def _record_table(records: tuple) -> tuple[tuple[str, str], ...]:
-    """Each record kind's text before and after its pair index: its record with
-    the string "@" as the pair index, laid out as ``_record_json`` lays it out,
-    followed by the ",\n" of a record that its phase's summary comes after, and
-    split at the "@".
-
-    A record is flat, so json's C encoder, with the indented text's item
-    separator and the braces laid out again, gives that text at a fraction of
-    the cost of the indenting encoder, which is pure Python.
-    """
-    texts = (json.dumps({**record, "pair": "@"}, sort_keys=True, separators=(",\n        ", ": "))
-             for record in records)
-    return tuple(tuple(f"      {{\n        {text[1:-1]}\n      }},\n".split('"@"')) for text in texts)
+    # Each record kind's text before and after its pair index: its record with
+    # the string "@" as the pair index, followed by the ",\n" of a record that
+    # its phase's summary comes after, and split at the "@".
+    return tuple(tuple((_record_json({**record, "pair": "@"}) + ",\n").split('"@"'))
+                 for record in records)
 
 
 _PHASE1_TABLE = _record_table(PHASE1_RECORDS)

@@ -31,8 +31,10 @@ session is a pure function of its config and the transcript is reproducible
 bit for bit.  The pairs live in one real array of shape (pair_count, 2, 2)
 (pair, rail of photon a, rail of photon b), as every session operation is
 real.  Each phase first takes all its draws, in that order, and then applies
-them to its rows at once.  Both transits take theirs from one reader of the
-generator's raw 64-bit words, ``_draw_trips``.
+them to its rows at once.  Preparation's trips are one ``rng.random`` block,
+so a session that aborts in phase 1 takes only the generator's public calls;
+phase 2's trips and check codes come from one reader of the generator's raw
+64-bit words, ``_draw_trips``.
 """
 
 from __future__ import annotations
@@ -294,18 +296,18 @@ def _trip_width(eve: EveModel) -> int:
     return 5 if eve.active else 2
 
 
-def _draw_trips(rng, check: np.ndarray, eve: EveModel, tail: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw every pair's trip in pair order: a check pair's code, then the
-    pair's trip, then ``tail`` more uniforms.
+def _draw_trips(rng, check: np.ndarray, eve: EveModel) -> tuple[np.ndarray, np.ndarray]:
+    """Draw phase 2's trips in pair order: a check pair's code, then the
+    pair's return trip, then the analyzer's three uniforms.
 
     Returns the check pairs' codes in pair order, and one row per pair
     holding its uniforms in draw order: the two channel uniforms, Eve's
-    coin, basis and outcome if she is active, then the tail.  Every row has
-    the same width, so the rows are one reshape of the words.  The draws
-    equal those of ``rng.integers(4)`` per check pair and ``rng.random()``
-    per uniform, and leave the generator where those calls leave it.  They
-    come from one block of the bit generator's raw 64-bit words, read by the
-    rule NumPy's ``Generator`` follows:
+    coin, basis and outcome if she is active, then the analyzer's three.
+    Every row has the same width, so the rows are one reshape of the words.
+    The draws equal those of ``rng.integers(4)`` per check pair and
+    ``rng.random()`` per uniform, and leave the generator where those calls
+    leave it.  They come from one block of the bit generator's raw 64-bit
+    words, read by the rule NumPy's ``Generator`` follows:
 
     * ``random()`` is ``(w >> 11) * 2**-53`` of the next word w;
     * ``integers(4)`` is the top two bits of one 32-bit half: the buffered
@@ -313,14 +315,12 @@ def _draw_trips(rng, check: np.ndarray, eve: EveModel, tail: int) -> tuple[np.nd
       word, whose high half is then buffered.
 
     NEP 19 does not promise this rule; ``tests/test_qsdc.py`` checks it.
-    The words become their uniforms in place; a check pair's word w comes
-    back from its uniform u as ``(u * 2**53) << 11``, w's top 53 bits.
     """
     bitgen = rng.bit_generator
     state = bitgen.state
     buffered = state["has_uint32"]
     n = len(check)
-    width = _trip_width(eve) + tail
+    width = _trip_width(eve) + 3
     # The check pairs take the 32-bit halves in turn: the buffered half if
     # there is one, then each fresh word's low and high half.  A check pair
     # that takes a low half draws a word before its trip: the k-th such word,
@@ -328,24 +328,20 @@ def _draw_trips(rng, check: np.ndarray, eve: EveModel, tail: int) -> tuple[np.nd
     checks = np.flatnonzero(check)
     fresh = checks[buffered::2]
     at = fresh * width + np.arange(len(fresh))
+    words = bitgen.random_raw(n * width + len(fresh))
+    # A fresh word's little-endian bytes, read as 32-bit words, are its low
+    # half and then its high half.
+    halves = np.append(np.uint32(state["uinteger"]), words[at].astype("<u8").view("<u4"))
+    taken = halves[1 - buffered : 1 - buffered + len(checks)]
     # Shifted and converted in place through an int64 view: numpy converts
     # int64 to float64 much faster than uint64, w >> 11 < 2**53 is exact, and
     # an assignment converts in place, where a ufunc's out= copies its input.
-    words = bitgen.random_raw(n * width + len(fresh))
     words >>= 11
     u = words.view(float)
     u[:] = words.view(np.int64)
     u *= 2.0**-53
     trips = (np.delete(u, at) if len(fresh) else u).reshape(n, width)
 
-    # u * 2**53 is w >> 11 exactly.  The shift lost each word's low 11 bits,
-    # which no code and no buffered high half reads.
-    fresh_words = (u[at] * 2.0**53).astype(np.uint64) << 11
-    halves = np.empty(2 * len(fresh_words) + 1, dtype=np.uint64)
-    halves[0] = state["uinteger"]
-    halves[1::2] = fresh_words & 0xFFFFFFFF
-    halves[2::2] = fresh_words >> 32
-    taken = halves[1 - buffered : 1 - buffered + len(checks)]
     # The last half taken, at -1 when the only one was the buffered half:
     # after a low half its high half stays buffered, and after a high half
     # nothing does, though the generator keeps its value.
@@ -415,17 +411,17 @@ def session_columns(config: QsdcConfig) -> SessionColumns:
     return-transit and analyzer draws in pair order.  Each phase takes its
     draws in that order before it touches the pairs, which then evolve
     together as rows of one array.  Each transit's draws form one row of a
-    trip table read by ``_draw_trips``: preparation's with no check pairs
-    and no tail, phase 2's with the check pairs' codes and a tail of three
-    analyzer uniforms, which the analyzer reads.  Phase 2 keeps each pair's
-    bit pair as an int code and its role as a bool.
+    trip table: preparation's is one ``rng.random`` block, and phase 2's,
+    read by ``_draw_trips`` with the check pairs' codes, ends in the three
+    uniforms the analyzer reads.  Phase 2 keeps each pair's bit pair as an
+    int code and its role as a bool.
     """
     rng = np.random.default_rng(config.seed)
     eve = config.eve_model
 
     psi = bell_pairs(config.pair_count)
     # Preparation's trip table is freed as soon as it has run.
-    _transit(psi, config, _draw_trips(rng, np.zeros(config.pair_count, dtype=bool), eve, 0)[1])
+    _transit(psi, config, rng.random((config.pair_count, _trip_width(eve))))
 
     n_sample = phase1_sample_count(config)
     sampled = np.sort(rng.choice(config.pair_count, size=n_sample, replace=False))
@@ -461,7 +457,7 @@ def session_columns(config: QsdcConfig) -> SessionColumns:
     bits = np.frombuffer(config.message_bits.encode(), dtype=np.uint8) - ord("0")
     codes = np.zeros(len(remaining), dtype=int)
     codes[is_message] = 2 * bits[0::2] + bits[1::2]
-    check_codes, trips = _draw_trips(rng, ~is_message, eve, 3)
+    check_codes, trips = _draw_trips(rng, ~is_message, eve)
     codes[~is_message] = check_codes
 
     back = flip_rails(psi[remaining], codes % 2 == 1, codes >= 2)

@@ -376,12 +376,23 @@ def test_phase2_kernel_equals_the_dump_of_every_kind():
 
 def test_record_tables_are_the_indented_dumps_of_their_kinds():
     # The tables come from json's C encoder; each entry must be its kind's
-    # indent=2 text as _record_json lays it out, split at the pair index.
+    # indent=2 text at the transcript's depth, split at the pair index.
     for table, records in ((cli._PHASE1_TABLE, PHASE1_RECORDS), (cli._PHASE2_TABLE, PHASE2_RECORDS)):
         assert len(table) == len(records)
         for entry, record in zip(table, records):
-            text = cli._record_json({**record, "pair": "@"}) + ",\n"
+            text = indented_record({**record, "pair": "@"})
             assert entry == tuple(text.split('"@"')), record
+
+
+@settings(max_examples=200, deadline=None)
+@given(record=st.dictionaries(
+    st.text(min_size=1),
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text()),
+    min_size=1,
+))
+def test_record_json_is_the_indented_dump_of_a_flat_record(record):
+    # The phase summaries go through the same layout as the per-pair kinds.
+    assert cli._record_json(record) + ",\n" == indented_record(record)
 
 
 def test_a_record_chunk_stays_below_128_kib():

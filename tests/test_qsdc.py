@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import RAIL_OPS, ScriptedRng, encode, measure, same_up_to_global_phase
+from spatialbsa import qsdc
 from spatialbsa.bsa import CODE_BELL, analyze, analyze_pairs, outcome_distribution
 from spatialbsa.qsdc import (
     CODE_BITS,
@@ -15,6 +16,7 @@ from spatialbsa.qsdc import (
     SessionReport,
     _MEASURE_ROWS,
     _draw_trips,
+    _trip_width,
     apply_channel,
     bell_pairs,
     eve_intercept_resend,
@@ -208,22 +210,21 @@ def scalar_trip(rng, eve, tail=0):
     return trip + [rng.random() for _ in range(tail)]
 
 
-def per_pair_draws(rng, check, eve, tail):
-    """The reader's draws one call at a time: a check pair's ``integers(4)``
-    code, then every pair's trip and its ``tail`` uniforms."""
+def per_pair_draws(rng, check, eve):
+    """Phase 2's reader's draws one call at a time: a check pair's
+    ``integers(4)`` code, then every pair's trip and the analyzer's three
+    uniforms."""
     codes, trips = [], []
     for is_check in check:
         if is_check:
             codes.append(int(rng.integers(4)))
-        trips.append(scalar_trip(rng, eve, tail))
+        trips.append(scalar_trip(rng, eve, 3))
     return codes, trips
 
 
 def prepare_trips(rng, n, eve):
-    """Preparation's call: n trips with no check pairs and no tail."""
-    codes, trips = _draw_trips(rng, np.zeros(n, dtype=bool), eve, 0)
-    assert codes.tolist() == []
-    return trips
+    """Preparation's draw: n trips as one ``Generator.random`` block."""
+    return rng.random((n, _trip_width(eve)))
 
 
 def raw_word_draws(state, kinds):
@@ -301,8 +302,9 @@ class TestTripDraws:
 
 
 # NumPy's Generator parses the raw words of its bit generator by a rule
-# that NEP 19 does not promise to keep; every trip of a session is drawn by
-# it.  If this fails, NumPy changed the rule and ``_draw_trips`` must follow.
+# that NEP 19 does not promise to keep; phase 2's trips and check codes are
+# drawn by it.  If this fails, NumPy changed the rule and ``_draw_trips``
+# must follow.
 RAW_RULE_CHANGED = "NumPy's Generator no longer reads raw words as qsdc._draw_trips assumes"
 
 
@@ -337,32 +339,46 @@ class TestPhase2Draws:
     @given(
         check=st.lists(st.booleans(), min_size=1, max_size=60),
         fraction=st.sampled_from([None, 0.0, 0.05, 0.3, 0.7, 1.0]),
-        tail=st.sampled_from([0, 3]),
         lead=st.integers(0, 3),
         seed=st.integers(0, 2**64 - 1),
     )
-    @example(check=[False] * 5, fraction=0.3, tail=3, lead=1, seed=3)
-    @example(check=[True] * 5, fraction=None, tail=3, lead=1, seed=3)
-    @example(check=[False] * 7, fraction=0.3, tail=0, lead=0, seed=3)
-    @example(check=LONG_CHECK, fraction=None, tail=3, lead=0, seed=101)
-    @example(check=LONG_CHECK, fraction=None, tail=3, lead=1, seed=101)
-    @example(check=LONG_CHECK, fraction=0.3, tail=3, lead=0, seed=101)
-    @example(check=LONG_CHECK, fraction=0.3, tail=3, lead=1, seed=101)
-    def test_block_equals_per_pair_draws(self, check, fraction, tail, lead, seed):
+    @example(check=[False] * 5, fraction=0.3, lead=1, seed=3)
+    @example(check=[True] * 5, fraction=None, lead=1, seed=3)
+    @example(check=[False] * 7, fraction=0.3, lead=0, seed=3)
+    @example(check=LONG_CHECK, fraction=None, lead=0, seed=101)
+    @example(check=LONG_CHECK, fraction=None, lead=1, seed=101)
+    @example(check=LONG_CHECK, fraction=0.3, lead=0, seed=101)
+    @example(check=LONG_CHECK, fraction=0.3, lead=1, seed=101)
+    def test_block_equals_per_pair_draws(self, check, fraction, lead, seed):
         # ``lead`` codes drawn first leave a 32-bit half buffered when odd.
-        # No check pairs and no tail is preparation's call.  The long
-        # examples recover several hundred check words from their uniforms,
-        # with no Eve and with Eve at a fraction of 0.3.
+        # The long examples take several hundred check words' halves from the
+        # raw block, with no Eve and with Eve at a fraction of 0.3.
         eve = EveModel.none() if fraction is None else EveModel.intercept_resend(fraction)
         block_rng, pair_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for rng in (block_rng, pair_rng):
             for _ in range(lead):
                 rng.integers(4)
-        codes, trips = _draw_trips(block_rng, np.array(check), eve, tail)
-        want_codes, want_trips = per_pair_draws(pair_rng, check, eve, tail)
+        codes, trips = _draw_trips(block_rng, np.array(check), eve)
+        want_codes, want_trips = per_pair_draws(pair_rng, check, eve)
         assert codes.tolist() == want_codes
         np.testing.assert_array_equal(trips, want_trips)
         assert block_rng.bit_generator.state == pair_rng.bit_generator.state
+
+    def test_only_phase_2_reads_raw_words(self, monkeypatch):
+        # Preparation draws with Generator.random, so a session that aborts in
+        # phase 1 never reaches the raw-word reader; one that completes calls
+        # it once, for phase 2.
+        def refuse(*args):
+            raise AssertionError("the raw-word reader was called before phase 2")
+
+        monkeypatch.setattr(qsdc, "_draw_trips", refuse)
+        aborting = QsdcConfig("01", 40, 0.5, EveModel.intercept_resend(1.0), seed=2,
+                              qber_abort_threshold=0.0)
+        assert run_session(aborting).aborted
+        calls = []
+        monkeypatch.setattr(qsdc, "_draw_trips", lambda *args: calls.append(args) or _draw_trips(*args))
+        assert not run_session(QsdcConfig("0110", 40, 0.25, seed=5)).aborted
+        assert len(calls) == 1
 
 
 class TestEve:
