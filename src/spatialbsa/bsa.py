@@ -24,8 +24,8 @@ linear map that the cavity enters only through the cold and hot reflection
 amplitudes, so its map onto each outcome branch (flip bit, detector of
 photon a, detector of photon b) is built once per operating point by array
 algebra; ``parity_qnd`` (here) and ``apply_bs`` (in ``register``) stay as
-its register reference.  This module imports ``register`` only inside the
-functions that are handed a register, so no command loads it.
+its register reference.  A register comes in only as an argument, so this
+module imports ``register`` for type checks alone, and no command loads it.
 An input's exact joint distribution over the eight branches is a
 contraction with these maps, cached per Bell-state label; a run then draws
 three uniforms, for the readout photon, photon a and photon b in that order.
@@ -51,7 +51,8 @@ import numpy as np
 from .cavity import (
     CavityParams, Frozen, check_number, hot_reflection, reflection, scatter_factors,
 )
-from .states import _BELL_AMPLITUDES, DA_BASIS, HADAMARD, SQRT_HALF, BellState, ZeroNormError, _pick
+from .states import (_BELL_AMPLITUDES, DA_BASIS, HADAMARD, SQRT_HALF, BellState, Kind,
+                     ZeroNormError, _pick)
 
 if TYPE_CHECKING:
     from .register import QuantumRegister
@@ -135,8 +136,6 @@ def parity_qnd(reg: QuantumRegister, params: CavityParams | None = None) -> Quan
     measuring the photons.  The spin must enter in |+> or |-> exactly.
     ``params`` None is the ideal cavity.
     """
-    from .register import Kind  # loaded already, as ``reg`` is a register
-
     reg.require_kind(SPIN_NAME, Kind.SPIN)
     p_minus = reg.probabilities(SPIN_NAME, "x")[1]
     if 1e-9 < p_minus < 1.0 - 1e-9:
@@ -154,8 +153,9 @@ def parity_qnd(reg: QuantumRegister, params: CavityParams | None = None) -> Quan
 
 
 # The analyzer's input: both photons' rails and polarizations, in this order,
-# each with the name of its register kind.
-_INPUTS = (("a", "SPATIAL"), ("b", "SPATIAL"), ("a_pol", "POLARIZATION"), ("b_pol", "POLARIZATION"))
+# each with its subsystem kind.
+_INPUTS = (("a", Kind.SPATIAL), ("b", Kind.SPATIAL),
+           ("a_pol", Kind.POLARIZATION), ("b_pol", Kind.POLARIZATION))
 
 
 @functools.lru_cache(maxsize=64)
@@ -254,18 +254,16 @@ def _joint(branch: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 def _distribution(reg: QuantumRegister, maps: np.ndarray) -> OutcomeDistribution:
-    from .register import Kind  # loaded already, as ``reg`` is a register
-
     present = {s.name for s in reg.subsystems}
     for name in (SPIN_NAME, AUX_NAME):
         if name in present:
             raise ValueError(f"subsystem {name!r} already present")
     axes, inputs = [], []
     for name, kind in _INPUTS:
-        if kind == "POLARIZATION" and name not in present:
+        if kind is Kind.POLARIZATION and name not in present:
             inputs.append(0)  # a missing polarization enters as |R>
         else:
-            reg.require_kind(name, Kind[kind])
+            reg.require_kind(name, kind)
             axes.append(reg.axis(name))
             inputs.append(slice(None))
     branch = maps[(slice(None), slice(None), *inputs)].reshape(8, 8, -1)

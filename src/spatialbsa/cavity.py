@@ -145,6 +145,9 @@ def operating_point(
     # Python numbers before the product, which float32 scalars would round.
     g_over_ktot = check_number("g_over_ktot", g_over_ktot)
     kappa_s = check_number("ks_over_k", ks_over_k)
+    detuning = check_number("detuning", detuning)
+    if not math.isfinite(detuning):
+        raise ValueError("detuning must be finite")  # which CavityParams would call delta_c
     return CavityParams(
         g=g_over_ktot * (1.0 + kappa_s),
         kappa=1.0,

@@ -265,9 +265,15 @@ def measure_photon(psi: np.ndarray, photon: str, x_basis, u) -> np.ndarray:
             row = start + int(np.flatnonzero(total == 0.0)[0])
             raise ZeroNormError(f"row {row} has zero norm, so its outcome is undefined")
         out = _pick(w[0], w[1], u[rows])
-        kept = np.where(out, p[1], p[0])
+        kept, w = np.where(out, p[1], p[0]), np.where(out, w[1], w[0])
+        # A subnormal weight, picked by a uniform at 0 or next to 1, has lost
+        # bits: it is taken again from its amplitudes times 2**511, exactly.
+        sub = w < 2.0**-1022
+        if sub.any():
+            kept[:, sub] *= 2.0**511
+            w[sub] = (np.abs(kept[:, sub]) ** 2).sum(axis=0)
         np.multiply(_KETS.take(2 * x + out, axis=1)[:, None], kept, out=p)
-        p *= np.sqrt(total / np.where(out, w[1], w[0]))
+        p *= np.sqrt(total / w)
         t[rows] = p.transpose(2, 0, 1)
         outcome[rows] = out
     return outcome

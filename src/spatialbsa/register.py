@@ -18,8 +18,7 @@ Subsystems come in three kinds with fixed basis conventions:
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .states import (  # noqa: F401
     HADAMARD,
     SQRT_HALF,
     BellState,
+    Kind,
     ZeroNormError,
     _pick,
 )
@@ -40,14 +40,7 @@ class SubsystemKindError(ValueError):
     """An operation was applied to a subsystem of the wrong kind."""
 
 
-class Kind(enum.Enum):
-    POLARIZATION = "polarization"
-    SPATIAL = "spatial"
-    SPIN = "spin"
-
-
-@dataclass(frozen=True)
-class Subsystem:
+class Subsystem(NamedTuple):
     """A named two-level degree of freedom."""
 
     name: str

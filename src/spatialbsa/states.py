@@ -1,12 +1,12 @@
-"""Bell states, the balanced splitter and the outcome rule, with no register.
+"""Bell states, subsystem kinds, the balanced splitter and the outcome rule.
 
 The analyzer's branch maps and the session's pair arrays are built from
 these alone: the four Bell states and their amplitudes over (rail of photon
-a, rail of photon b), the real Hadamard of a balanced splitter, the
-circular-diagonal basis the readout photon is measured in, and ``_pick``,
-the package's one rule for turning a uniform into an outcome.  The
-statevector register in ``register`` re-exports them; this module never
-imports it, so a command does not load the register.
+a, rail of photon b), the three subsystem kinds, the balanced splitter's
+real Hadamard, the circular-diagonal basis the readout photon is measured
+in, and ``_pick``, the package's one rule for turning a uniform into an
+outcome.  The statevector register in ``register`` re-exports them; this
+module never imports it, so a command does not load the register.
 """
 
 from __future__ import annotations
@@ -35,6 +35,12 @@ class BellState(enum.Enum):
     PHI_MINUS = "phi-"
     PSI_PLUS = "psi+"
     PSI_MINUS = "psi-"
+
+
+class Kind(enum.Enum):
+    POLARIZATION = "polarization"
+    SPATIAL = "spatial"
+    SPIN = "spin"
 
 
 _BELL_AMPLITUDES = {

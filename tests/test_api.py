@@ -1,7 +1,9 @@
 """The package namespace: the README's library example runs, __all__ resolves,
+each name and submodule loads on first use from the one table in __init__,
 the version matches the project metadata, and no command loads the register
 or dataclasses."""
 
+import importlib
 import json
 import os
 import re
@@ -29,6 +31,44 @@ def test_every_exported_name_resolves():
     for name in spatialbsa.__all__:
         assert getattr(spatialbsa, name) is not None, name
     assert len(set(spatialbsa.__all__)) == len(spatialbsa.__all__)
+
+
+def test_every_exported_name_is_its_home_modules_object():
+    assert spatialbsa.__all__ == sorted(spatialbsa._HOMES)
+    for name, home in spatialbsa._HOMES.items():
+        module = importlib.import_module(f"spatialbsa.{home}")
+        value = getattr(spatialbsa, name)
+        assert value is getattr(module, name), name
+        assert value.__module__ == module.__name__, name  # defined there, not re-exported
+    assert register.Kind is bsa.Kind is states.Kind  # defined once, in states
+    assert not hasattr(spatialbsa, "Kind")
+    assert not hasattr(spatialbsa, "no_such_module")
+    with pytest.raises(AttributeError, match="no attribute 'Kind'"):
+        spatialbsa.Kind
+
+
+# A bare import in a fresh interpreter: the package modules and numpy it has
+# loaded, then each submodule looked up as an attribute, and whether loading
+# them all has loaded dataclasses.
+BARE_IMPORT = """
+import json, sys
+import spatialbsa
+loaded = sorted(m for m in sys.modules if m.startswith("spatialbsa.") or m == "numpy")
+names = ["bsa", "cavity", "cli", "qsdc", "register", "states"]
+found = [getattr(spatialbsa, name) is sys.modules["spatialbsa." + name] for name in names]
+print(json.dumps([loaded, found, "dataclasses" in sys.modules]))
+"""
+
+
+def test_bare_import_loads_nothing_and_submodules_resolve():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", BARE_IMPORT], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    loaded, found, dataclasses = json.loads(proc.stdout)
+    assert loaded == []
+    assert found == [True] * 6
+    assert not dataclasses
 
 
 def test_version_matches_pyproject():

@@ -555,7 +555,7 @@ class TestParser:
     @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-INF", "-nan", "-NaN"])
     @pytest.mark.parametrize(
         "argv, flag, message",
-        [(["bsa", "phi+", "--trials", "2"], "--detuning", "delta_c must be finite"),
+        [(["bsa", "phi+", "--trials", "2"], "--detuning", "detuning must be finite"),
          (["sweep"], "--g-min", "sweep ranges must be finite")],
         ids=["bsa_detuning", "sweep_g_min"],
     )
@@ -582,7 +582,7 @@ class TestErrorPaths:
             (["bsa", "phi+", "--lossy", "--g-over-ktot", "1e308", "--ks-over-k", "1e308"],
              "g must be finite"),
             (["bsa", "phi+", "--g-over-ktot", "inf"], "g must be finite"),
-            (["bsa", "phi+", "--lossy", "--detuning", "nan"], "delta_c must be finite"),
+            (["bsa", "phi+", "--lossy", "--detuning", "nan"], "detuning must be finite"),
             (["bsa", "phi+", "--lossy", "--g-over-ktot", "0", "--ks-over-k", "1",
               "--detuning", "0"], "no amplitude reaches the detectors"),
             (["sweep", "--g-max", "1e308", "--ks", "1"], "g must be finite"),

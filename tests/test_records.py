@@ -1,9 +1,10 @@
-"""The records and configs: BsaRecord, QualityPoint and SessionReport are
-NamedTuples, and the configs (CavityParams, EveModel, ChannelModel,
-QsdcConfig) and the other checked records (DecoherenceParams, SweepSpec) are
-immutable and check their arguments.  Each keeps its fields, their order,
-defaults and immutability, its equality, hash and repr, and the checked ones
-their error messages in their order."""
+"""The records and configs: BsaRecord, QualityPoint, SessionReport and the
+register's Subsystem are NamedTuples, and the configs (CavityParams,
+EveModel, ChannelModel, QsdcConfig) and the other checked records
+(DecoherenceParams, SweepSpec) are immutable and check their arguments.
+Each keeps its fields, their order, defaults and immutability, its
+equality, hash and repr, and the checked ones their error messages in their
+order."""
 
 import copy
 import pickle
@@ -15,7 +16,8 @@ from spatialbsa import cli
 from spatialbsa.bsa import QUALITY_FIELDS, BsaRecord, DecoherenceParams, DetectorPair, QualityPoint
 from spatialbsa.cavity import CavityParams
 from spatialbsa.qsdc import ChannelModel, EveModel, QsdcConfig, SessionReport
-from spatialbsa.states import BellState
+from spatialbsa.register import Subsystem
+from spatialbsa.states import BellState, Kind
 
 # Each record's fields in order, and one record built positionally from those values.
 RECORDS = {
@@ -36,6 +38,7 @@ RECORDS = {
         "phase2_sample_error_rate": 0.0,
         "transcript": [],
     }),
+    "Subsystem": (Subsystem, {"name": "a_pol", "kind": Kind.POLARIZATION}),
     "DecoherenceParams": (DecoherenceParams, {"delta_t": 1.5, "t2e": 3.0}),
     "SweepSpec": (cli.SweepSpec, {
         "g_min": 0.1, "g_max": 3.0, "steps": 5, "ks_list": (0.0, 0.3), "gamma": 0.2,
