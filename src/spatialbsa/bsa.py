@@ -39,8 +39,6 @@ cold and hot reflection moduli, and the extra fidelity factor from electron
 spin dephasing between the rounds.
 """
 
-from __future__ import annotations
-
 import enum
 import functools
 import math
@@ -127,7 +125,7 @@ def _double_pass(params: CavityParams | None) -> np.ndarray:
     return diag
 
 
-def parity_qnd(reg: QuantumRegister, params: CavityParams | None = None) -> QuantumRegister:
+def parity_qnd(reg: "QuantumRegister", params: CavityParams | None = None) -> "QuantumRegister":
     """Imprint the rail parity of a photon pair onto the cavity spin.
 
     Each photon's rail 1 is routed through the cavity for a corrected double
@@ -253,7 +251,7 @@ def _joint(branch: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return parts
 
 
-def _distribution(reg: QuantumRegister, maps: np.ndarray) -> OutcomeDistribution:
+def _distribution(reg: "QuantumRegister", maps: np.ndarray) -> OutcomeDistribution:
     present = {s.name for s in reg.subsystems}
     for name in (SPIN_NAME, AUX_NAME):
         if name in present:
@@ -277,7 +275,7 @@ def _label_distribution(label: BellState, params: CavityParams | None) -> Outcom
 
 
 def outcome_distribution(
-    state: BellState | QuantumRegister, params: CavityParams | None = None
+    state: "BellState | QuantumRegister", params: CavityParams | None = None
 ) -> OutcomeDistribution:
     """Exact joint distribution of the analyzer's outcomes on one input.
 
@@ -291,7 +289,7 @@ def outcome_distribution(
 
 
 def analyze(
-    state: BellState | QuantumRegister, params: CavityParams | None = None, rng=None
+    state: "BellState | QuantumRegister", params: CavityParams | None = None, rng=None
 ) -> BsaRecord:
     """Run the full analyzer once on a Bell state or a prepared register.
 

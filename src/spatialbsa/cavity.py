@@ -13,8 +13,6 @@ replaces the two amplitudes by their lossless phases, exp(-i pi/2) for cold
 and exp(i 0) for hot, which is the regime the analyzer is designed around.
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np
@@ -146,6 +144,11 @@ def operating_point(
     g_over_ktot = check_number("g_over_ktot", g_over_ktot)
     kappa_s = check_number("ks_over_k", ks_over_k)
     detuning = check_number("detuning", detuning)
+    for name, value in (("g_over_ktot", g_over_ktot), ("ks_over_k", kappa_s)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+        if value < 0.0:
+            raise ValueError(f"{name} must be nonnegative")
     if not math.isfinite(detuning):
         raise ValueError("detuning must be finite")  # which CavityParams would call delta_c
     return CavityParams(

@@ -11,8 +11,6 @@ a session aborts its channel check.  Output streams as it is made, so a
 session that aborts and whose reader leaves early exits 0 too.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
@@ -241,10 +239,14 @@ def format_sweep_csv(points: np.recarray, spec: SweepSpec, seed: int, out: TextI
 # again with trailing zeros as NUL, each entry as one uint32.
 _POW10 = np.array([float(f"1e{j}") for j in range(-4, 21)])
 _POW10_HI = _POW10 * 134217729.0 - (_POW10 * 134217729.0 - _POW10)
-_DIGITS = np.stack(np.indices((10,) * 4, np.uint8), -1).reshape(-1, 4) + np.uint8(48)
-_DIGITS = np.concatenate(
-    [_DIGITS, _DIGITS * np.logical_or.accumulate(_DIGITS[:, ::-1] != 48, 1)[:, ::-1]])
+_DIGITS = np.empty((2, 10_000, 4), np.uint8)
+_kept = np.zeros(10_000, bool)  # digit _k of the group, or a later one, is nonzero
+for _k in range(3, -1, -1):
+    _DIGITS[:, :, _k] = np.tile(np.arange(48, 58, dtype=np.uint8).repeat(10 ** (3 - _k)), 10**_k)
+    _kept |= _DIGITS[0, :, _k] != 48
+    _DIGITS[1, :, _k] *= _kept
 _DIGITS = _DIGITS.view(np.uint32).ravel()
+del _k, _kept
 
 
 def _g17(x: np.ndarray, out: np.ndarray | None = None, at: np.ndarray | None = None,

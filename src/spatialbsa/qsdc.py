@@ -37,8 +37,6 @@ phase 2's trips and check codes come from one reader of the generator's raw
 64-bit words, ``_draw_trips``.
 """
 
-from __future__ import annotations
-
 import json
 from typing import NamedTuple
 

@@ -16,8 +16,6 @@ Subsystems come in three kinds with fixed basis conventions:
 * spin, basis (|up>, |down>).
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np

@@ -9,8 +9,6 @@ outcome.  The statevector register in ``register`` re-exports them; this
 module never imports it, so a command does not load the register.
 """
 
-from __future__ import annotations
-
 import enum
 
 import numpy as np

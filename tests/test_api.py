@@ -1,7 +1,7 @@
 """The package namespace: the README's library example runs, __all__ resolves,
 each name and submodule loads on first use from the one table in __init__,
-the version matches the project metadata, and no command loads the register
-or dataclasses."""
+the version matches the project metadata, and no command loads the register,
+dataclasses or __future__."""
 
 import importlib
 import json
@@ -77,16 +77,20 @@ def test_version_matches_pyproject():
     assert spatialbsa.__version__ == project["version"]
 
 
-# One command through cli.main in a fresh interpreter, which then prints its
-# exit code, the package's modules it has loaded and whether it has loaded
-# dataclasses.
+# A fresh interpreter imports cli and builds its parser, noting whether that
+# has loaded __future__, then runs one command through cli.main and prints its
+# exit code, that note, and the package's modules, dataclasses and __future__
+# as far as it has loaded them.
 PROBE = """
 import contextlib, io, json, sys
 from spatialbsa import cli
+cli.build_parser()
+future = "__future__" in sys.modules
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
-loaded = sorted(m for m in sys.modules if m.startswith("spatialbsa") or m == "dataclasses")
-print(json.dumps([code, loaded]))
+extra = ("dataclasses", "__future__")
+loaded = sorted(m for m in sys.modules if m.startswith("spatialbsa") or m in extra)
+print(json.dumps([code, future, loaded]))
 """
 COMMANDS = {
     "bsa": ["bsa", "psi-", "--lossy", "--trials", "5", "--seed", "1"],
@@ -101,10 +105,12 @@ def test_no_command_loads_the_register():
     for name, argv in COMMANDS.items():
         proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)],
                               capture_output=True, text=True, env=env, timeout=120, check=True)
-        code, loaded = json.loads(proc.stdout)
+        code, future, loaded = json.loads(proc.stdout)
         assert code == 0, name
+        assert not future, name  # every annotation is evaluated where it is written
         assert "spatialbsa.register" not in loaded, (name, loaded)
         assert "dataclasses" not in loaded, (name, loaded)
+        assert "__future__" not in loaded, (name, loaded)
         assert "spatialbsa.states" in loaded, (name, loaded)
 
     # Every name that lived in the register still resolves where it did.

@@ -348,6 +348,14 @@ class TestSweepCommand:
         assert lines == [",".join("%.17g" % v for v in row) for row in points.tolist()]
         assert len(lines[0]) > len(lines[-1]) + 80
 
+    def test_digit_table_is_the_formatted_groups(self):
+        # _g17's digit groups: "0000" ... "9999", then each again with its
+        # trailing zeros as NUL, four ASCII bytes to a uint32 entry.
+        texts = [f"{i:04d}" for i in range(10_000)]
+        want = "".join(texts) + "".join(text.rstrip("0").ljust(4, "\0") for text in texts)
+        assert cli._DIGITS.dtype == np.uint32
+        assert cli._DIGITS.tobytes() == want.encode("ascii")
+
     def test_peak_memory_per_row(self, tmp_path):
         # The text goes out a chunk at a time, so the peak is sweep_points'
         # 64 bytes a row of records beside one ks block's quality_at.
@@ -581,7 +589,7 @@ class TestErrorPaths:
              "degenerate parameters: hot-cavity response is undefined"),
             (["bsa", "phi+", "--lossy", "--g-over-ktot", "1e308", "--ks-over-k", "1e308"],
              "g must be finite"),
-            (["bsa", "phi+", "--g-over-ktot", "inf"], "g must be finite"),
+            (["bsa", "phi+", "--g-over-ktot", "inf"], "g_over_ktot must be finite"),
             (["bsa", "phi+", "--lossy", "--detuning", "nan"], "detuning must be finite"),
             (["bsa", "phi+", "--lossy", "--g-over-ktot", "0", "--ks-over-k", "1",
               "--detuning", "0"], "no amplitude reaches the detectors"),
@@ -595,13 +603,18 @@ class TestErrorPaths:
             (["sweep", "--detuning", "1e300", "--gamma", "1e10", "--steps", "3", "--ks", "0"],
              "rates too large: the hot-cavity response overflows"),
             (["bsa", "phi+", "--gamma", "-1e-3"], "gamma must be nonnegative"),
+            (["bsa", "phi+", "--g-over-ktot", "-1"], "g_over_ktot must be nonnegative"),
+            (["bsa", "phi+", "--ks-over-k", "-1"], "ks_over_k must be nonnegative"),
+            (["bsa", "phi+", "--ks-over-k", "inf"], "ks_over_k must be finite"),
+            (["bsa", "phi+", "--ks-over-k", "nan"], "ks_over_k must be finite"),
         ],
         ids=["negative_seed", "huge_seed", "seed_2_64", "sweep_negative_seed",
              "sweep_seed_2_64", "sweep_seed_before_grid", "degenerate_cavity", "overflowing_coupling",
              "infinite_coupling", "nan_detuning", "no_surviving_amplitude",
              "sweep_overflowing_coupling", "sweep_degenerate_cavity",
              "sweep_no_reflection", "overflowing_response", "sweep_overflowing_response",
-             "negative_gamma_exponent_form"],
+             "negative_gamma_exponent_form", "negative_coupling", "negative_leakage",
+             "infinite_leakage", "nan_leakage"],
     )
     def test_bad_values_give_one_error_line(self, argv, message, capsys):
         if argv[0] == "bsa":

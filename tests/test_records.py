@@ -2,7 +2,7 @@
 register's Subsystem are NamedTuples, and the configs (CavityParams,
 EveModel, ChannelModel, QsdcConfig) and the other checked records
 (DecoherenceParams, SweepSpec) are immutable and check their arguments.
-Each keeps its fields, their order, defaults and immutability, its
+Each keeps its fields, their order, types, defaults and immutability, its
 equality, hash and repr, and the checked ones their error messages in their
 order."""
 
@@ -15,7 +15,7 @@ import pytest
 from spatialbsa import cli
 from spatialbsa.bsa import QUALITY_FIELDS, BsaRecord, DecoherenceParams, DetectorPair, QualityPoint
 from spatialbsa.cavity import CavityParams
-from spatialbsa.qsdc import ChannelModel, EveModel, QsdcConfig, SessionReport
+from spatialbsa.qsdc import ChannelModel, EveModel, QsdcConfig, SessionColumns, SessionReport
 from spatialbsa.register import Subsystem
 from spatialbsa.states import BellState, Kind
 
@@ -52,6 +52,21 @@ def test_quality_fields_are_the_csv_header():
                               "F1", "eta1", "F2", "eta2")
     assert cli.CSV_HEADER == "g_over_ktot,ks_over_k,abs_r0,abs_rh,F1,eta1,F2,eta2"
     assert tuple(RECORDS["QualityPoint"][1]) == QUALITY_FIELDS
+
+
+def test_named_tuples_hold_field_types():
+    # Evaluated where they are written, not kept as strings.
+    assert BsaRecord.__annotations__ == {
+        "spin_changed": bool, "detectors": DetectorPair, "inferred": BellState,
+        "success_probability": float,
+    }
+    assert QualityPoint.__annotations__ == dict.fromkeys(QUALITY_FIELDS, float)
+    assert SessionReport.__annotations__ == {
+        "phase1_qber": float, "aborted": bool, "decoded_bits": str,
+        "phase2_sample_error_rate": float, "transcript": list,
+    }
+    assert SessionColumns.__annotations__ == {"phases": tuple, "decoded_bits": str}
+    assert Subsystem.__annotations__ == {"name": str, "kind": Kind}
 
 
 @pytest.mark.parametrize("name", RECORDS)
