@@ -346,6 +346,14 @@ def _pair_joint(psi: np.ndarray, params: CavityParams | None = None) -> np.ndarr
     return _joint(branch, cols.T)[:n]
 
 
+def _analyze_table(psi: np.ndarray, ids: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    # The codes ``analyze_pairs`` gives the pairs psi[ids]: each row of
+    # ``psi`` is weighed once, and each pair picks with its own uniforms.
+    weights = _branch_weights(_pair_joint(psi))
+    k, j, l = _pick_branch(weights.ravel(), *uniforms.T, base=14 * ids)
+    return 2 * (j ^ l) + k
+
+
 def analyze_pairs(psi: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     """Run the ideal analyzer once on each row of a pair array.
 
@@ -354,15 +362,15 @@ def analyze_pairs(psi: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     are used as ``analyze`` uses its three draws, and its exact distribution
     comes from the same branch maps, so row i gets the code of the Bell
     state that ``analyze`` infers on that pair with those draws.  A row's
-    code depends on that row and its draws alone.
+    code depends on that row and its draws alone, not on its block: a
+    session's pair table, which weighs each distinct row once, rests on this.
     """
     codes = np.empty(len(psi), dtype=int)
-    base = 14 * np.arange(_BLOCK_ROWS)
+    index = np.arange(_BLOCK_ROWS)
     for start in range(0, len(psi), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        weights = _branch_weights(_pair_joint(psi[rows]))
-        k, j, l = _pick_branch(weights.ravel(), *uniforms[rows].T, base=base[: len(weights)])
-        codes[rows] = 2 * (j ^ l) + k
+        block = psi[rows]
+        codes[rows] = _analyze_table(block, index[: len(block)], uniforms[rows])
     return codes
 
 

@@ -28,13 +28,25 @@ while a photon is actually in transit.
 
 Every random choice flows from one seeded generator in a fixed order, so a
 session is a pure function of its config and the transcript is reproducible
-bit for bit.  The pairs live in one real array of shape (pair_count, 2, 2)
-(pair, rail of photon a, rail of photon b), as every session operation is
-real.  Each phase first takes all its draws, in that order, and then applies
-them to its rows at once.  Preparation's trips are one ``rng.random`` block,
-so a session that aborts in phase 1 takes only the generator's public calls;
-phase 2's trips and check codes come from one reader of the generator's raw
-64-bit words, ``_draw_trips``.
+bit for bit.  Each phase first takes all its draws, in that order, and then
+applies them to its pairs at once.  Preparation's trips are one
+``rng.random`` block, so a session that aborts in phase 1 takes only the
+generator's public calls; phase 2's trips and check codes come from one
+reader of the generator's raw 64-bit words, ``_draw_trips``.
+
+A pair's state is a real (2, 2) row (rail of photon a, rail of photon b),
+but a session meets few distinct rows: 1-4 without noise or Eve, about 60
+with both.  So it keeps each distinct row once in a table, interned by its
+exact bytes, and each pair as an int id into it, starting at id 0, phi+.
+Each step (a rail flip, the channel, Eve, a phase-1 measurement, the
+analyzer) evaluates its row arithmetic once per key in use: (row, swap,
+phase), (row, basis) then (row, basis, outcome), or row.  Per pair there
+are only integer gathers, ``np.bincount`` over the keys, and ``_pick``.
+
+The table is exact.  ``flip_rails``, ``measure_photon`` and ``analyze_pairs``
+are elementwise per row, as tests pin, and ``_pick`` compares each pair's own
+uniform with the float w0 / (w0 + w1) of its row's weights.  So a pair gets,
+bit for bit, the outcome and row it would get in a (pair_count, 2, 2) array.
 """
 
 import json
@@ -42,19 +54,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bsa import CODE_BELL, analyze_pairs
+from .bsa import CODE_BELL, _analyze_table
 from .cavity import Frozen, check_number
 from .states import HADAMARD, SQRT_HALF, ZeroNormError, _pick
 
 # The largest session a config may ask for.  tracemalloc puts a session at
-# the default sample fraction at about 160 bytes per pair (20 000 and 40 000
-# pairs), in phase 2's trip draws beside the pair arrays, and the whole qsdc
-# command, whose report goes out a chunk at a time in 0.13 MB, at the same
-# 160 (130 for both at a fraction of 0.5).  Phase 1 and analyze_pairs work a
-# block at a time and add nothing to those peaks; a command aborting under
-# Eve at a fraction of 0.8 peaks at about 100, in preparation's draws.  The
-# record columns keep 17 bytes per pair, and run_session's dict transcript
-# about 310.  So this bound holds a command near 0.16 GB.
+# the default sample fraction at about 132 bytes per pair (20 000 and 40 000
+# pairs), in phase 2's trip draws beside the id arrays, and the whole qsdc
+# command, whose report goes out a chunk at a time in 0.13 MB, at 133 (100
+# for both at a fraction of 0.5).  A command aborting under Eve at a fraction
+# of 0.8 peaks at about 94, in preparation's draws and Eve's picks.  The
+# record columns keep 16 bytes per pair, and run_session's dict transcript
+# about 310.  So this bound holds a command near 0.14 GB.
 MAX_PAIR_COUNT = 1_000_000
 
 # The share of pairs phase 1 samples when a config names none.
@@ -217,16 +228,50 @@ def flip_rails(psi: np.ndarray, swap, phase) -> np.ndarray:
 
 # measure_photon collapses this many rows at a time, so a block's planes and
 # temporaries, 64 KB or less, reuse heap pages already faulted in.  In a fresh
-# interpreter with numpy.random imported first (medians of 12 runs on a 2-core
-# VM), session_columns on the seed-1 qsdc_intercept argv took 15.5, 12.5, 11.0
-# and 10.6 ms with 622, 623, 648 and 742 minor faults in blocks of 256, 512,
-# 1 024 and 2 048 rows, against 18.9 ms and 1 407 faults unblocked; on
-# qsdc_clean it took 10.5, 10.2, 9.6 and 10.0 ms (11.6 unblocked).
+# interpreter (medians of 12 runs on a 2-core VM), a session that measured the
+# seed-1 qsdc_intercept argv's pair arrays this way took 15.5, 12.5, 11.0 and
+# 10.6 ms with 622, 623, 648 and 742 minor faults in blocks of 256, 512,
+# 1 024 and 2 048 rows, against 18.9 ms and 1 407 faults unblocked.
 _MEASURE_ROWS = 1024
 
 # Column 2 * x + outcome is the measured photon's collapsed ket: the outcome's
 # Z basis ket where x is 0, and its X basis ket where x is 1; complex rows cast it.
 _KETS = np.hstack([np.eye(2), HADAMARD.real])
+
+
+def _planes(psi: np.ndarray, photon: str) -> np.ndarray:
+    # A view of pair rows as (measured rail, partner rail, row) planes.
+    return (psi if photon == "a" else psi.transpose(0, 2, 1)).transpose(1, 2, 0)
+
+
+def _weigh(p: np.ndarray, x) -> np.ndarray:
+    # Rotate planes ``p`` into the X basis in place where ``x`` holds, and
+    # return the outcome weights, shape (2, rows).
+    h = SQRT_HALF * p
+    p[0], p[1] = np.where(x, h[0] + h[1], p[0]), np.where(x, h[0] - h[1], p[1])
+    w = np.abs(p)
+    w **= 2
+    return w[:, 0] + w[:, 1]
+
+
+def _collapse(p: np.ndarray, w: np.ndarray, x, out) -> np.ndarray:
+    # Collapse the rotated planes ``p``, weighed ``w``, onto the outcomes
+    # ``out`` in place, keeping each row's norm.
+    total = w[0] + w[1]
+    kept, w = np.where(out, p[1], p[0]), np.where(out, w[1], w[0])
+    # A subnormal weight, picked by a uniform at 0 or next to 1, has lost
+    # bits: it is taken again from its amplitudes times 2**511, exactly.
+    sub = w < 2.0**-1022
+    if sub.any():
+        kept[:, sub] *= 2.0**511
+        w[sub] = (np.abs(kept[:, sub]) ** 2).sum(axis=0)
+    np.multiply(_KETS.take(2 * x + out, axis=1)[:, None], kept, out=p)
+    p *= np.sqrt(total / w)
+    return p
+
+
+def _zero_norm(row: int) -> ZeroNormError:
+    return ZeroNormError(f"row {row} has zero norm, so its outcome is undefined")
 
 
 def measure_photon(psi: np.ndarray, photon: str, x_basis, u) -> np.ndarray:
@@ -241,38 +286,22 @@ def measure_photon(psi: np.ndarray, photon: str, x_basis, u) -> np.ndarray:
 
     The rows collapse ``_MEASURE_ROWS`` at a time, each block copied into
     contiguous (measured rail, partner rail, row) planes.  Every step is
-    elementwise, so a row's outcome and amplitudes do not depend on its
-    block; real rows get what their complex copies get.  A row whose weights
-    sum to zero has no outcome probabilities: it raises ZeroNormError naming
-    the first such row, and the contents of ``psi`` are then undefined.
+    elementwise, so a row's outcome and amplitudes depend on that row and its
+    draws alone, as a session's pair table needs; real rows get what their
+    complex copies get.  A row whose weights sum to zero raises ZeroNormError
+    naming the first such row, and the contents of ``psi`` are then undefined.
     """
-    t = psi if photon == "a" else psi.transpose(0, 2, 1)  # axis 1: measured rail
     outcome = np.empty(len(psi), dtype=int)
     for start in range(0, len(psi), _MEASURE_ROWS):
         rows = slice(start, start + _MEASURE_ROWS)
-        p = t[rows].transpose(1, 2, 0).copy()
+        p = _planes(psi[rows], photon).copy()
         x = x_basis[rows]
-        # Rotate the X rows into the measurement basis.
-        h = SQRT_HALF * p
-        p[0], p[1] = np.where(x, h[0] + h[1], p[0]), np.where(x, h[0] - h[1], p[1])
-        w = np.abs(p)
-        w **= 2
-        w = w[:, 0] + w[:, 1]
+        w = _weigh(p, x)
         total = w[0] + w[1]
         if not total.all():
-            row = start + int(np.flatnonzero(total == 0.0)[0])
-            raise ZeroNormError(f"row {row} has zero norm, so its outcome is undefined")
+            raise _zero_norm(start + int(np.flatnonzero(total == 0.0)[0]))
         out = _pick(w[0], w[1], u[rows])
-        kept, w = np.where(out, p[1], p[0]), np.where(out, w[1], w[0])
-        # A subnormal weight, picked by a uniform at 0 or next to 1, has lost
-        # bits: it is taken again from its amplitudes times 2**511, exactly.
-        sub = w < 2.0**-1022
-        if sub.any():
-            kept[:, sub] *= 2.0**511
-            w[sub] = (np.abs(kept[:, sub]) ** 2).sum(axis=0)
-        np.multiply(_KETS.take(2 * x + out, axis=1)[:, None], kept, out=p)
-        p *= np.sqrt(total / w)
-        t[rows] = p.transpose(2, 0, 1)
+        _planes(psi[rows], photon)[...] = _collapse(p, w, x, out)
         outcome[rows] = out
     return outcome
 
@@ -357,17 +386,87 @@ def _draw_trips(rng, check: np.ndarray, eve: EveModel) -> tuple[np.ndarray, np.n
     return (taken >> 30).astype(int), trips
 
 
-def _transit(psi: np.ndarray, config: QsdcConfig, trips: np.ndarray) -> None:
-    # One trip of every row's travel photon through the channel, with Eve last.
-    apply_channel(psi, config.channel_model, trips[:, :2])
-    eve = config.eve_model
-    if not eve.active:
-        return
-    hit = trips[:, 2] < eve.fraction
-    if hit.all():
-        eve_intercept_resend(psi, trips[:, 3:5])
-    elif hit.any():
-        psi[hit] = eve_intercept_resend(psi[hit], trips[hit, 3:5])
+def _in_use(keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    # The keys in [0, size) that occur in ``keys``, ascending, and each
+    # entry's place among them.
+    seen = np.bincount(keys, minlength=size) > 0
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
+
+
+class _PairTable:
+    """The distinct pair rows of a session, each stored once.
+
+    ``rows[ids]`` expands an int array of ids into the pair rows it stands
+    for.  A row is interned by its exact bytes, so -0.0 and 0.0 make two
+    entries, and ids count from 0 in order of first appearance.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        self.rows, self.index = rows[:0], {}
+        self.intern(rows)
+
+    def intern(self, rows: np.ndarray) -> np.ndarray:
+        """The ids of ``rows``, entering each row the table lacks."""
+        ids = np.array([self.index.setdefault(row.tobytes(), len(self.index)) for row in rows],
+                       dtype=np.intp)
+        if len(self.index) > len(self.rows):
+            found, first = np.unique(ids, return_index=True)
+            self.rows = np.concatenate([self.rows, rows[first[found >= len(self.rows)]]])
+        return ids
+
+    def step(self, keys: np.ndarray, size: int, rows_of) -> np.ndarray:
+        """Each pair's new id, from its key in [0, size): ``rows_of(used)``
+        gives the new rows of the ascending keys in use, one row each."""
+        used, slot = _in_use(keys, size)
+        return self.intern(rows_of(used))[slot]
+
+
+def _flip_ids(table: _PairTable, ids: np.ndarray, swap, phase) -> np.ndarray:
+    # flip_rails on the pairs ``ids``, once per (row, swap, phase) in use.
+    return table.step(4 * ids + 2 * swap + phase, 4 * len(table.rows),
+                      lambda used: flip_rails(table.rows[used >> 2], (used & 2) > 0,
+                                              (used & 1) > 0))
+
+
+def _measure_ids(table: _PairTable, ids: np.ndarray, photon: str, x_basis, u):
+    """``measure_photon`` on the pairs ``ids``: each (row, basis) in use is
+    weighed once, and each (row, basis, outcome) in use collapsed once.
+    Returns the outcomes and the pairs' new ids."""
+    used, slot = _in_use(2 * ids + x_basis, 2 * len(table.rows))
+    x = used % 2 == 1
+    p = _planes(table.rows[used >> 1], photon).copy()
+    w = _weigh(p, x)
+    zero = w[0] + w[1] == 0.0
+    if zero.any():
+        raise _zero_norm(int(np.flatnonzero(zero[slot])[0]))
+    out = _pick(w[0][slot], w[1][slot], u)
+
+    def collapsed(kept):
+        k = kept >> 1
+        rows = np.empty((len(kept), 2, 2), dtype=p.dtype)
+        _planes(rows, photon)[...] = _collapse(p.take(k, axis=2), w.take(k, axis=1), x[k],
+                                               kept % 2 == 1)
+        return rows
+
+    return out, table.step(2 * slot + out, 2 * len(used), collapsed)
+
+
+def _transit(table: _PairTable, ids: np.ndarray, config: QsdcConfig,
+             trips: np.ndarray) -> np.ndarray:
+    # One trip of each pair's travel photon through the channel, with Eve
+    # last; returns the pairs' new ids.
+    channel, eve = config.channel_model, config.eve_model
+    swap, phase = trips[:, 0] < channel.mode_flip_prob, trips[:, 1] < channel.phase_flip_prob
+    if swap.any() or phase.any():
+        ids = _flip_ids(table, ids, swap, phase)
+    if eve.active:
+        hit = trips[:, 2] < eve.fraction
+        # A full hit gathers nothing: the peak of a session that aborts.
+        if hit.all():
+            ids = _measure_ids(table, ids, "a", trips[:, 3] >= 0.5, trips[:, 4])[1]
+        elif hit.any():
+            ids[hit] = _measure_ids(table, ids[hit], "a", trips[hit, 3] >= 0.5, trips[hit, 4])[1]
+    return ids
 
 
 class SessionColumns(NamedTuple):
@@ -414,32 +513,30 @@ def session_columns(config: QsdcConfig) -> SessionColumns:
     draws, then phase-2 slot assignment, then per-pair check-operation,
     return-transit and analyzer draws in pair order.  Each phase takes its
     draws in that order before it touches the pairs, which then evolve
-    together as rows of one array.  Each transit's draws form one row of a
-    trip table: preparation's is one ``rng.random`` block, and phase 2's,
-    read by ``_draw_trips`` with the check pairs' codes, ends in the three
-    uniforms the analyzer reads.  Phase 2 keeps each pair's bit pair as an
-    int code and its role as a bool.
+    together as ids into one table of their distinct rows (see the module
+    docstring).  Each transit's draws form one row of a trip table:
+    preparation's is one ``rng.random`` block, and phase 2's, read by
+    ``_draw_trips`` with the check pairs' codes, ends in the three uniforms
+    the analyzer reads.  Phase 1 measures both photons of all its samples at
+    once.  Phase 2 keeps each pair's bit pair as an int code and its role as
+    a bool.
     """
     rng = np.random.default_rng(config.seed)
     eve = config.eve_model
 
-    psi = bell_pairs(config.pair_count)
+    table = _PairTable(bell_pairs(1))
     # Preparation's trip table is freed as soon as it has run.
-    _transit(psi, config, rng.random((config.pair_count, _trip_width(eve))))
+    ids = _transit(table, np.zeros(config.pair_count, dtype=np.intp), config,
+                   rng.random((config.pair_count, _trip_width(eve))))
 
     n_sample = phase1_sample_count(config)
     sampled = np.sort(rng.choice(config.pair_count, size=n_sample, replace=False))
     u = rng.random((n_sample, 3))
     x_basis = u[:, 0] >= 0.5
-    kinds = np.empty(n_sample, dtype=int)
-    errors = 0
-    for start in range(0, n_sample, _MEASURE_ROWS):
-        rows = slice(start, start + _MEASURE_ROWS)
-        checked = psi[sampled[rows]]
-        alice = measure_photon(checked, "a", x_basis[rows], u[rows, 1])
-        bob = measure_photon(checked, "b", x_basis[rows], u[rows, 2])
-        errors += int(np.count_nonzero(alice != bob))
-        kinds[rows] = 4 * alice + 2 * bob + x_basis[rows]
+    alice, checked = _measure_ids(table, ids[sampled], "a", x_basis, u[:, 1])
+    bob = _measure_ids(table, checked, "b", x_basis, u[:, 2])[0]
+    errors = int(np.count_nonzero(alice != bob))
+    kinds = 4 * alice + 2 * bob + x_basis
     qber = errors / n_sample
     aborted = qber > config.qber_abort_threshold
     phase1 = (sampled, kinds, {
@@ -464,9 +561,10 @@ def session_columns(config: QsdcConfig) -> SessionColumns:
     check_codes, trips = _draw_trips(rng, ~is_message, eve)
     codes[~is_message] = check_codes
 
-    back = flip_rails(psi[remaining], codes % 2 == 1, codes >= 2)
-    _transit(back, config, trips)
-    inferred = analyze_pairs(back, trips[:, -3:])
+    back = _flip_ids(table, ids[remaining], codes % 2 == 1, codes >= 2)
+    back = _transit(table, back, config, trips)
+    used, slot = _in_use(back, len(table.rows))
+    inferred = _analyze_table(table.rows[used], slot, trips[:, -3:])
 
     check_pairs = len(remaining) - n_message
     check_errors = int(np.count_nonzero((inferred != codes) & ~is_message))

@@ -394,26 +394,27 @@ class TestQsdcCommand:
             tracemalloc.stop()
 
     def test_peak_memory_per_pair(self, tmp_path):
-        # The report goes out a chunk at a time, the analyzer and phase 1 a
-        # block at a time, and the trip reader converts its words in place,
-        # so the peak is phase 2's trip draws beside the real pair arrays.
+        # The report goes out a chunk at a time, the pairs are ids into a
+        # table of their distinct rows, and the trip reader converts its
+        # words in place, so the peak is phase 2's trip draws beside the ids.
         pairs = 20_000
         argv = ["qsdc", "--pairs", str(pairs), "--message", "01" * (pairs * 9 // 20),
                 "--seed", "1", "--out", str(tmp_path / "session.json")]
-        # 160 measured; complex pairs, a second word buffer and preparation's
-        # trips kept to the end made it 251, a weight table of all rows 397,
-        # one (m, 64) contraction 1 583.
-        assert self.traced_peak(argv, 0) / pairs < 170
+        # 134 measured; real pair arrays made it 160, complex pairs, a second
+        # word buffer and preparation's trips kept to the end 251, a weight
+        # table of all rows 397, one (m, 64) contraction 1 583.
+        assert self.traced_peak(argv, 0) / pairs < 150
 
     def test_peak_memory_per_pair_when_eve_aborts(self, tmp_path):
-        # The session ends after phase 1, whose samples are measured a block
-        # at a time, not gathered whole, after preparation's trips are freed.
+        # The session ends after phase 1, so the peak is preparation's trips
+        # beside Eve's picks, which gather nothing when she hits every pair.
         pairs = 20_000
         argv = ["qsdc", "--pairs", str(pairs), "--message", "01", "--seed", "1",
                 "--eve", "intercept_resend", "--sample-fraction", "0.8",
                 "--out", str(tmp_path / "session.json")]
-        # 100 measured; complex pairs, the whole gather and preparation's
-        # trips kept through phase 1 made it 216.
+        # 94 measured; gathering the hit pairs made it 110, complex pair
+        # arrays gathered whole with preparation's trips kept through phase 1
+        # 216.
         assert self.traced_peak(argv, 2) / pairs < 110
 
     def test_plain_message_round_trip(self, capsys):

@@ -4,7 +4,8 @@ The kernels that move a session's pair rows are the channel's rail flips
 (``flip_rails``, ``apply_channel``), the measurement collapse
 (``measure_photon``, on photon a or b in Z or X) and a whole transit
 (``qsdc._transit``: the channel, then an intercept-resend Eve on a fraction
-of the rows).  In exact arithmetic each keeps every row's norm; in floats a
+of the pairs, run on a session's pair table, whose pairs are ids of its
+distinct rows).  In exact arithmetic each keeps every row's norm; in floats a
 row's squared norm after the kernel must lie within a relative ``REL`` of its
 squared norm before.  The rows are random real or complex amplitudes in
 [-1, 1], lossy ones included; a row's squared norm must be a normal float, as
@@ -19,9 +20,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spatialbsa.qsdc import (
-    ChannelModel, EveModel, QsdcConfig, _transit, _trip_width, apply_channel, flip_rails,
-    measure_photon,
+    ChannelModel, EveModel, QsdcConfig, _measure_ids, _PairTable, _transit, _trip_width,
+    apply_channel, flip_rails, measure_photon,
 )
+from spatialbsa.states import ZeroNormError
 
 # Fixed before the first run: a few hundred ulps of a squared norm.
 REL = 1e-12
@@ -104,9 +106,32 @@ def test_a_subnormal_weight_keeps_the_norm(row, u, outcome, dtype):
                                        probabilities.map(EveModel.intercept_resend)),
        mode=probabilities, phase=probabilities, data=st.data())
 def test_transit_keeps_the_norm(psi, eve, mode, phase, data):
+    # A transit runs on a session's pair table: each pair's row after it is
+    # its new id's table row.
     before, n, width = norms(psi), len(psi), _trip_width(eve)
     trips = data.draw(st.lists(st.lists(uniforms, min_size=width, max_size=width),
                                min_size=n, max_size=n))
     config = QsdcConfig("01", 10, eve_model=eve, channel_model=ChannelModel(mode, phase))
-    _transit(psi, config, np.array(trips).reshape(n, width))
-    assert_norms_kept(before, psi)
+    table = _PairTable(psi)
+    ids = _transit(table, table.intern(psi), config, np.array(trips).reshape(n, width))
+    assert_norms_kept(before, table.rows[ids])
+
+
+@pytest.mark.parametrize("photon", ["a", "b"])
+@pytest.mark.parametrize("zeros", [[0], [2], [1, 3], [4]])
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_a_zero_norm_pair_is_named_as_measure_photon_names_it(photon, zeros, zero):
+    # The table path names the first zero-norm pair of its input, as the
+    # block driver names the first zero-norm row of the rows it expands to.
+    psi = np.full((5, 2, 2), 0.5)
+    psi[zeros] = zero
+    x_basis, u = np.arange(5) % 2 == 0, np.full(5, 0.5)
+    table = _PairTable(psi)
+    ids = table.intern(psi)
+    messages = []
+    for measure in (lambda: measure_photon(psi.copy(), photon, x_basis, u),
+                    lambda: _measure_ids(table, ids, photon, x_basis, u)):
+        with pytest.raises(ZeroNormError) as exc:
+            measure()
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] == f"row {zeros[0]} has zero norm, so its outcome is undefined"
