@@ -29,8 +29,10 @@ module imports ``register`` for type checks alone, and no command loads it.
 An input's exact joint distribution over the eight branches is a
 contraction with these maps, cached per Bell-state label; a run then draws
 three uniforms, for the readout photon, photon a and photon b in that order.
-``analyze_pairs`` runs the ideal analyzer on every row of a pair array, a
-block at a time: a contraction with the same maps, and the same pick.
+``analyze_pairs`` runs the ideal analyzer on every row of a pair array in
+one pass: a contraction with the same maps, and the same pick.  It is the
+per-row reference for ``_analyze_table``, which a session runs on its table
+of distinct pair rows.
 A Bell-state label's distribution is that contraction on the label's row.
 
 The module also scores the analyzer against realistic cavity amplitudes:
@@ -328,12 +330,6 @@ def classify(spin_changed: bool, detectors: DetectorPair) -> BellState:
     return BellState(CODE_BELL[2 * (j ^ l) + spin_changed])
 
 
-# analyze_pairs takes its rows this many at a time, from amplitudes to codes,
-# so a block's largest temporary, its (256, 16) complex contraction, is
-# 64 KiB: below glibc's 128 KiB mmap threshold, it reuses heap pages.
-_BLOCK_ROWS = 256
-
-
 def _pair_joint(psi: np.ndarray, params: CavityParams | None = None) -> np.ndarray:
     """The joint outcome distribution, shape (n, 8), of each row of ``psi``,
     read as ``analyze_pairs`` reads it, at the operating point ``params``."""
@@ -362,16 +358,10 @@ def analyze_pairs(psi: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     are used as ``analyze`` uses its three draws, and its exact distribution
     comes from the same branch maps, so row i gets the code of the Bell
     state that ``analyze`` infers on that pair with those draws.  A row's
-    code depends on that row and its draws alone, not on its block: a
+    code depends on that row and its draws alone, not on its neighbours: a
     session's pair table, which weighs each distinct row once, rests on this.
     """
-    codes = np.empty(len(psi), dtype=int)
-    index = np.arange(_BLOCK_ROWS)
-    for start in range(0, len(psi), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        block = psi[rows]
-        codes[rows] = _analyze_table(block, index[: len(block)], uniforms[rows])
-    return codes
+    return _analyze_table(psi, np.arange(len(psi)), uniforms)
 
 
 def quality_from_moduli(r0, rh):

@@ -5,10 +5,11 @@ Three subcommands share one seeding convention: every command accepts
 source and recorded in the output metadata, so any emitted file can be
 reproduced exactly.
 
-Exit codes: 0 success, also when stdout's reader leaves early, 1 usage or
-configuration errors, each reported as one ``error:`` line on stderr, 2 when
-a session aborts its channel check.  Output streams as it is made, so a
-session that aborts and whose reader leaves early exits 0 too.
+Exit codes: 0 success, also when the reader of stdout, or of a pipe named by
+``--out``, leaves early, 1 usage or configuration errors, each reported as
+one ``error:`` line on stderr, 2 when a session aborts its channel check.
+Output streams as it is made, so a session that aborts and whose reader
+leaves early exits 0 too.
 """
 
 import argparse
@@ -113,7 +114,8 @@ def _emit(text: str, stream: TextIO) -> None:
 def _opened(path_text: str | None) -> Iterator[TextIO]:
     """An --out value's stream: stdout for none or '-', flushed at the end, else
     the file, opened here for writing.  A file that cannot be written raises
-    ValueError; a reader of stdout that has left raises BrokenPipeError."""
+    ValueError; a reader that has left, of stdout or of a pipe named by --out,
+    raises BrokenPipeError."""
     if path_text is None or path_text == "-":
         yield sys.stdout
         sys.stdout.flush()
@@ -125,6 +127,8 @@ def _opened(path_text: str | None) -> Iterator[TextIO]:
     try:
         with out.open("w") as stream:
             yield stream
+    except BrokenPipeError:
+        raise
     except OSError as exc:
         raise ValueError(f"cannot write {out}: {exc}") from None
 

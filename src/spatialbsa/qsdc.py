@@ -43,10 +43,11 @@ analyzer) evaluates its row arithmetic once per key in use: (row, swap,
 phase), (row, basis) then (row, basis, outcome), or row.  Per pair there
 are only integer gathers, ``np.bincount`` over the keys, and ``_pick``.
 
-The table is exact.  ``flip_rails``, ``measure_photon`` and ``analyze_pairs``
-are elementwise per row, as tests pin, and ``_pick`` compares each pair's own
-uniform with the float w0 / (w0 + w1) of its row's weights.  So a pair gets,
-bit for bit, the outcome and row it would get in a (pair_count, 2, 2) array.
+The table is exact.  Its per-row references, ``flip_rails``, ``measure_photon``
+and ``analyze_pairs``, are elementwise per row, as tests pin, and ``_pick``
+compares each pair's own uniform with the float w0 / (w0 + w1) of its row's
+weights.  So a pair gets, bit for bit, the outcome and row it would get in a
+(pair_count, 2, 2) array.
 """
 
 import json
@@ -226,14 +227,6 @@ def flip_rails(psi: np.ndarray, swap, phase) -> np.ndarray:
     return psi
 
 
-# measure_photon collapses this many rows at a time, so a block's planes and
-# temporaries, 64 KB or less, reuse heap pages already faulted in.  In a fresh
-# interpreter (medians of 12 runs on a 2-core VM), a session that measured the
-# seed-1 qsdc_intercept argv's pair arrays this way took 15.5, 12.5, 11.0 and
-# 10.6 ms with 622, 623, 648 and 742 minor faults in blocks of 256, 512,
-# 1 024 and 2 048 rows, against 18.9 ms and 1 407 faults unblocked.
-_MEASURE_ROWS = 1024
-
 # Column 2 * x + outcome is the measured photon's collapsed ket: the outcome's
 # Z basis ket where x is 0, and its X basis ket where x is 1; complex rows cast it.
 _KETS = np.hstack([np.eye(2), HADAMARD.real])
@@ -284,43 +277,21 @@ def measure_photon(psi: np.ndarray, photon: str, x_basis, u) -> np.ndarray:
     survives the collapse.  This is the package's one measurement rule.
     Returns the outcomes as an int array.
 
-    The rows collapse ``_MEASURE_ROWS`` at a time, each block copied into
-    contiguous (measured rail, partner rail, row) planes.  Every step is
-    elementwise, so a row's outcome and amplitudes depend on that row and its
-    draws alone, as a session's pair table needs; real rows get what their
-    complex copies get.  A row whose weights sum to zero raises ZeroNormError
-    naming the first such row, and the contents of ``psi`` are then undefined.
+    The rows are copied into contiguous (measured rail, partner rail, row)
+    planes and collapsed in one pass.  Every step is elementwise, so a row's
+    outcome and amplitudes depend on that row and its draws alone, as a
+    session's pair table needs; real rows get what their complex copies get.
+    A row whose weights sum to zero raises ZeroNormError naming the first
+    such row, before any row is written, so ``psi`` is then unchanged.
     """
-    outcome = np.empty(len(psi), dtype=int)
-    for start in range(0, len(psi), _MEASURE_ROWS):
-        rows = slice(start, start + _MEASURE_ROWS)
-        p = _planes(psi[rows], photon).copy()
-        x = x_basis[rows]
-        w = _weigh(p, x)
-        total = w[0] + w[1]
-        if not total.all():
-            raise _zero_norm(start + int(np.flatnonzero(total == 0.0)[0]))
-        out = _pick(w[0], w[1], u[rows])
-        _planes(psi[rows], photon)[...] = _collapse(p, w, x, out)
-        outcome[rows] = out
-    return outcome
-
-
-def apply_channel(psi: np.ndarray, channel: ChannelModel, u) -> np.ndarray:
-    """Apply the channel's rail-swap and rail-phase errors to photon a of each
-    row, in place; ``u[i]`` holds row i's two uniforms, swap first."""
-    return flip_rails(psi, u[:, 0] < channel.mode_flip_prob, u[:, 1] < channel.phase_flip_prob)
-
-
-def eve_intercept_resend(psi: np.ndarray, u) -> np.ndarray:
-    """Intercept-resend attack on photon a of every row, in place.
-
-    Eve measures in Z where ``u[i, 0] < 0.5`` and in X otherwise, with
-    ``u[i, 1]`` as the outcome draw, and forwards the eigenstate she found,
-    which destroys any entanglement with the partner photon.
-    """
-    measure_photon(psi, "a", u[:, 0] >= 0.5, u[:, 1])
-    return psi
+    p = _planes(psi, photon).copy()
+    w = _weigh(p, x_basis)
+    total = w[0] + w[1]
+    if not total.all():
+        raise _zero_norm(int(np.flatnonzero(total == 0.0)[0]))
+    out = _pick(w[0], w[1], u)
+    _planes(psi, photon)[...] = _collapse(p, w, x_basis, out)
+    return out.astype(int)
 
 
 def _trip_width(eve: EveModel) -> int:
@@ -454,7 +425,8 @@ def _measure_ids(table: _PairTable, ids: np.ndarray, photon: str, x_basis, u):
 def _transit(table: _PairTable, ids: np.ndarray, config: QsdcConfig,
              trips: np.ndarray) -> np.ndarray:
     # One trip of each pair's travel photon through the channel, with Eve
-    # last; returns the pairs' new ids.
+    # last; returns the pairs' new ids.  Eve measures photon a of the pairs
+    # her coin hits, in X where the basis uniform reaches 0.5, else in Z.
     channel, eve = config.channel_model, config.eve_model
     swap, phase = trips[:, 0] < channel.mode_flip_prob, trips[:, 1] < channel.phase_flip_prob
     if swap.any() or phase.any():

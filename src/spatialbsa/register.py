@@ -7,7 +7,7 @@ unit norm; a squared norm below one encodes the survival probability of a
 photon that has met lossy optics, so norm bookkeeping is part of the state.
 A register is the analyzer's input and the reference its exact branch maps
 are checked against; it is never measured.  A session's measurement
-collapse runs on pair arrays, in ``qsdc.measure_photon``, by ``_pick``.
+collapse follows ``qsdc.measure_photon``'s rule, on pair rows, by ``_pick``.
 
 Subsystems come in three kinds with fixed basis conventions:
 

@@ -1,7 +1,7 @@
-"""The package namespace: the README's library example runs, __all__ resolves,
-each name and submodule loads on first use from the one table in __init__,
-the version matches the project metadata, and no command loads the register,
-dataclasses or __future__."""
+"""The package namespace: the README's library example runs and the names it
+cites exist, __all__ resolves, each name and submodule loads on first use
+from the one table in __init__, the version matches the project metadata,
+and no command loads the register, dataclasses or __future__."""
 
 import importlib
 import json
@@ -25,6 +25,18 @@ def test_readme_library_block_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.splitlines()[-1] == "1001"
+
+
+# A code span that opens with a package module's name and one of its names.
+README_NAME = re.compile(r"`(states|cavity|bsa|qsdc|register|cli)\.([A-Za-z_]\w*)")
+
+
+def test_every_name_the_readme_cites_exists():
+    cited = sorted(set(README_NAME.findall(README)))
+    assert cited
+    missing = [f"{module}.{name}" for module, name in cited
+               if not hasattr(importlib.import_module(f"spatialbsa.{module}"), name)]
+    assert missing == []
 
 
 def test_every_exported_name_resolves():

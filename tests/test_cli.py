@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import os
+import select
 import subprocess
 import sys
 import tracemalloc
@@ -26,25 +27,41 @@ def run_cli(argv, capsys):
     return code, out.out, out.err
 
 
-def close_pipe_early(argv, first_line, lines):
-    """Run the command with stdout piped, block-buffered as in a shell
+def close_pipe_early(argv, first_line, lines, fifo=None):
+    """Run the command with its output piped, block-buffered as in a shell
     pipeline, and leave after ``lines`` lines, as ``| head -1`` does, or
-    before the first, as ``| true`` does: it must exit 0 with nothing on stderr."""
+    before the first, as ``| true`` does: it must exit 0 with nothing on stderr,
+    where every ResourceWarning would show.  The output goes to stdout, or,
+    given ``fifo``, a named pipe, to ``--out fifo``, and stdout stays empty."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    out = ["--out", str(fifo)] if fifo else []
     proc = subprocess.Popen(
-        [sys.executable, "-m", "spatialbsa.cli", *argv],
+        [sys.executable, "-W", "always::ResourceWarning", "-m", "spatialbsa.cli", *argv, *out],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
+    reader = proc.stdout
     try:
+        if fifo:
+            # Opened without blocking, so a command that never opens the pipe
+            # fails the wait below instead of hanging the open; the reads
+            # then block until the command writes.
+            fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+            reader = os.fdopen(fd, "rb")
+            assert select.select([fd], [], [], 120)[0], "the command wrote nothing"
+            os.set_blocking(fd, True)
         for _ in range(lines):
-            assert proc.stdout.readline() == first_line
-        proc.stdout.close()
+            assert reader.readline() == first_line
+        reader.close()
         assert proc.wait(timeout=120) == 0
         assert proc.stderr.read() == b""
+        if fifo:
+            assert proc.stdout.read() == b""
     finally:
+        reader.close()
         proc.kill()
         proc.wait()
+        proc.stdout.close()
         proc.stderr.close()
 
 
@@ -326,6 +343,14 @@ class TestSweepCommand:
         # 20 000 steps' CSV, about 9 MB, is far more than a pipe holds.
         close_pipe_early(["sweep", "--steps", str(steps), "--seed", "1"],
                          b"# spatial-mode analyzer quality sweep\n", lines)
+
+    @pytest.mark.parametrize("lines", [1, 0])
+    def test_reader_closing_an_out_pipe_ends_quietly(self, tmp_path, lines):
+        # --out naming a pipe whose reader leaves ends as stdout's does.
+        fifo = tmp_path / "sweep.csv"
+        os.mkfifo(fifo)
+        close_pipe_early(["sweep", "--steps", "20000", "--seed", "1"],
+                         b"# spatial-mode analyzer quality sweep\n", lines, fifo)
 
     @pytest.mark.parametrize(
         "steps", [cli._CHUNK_ROWS - 1, cli._CHUNK_ROWS + 1, 2 * cli._CHUNK_ROWS + 3])

@@ -1,11 +1,10 @@
 """The norm never grows: each session kernel keeps every row's squared norm.
 
-The kernels that move a session's pair rows are the channel's rail flips
-(``flip_rails``, ``apply_channel``), the measurement collapse
-(``measure_photon``, on photon a or b in Z or X) and a whole transit
-(``qsdc._transit``: the channel, then an intercept-resend Eve on a fraction
-of the pairs, run on a session's pair table, whose pairs are ids of its
-distinct rows).  In exact arithmetic each keeps every row's norm; in floats a
+The kernels that move a session's pair rows are the rail flips
+(``flip_rails``), the measurement collapse (``measure_photon``, on photon a
+or b in Z or X) and a whole transit (``qsdc._transit``: the channel, then an
+intercept-resend Eve on a fraction of the pairs, run on a session's pair
+table, whose pairs are ids of its distinct rows).  In exact arithmetic each keeps every row's norm; in floats a
 row's squared norm after the kernel must lie within a relative ``REL`` of its
 squared norm before.  The rows are random real or complex amplitudes in
 [-1, 1], lossy ones included; a row's squared norm must be a normal float, as
@@ -21,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from spatialbsa.qsdc import (
     ChannelModel, EveModel, QsdcConfig, _measure_ids, _PairTable, _transit, _trip_width,
-    apply_channel, flip_rails, measure_photon,
+    flip_rails, measure_photon,
 )
 from spatialbsa.states import ZeroNormError
 
@@ -68,11 +67,14 @@ def test_flip_rails_keeps_the_norm(psi, data):
 
 @settings(max_examples=100, deadline=None)
 @given(psi=pair_rows(), mode=probabilities, phase=probabilities, data=st.data())
-def test_apply_channel_keeps_the_norm(psi, mode, phase, data):
+def test_the_channel_keeps_the_norm(psi, mode, phase, data):
+    # A transit without Eve: the channel's rail flips alone, on the table.
     before, n = norms(psi), len(psi)
     u = data.draw(st.lists(st.tuples(uniforms, uniforms), min_size=n, max_size=n))
-    apply_channel(psi, ChannelModel(mode, phase), np.array(u).reshape(n, 2))
-    assert_norms_kept(before, psi)
+    config = QsdcConfig("01", 10, channel_model=ChannelModel(mode, phase))
+    table = _PairTable(psi)
+    ids = _transit(table, table.intern(psi), config, np.array(u).reshape(n, 2))
+    assert_norms_kept(before, table.rows[ids])
 
 
 @settings(max_examples=150, deadline=None)
@@ -121,8 +123,8 @@ def test_transit_keeps_the_norm(psi, eve, mode, phase, data):
 @pytest.mark.parametrize("zeros", [[0], [2], [1, 3], [4]])
 @pytest.mark.parametrize("zero", [0.0, -0.0])
 def test_a_zero_norm_pair_is_named_as_measure_photon_names_it(photon, zeros, zero):
-    # The table path names the first zero-norm pair of its input, as the
-    # block driver names the first zero-norm row of the rows it expands to.
+    # The table path names the first zero-norm pair of its input, as
+    # measure_photon names the first zero-norm row of the rows it expands to.
     psi = np.full((5, 2, 2), 0.5)
     psi[zeros] = zero
     x_basis, u = np.arange(5) % 2 == 0, np.full(5, 0.5)

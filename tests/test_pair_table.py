@@ -19,8 +19,7 @@ from spatialbsa import qsdc
 from spatialbsa.bsa import _analyze_table, _pair_joint, analyze_pairs
 from spatialbsa.qsdc import (
     ChannelModel, EveModel, QsdcConfig, _flip_ids, _in_use, _measure_ids, _PairTable,
-    _transit, apply_channel, eve_intercept_resend, flip_rails, measure_photon,
-    session_columns,
+    _transit, flip_rails, measure_photon, session_columns,
 )
 from spatialbsa.states import SQRT_HALF, ZeroNormError
 
@@ -93,11 +92,15 @@ def test_flips_match_the_rows(psi, data):
 
 
 def transit_rows(psi, config, trips):
-    # The transit on the rows themselves: the public kernels, Eve on the
-    # rows her coin hits.
-    apply_channel(psi, config.channel_model, trips[:, :2])
+    # The transit on the rows themselves, by the per-row kernels: the
+    # channel's flips, then Eve's measurement of photon a on the rows her
+    # coin hits, in Z below 0.5 and in X otherwise.
+    channel = config.channel_model
+    flip_rails(psi, trips[:, 0] < channel.mode_flip_prob, trips[:, 1] < channel.phase_flip_prob)
     hit = trips[:, 2] < config.eve_model.fraction
-    psi[hit] = eve_intercept_resend(psi[hit], trips[hit, 3:5])
+    rows = psi[hit]
+    measure_photon(rows, "a", trips[hit, 3] >= 0.5, trips[hit, 4])
+    psi[hit] = rows
     return psi
 
 
@@ -134,8 +137,8 @@ def test_analyzer_codes_match_the_rows(psi, data):
 @settings(max_examples=EXAMPLES, deadline=None)
 @given(k=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
 def test_pair_joint_of_a_row_does_not_depend_on_its_batch(k, seed):
-    # The table weighs its K rows in one batch, the block driver in blocks of
-    # 256: a row must get the same bits in either.  Random rows, with session
+    # The table weighs its K rows in one batch, analyze_pairs every row of
+    # its array in another: a row must get the same bits in either.  Random rows, with session
     # rows (Bell states and products of rail kets) among them.
     rng = np.random.default_rng(seed)
     block = rng.normal(size=(256, 2, 2))

@@ -14,12 +14,11 @@ from spatialbsa.qsdc import (
     EveModel,
     QsdcConfig,
     SessionReport,
-    _MEASURE_ROWS,
     _draw_trips,
+    _PairTable,
+    _transit,
     _trip_width,
-    apply_channel,
     bell_pairs,
-    eve_intercept_resend,
     measure_photon,
     phase1_sample_count,
     run_session,
@@ -33,6 +32,23 @@ from spatialbsa.register import (
 def travel_photon_rows(amps):
     # Photon a in ``amps``, its partner on rail 1: one row of a pair array.
     return np.einsum("i,j->ij", np.asarray(amps, dtype=complex), [1.0, 0.0])[None]
+
+
+def transit(psi, trips, eve=EveModel.none(), channel=ChannelModel()):
+    # One trip of the rows ``psi`` through the channel and Eve, run on a
+    # session's pair table as a session runs it: the rows afterwards.
+    config = QsdcConfig("01", 10, eve_model=eve, channel_model=channel)
+    table = _PairTable(psi)
+    ids = _transit(table, table.intern(psi), config, np.array(trips))
+    return table.rows[ids]
+
+
+def intercepted(psi, basis_and_outcome):
+    # A transit in which Eve's coin hits every row: ``basis_and_outcome[i]``
+    # holds row i's basis and outcome uniforms.
+    u = np.asarray(basis_and_outcome)
+    trips = np.column_stack([np.full((len(u), 3), [0.5, 0.5, 0.0]), u])
+    return transit(psi, trips, eve=EveModel.intercept_resend(1.0))
 
 
 def as_register(row):
@@ -121,17 +137,15 @@ class TestPairArray:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        n=st.sampled_from([1, _MEASURE_ROWS - 1, _MEASURE_ROWS, _MEASURE_ROWS + 1,
-                           2 * _MEASURE_ROWS + 1]),
+        n=st.sampled_from([1, 1023, 1024, 1025, 2049]),
         rows=st.lists(pair_states(), min_size=1, max_size=6),
         photon=st.sampled_from(["a", "b"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_a_row_does_not_depend_on_its_block(self, n, rows, photon, seed):
-        # measure_photon collapses its rows in blocks; each row's outcome and
-        # amplitudes must be, bit for bit, the ones it gets alone, wherever it
-        # falls: the drawn rows go to random places, the last row among them,
-        # over random complex rows in mixed bases.
+    def test_a_row_does_not_depend_on_its_neighbours(self, n, rows, photon, seed):
+        # Each row's outcome and amplitudes must be, bit for bit, the ones it
+        # gets alone, wherever it falls: the drawn rows go to random places,
+        # the last row among them, over random complex rows in mixed bases.
         rng = np.random.default_rng(seed)
         psi = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
         places = np.append(rng.permutation(n - 1)[: len(rows) - 1], n - 1)
@@ -152,8 +166,7 @@ class TestPairArray:
         [(None, 1.0), ("rows", 1e-300), ("rows", 1e300), ("rails", 1e-300), ("rails", 1e300)])
     @pytest.mark.parametrize("basis", ["z", "x", "mixed"])
     @pytest.mark.parametrize("photon", ["a", "b"])
-    @pytest.mark.parametrize("n", [1, _MEASURE_ROWS - 1, _MEASURE_ROWS, _MEASURE_ROWS + 1,
-                                   2 * _MEASURE_ROWS + 1])
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 2049])
     def test_real_rows_measure_as_their_complex_copy(self, n, photon, basis, scaled, scale):
         # Session rows are real.  They must take the outcomes their complex
         # copies take, and keep the real parts of the copies' amplitudes:
@@ -174,7 +187,7 @@ class TestPairArray:
         x_basis = {"z": np.zeros(n, dtype=bool), "x": np.ones(n, dtype=bool),
                    "mixed": rng.random(n) < 0.5}[basis]
         u = rng.random(n)
-        twin = psi.astype(complex)
+        before, twin = psi.copy(), psi.astype(complex)
 
         def outcomes(rows):
             try:
@@ -186,18 +199,22 @@ class TestPairArray:
         got = outcomes(psi)
         assert got == outcomes(twin)
         assert psi.dtype == np.float64
-        if not isinstance(got, str):  # after a raise the contents are undefined
-            assert np.array_equal(psi, twin, equal_nan=True)
+        if isinstance(got, str):  # a raise writes no row
+            assert np.array_equal(psi, before)
+        assert np.array_equal(psi, twin, equal_nan=True)
 
     @pytest.mark.parametrize("photon", ["a", "b"])
-    @pytest.mark.parametrize("row", [0, 3, _MEASURE_ROWS + 1])
+    @pytest.mark.parametrize("row", [0, 3, 1025])
     def test_a_zero_norm_row_raises(self, photon, row):
-        # Such a row has no outcome probabilities; the first one is named.
-        psi = bell_pairs(_MEASURE_ROWS + 4)
+        # Such a row has no outcome probabilities; the first one is named,
+        # and no row is collapsed, before it or after it.
+        psi = bell_pairs(1028)
         psi[row] = psi[-1] = 0.0
+        before = psi.copy()
         x_basis, u = np.arange(len(psi)) % 2 == 0, np.full(len(psi), 0.5)
         with pytest.raises(ZeroNormError, match=f"^row {row} has zero norm"):
             measure_photon(psi, photon, x_basis, u)
+        assert psi.view(np.uint64).tolist() == before.view(np.uint64).tolist()
 
 
 def scalar_trip(rng, eve, tail=0):
@@ -309,7 +326,7 @@ RAW_RULE_CHANGED = "NumPy's Generator no longer reads raw words as qsdc._draw_tr
 
 
 # About a third of 2 049 pairs are check pairs.
-LONG_CHECK = (np.random.default_rng(7).random(2 * _MEASURE_ROWS + 1) < 0.35).tolist()
+LONG_CHECK = (np.random.default_rng(7).random(2049) < 0.35).tolist()
 
 
 class TestPhase2Draws:
@@ -383,27 +400,31 @@ class TestPhase2Draws:
 
 class TestEve:
     def test_z_pick_leaves_rail_eigenstate_alone(self):
-        psi = travel_photon_rows([1.0, 0.0])
-        eve_intercept_resend(psi, np.array([[0.2, 0.9]]))
+        psi = intercepted(travel_photon_rows([1.0, 0.0]), [[0.2, 0.9]])
         assert np.allclose(psi[0, :, 0], [1.0, 0.0], atol=1e-12)
 
     def test_z_pick_collapses_superposition_both_ways(self):
         sq = 1.0 / np.sqrt(2.0)
-        psi = travel_photon_rows([sq, sq])
-        eve_intercept_resend(psi, np.array([[0.2, 0.25]]))
+        psi = intercepted(travel_photon_rows([sq, sq]), [[0.2, 0.25]])
         assert np.allclose(np.abs(psi[0, :, 0]), [1.0, 0.0], atol=1e-12)
-        psi = travel_photon_rows([sq, sq])
-        eve_intercept_resend(psi, np.array([[0.2, 0.75]]))
+        psi = intercepted(travel_photon_rows([sq, sq]), [[0.2, 0.75]])
         assert np.allclose(np.abs(psi[0, :, 0]), [0.0, 1.0], atol=1e-12)
 
     def test_x_pick_keeps_plus_superposition(self):
         sq = 1.0 / np.sqrt(2.0)
-        psi = travel_photon_rows([sq, sq])
-        eve_intercept_resend(psi, np.array([[0.7, 0.3]]))
+        psi = intercepted(travel_photon_rows([sq, sq]), [[0.7, 0.3]])
         assert np.allclose(psi[0, :, 0], [sq, sq], atol=1e-12)
 
+    def test_a_coin_at_the_fraction_spares_the_photon(self):
+        # The coin hits below Eve's fraction only: row 0 is measured in Z,
+        # row 1 is spared and keeps its entanglement.
+        trips = [[0.5, 0.5, 0.29, 0.2, 0.1], [0.5, 0.5, 0.3, 0.2, 0.1]]
+        psi = transit(bell_pairs(2), trips, eve=EveModel.intercept_resend(0.3))
+        assert np.allclose(psi[0], [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
+        assert np.array_equal(psi[1], bell_pairs(1)[0])
+
     def test_attack_breaks_pair_entanglement(self, rng):
-        psi = eve_intercept_resend(bell_pairs(4), rng.random((4, 2)))
+        psi = intercepted(bell_pairs(4), rng.random((4, 2)))
         # every row is now a product state: its 2x2 amplitude matrix has rank 1
         for row in psi:
             assert abs(row[0, 0] * row[1, 1] - row[0, 1] * row[1, 0]) < 1e-12
@@ -438,21 +459,19 @@ class TestEve:
 class TestChannel:
     def test_identity_channel_draws_twice_and_does_nothing(self):
         psi = bell_pairs(1)
-        before = psi.copy()
         rng, twin = np.random.default_rng(0), np.random.default_rng(0)
-        apply_channel(psi, ChannelModel(), prepare_trips(rng, 1, EveModel.none()))
-        assert np.array_equal(psi, before)
+        assert np.array_equal(transit(psi, prepare_trips(rng, 1, EveModel.none())), psi)
         assert len(scalar_trip(twin, EveModel.none())) == 2
         assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_certain_mode_flip_swaps_rails(self):
-        psi = travel_photon_rows([1.0, 0.0])
-        apply_channel(psi, ChannelModel(mode_flip_prob=1.0), np.array([[0.99, 0.5]]))
+        psi = transit(travel_photon_rows([1.0, 0.0]), [[0.99, 0.5]],
+                      channel=ChannelModel(mode_flip_prob=1.0))
         assert np.allclose(psi[0, :, 0], [0.0, 1.0], atol=1e-12)
 
     def test_phase_flip_turns_phi_plus_into_phi_minus(self):
         channel = ChannelModel(phase_flip_prob=1.0)
-        psi = apply_channel(bell_pairs(1), channel, np.array([[0.5, 0.5]]))
+        psi = transit(bell_pairs(1), [[0.5, 0.5]], channel=channel)
         assert same_up_to_global_phase(psi[0].reshape(4), make_bell(BellState.PHI_MINUS).amplitudes)
         # the analyzer then reads the identity encoding as the phase encoding
         (inferred,) = analyze_pairs(psi, np.random.default_rng(0).random((1, 3)))
@@ -499,10 +518,10 @@ class TestAnalyzePairs:
         ),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_a_row_does_not_depend_on_its_block(self, n, rows, seed):
-        # analyze_pairs contracts its rows in blocks; each row's code must be
-        # the one it gets alone, wherever it falls: the drawn rows go to
-        # random places, the last row among them, over random pair states.
+    def test_a_row_does_not_depend_on_its_neighbours(self, n, rows, seed):
+        # Each row's code must be the one it gets alone, wherever it falls:
+        # the drawn rows go to random places, the last row among them, over
+        # random pair states.
         rng = np.random.default_rng(seed)
         psi = rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2))
         psi /= np.linalg.norm(psi.reshape(n, 4), axis=1)[:, None, None]
