@@ -31,6 +31,7 @@ from .bsa import (
 from .cavity import Frozen, check_number, operating_point
 from .qsdc import (
     DEFAULT_SAMPLE_FRACTION,
+    MAX_PAIR_COUNT,
     PHASE1_RECORDS,
     PHASE2_RECORDS,
     ChannelModel,
@@ -45,11 +46,11 @@ from .states import BellState, ZeroNormError
 OUT_DIR_ENV = "SPATIALBSA_OUT_DIR"
 
 CSV_HEADER = ",".join(QUALITY_FIELDS)
-# The sweep CSV is formatted this many rows at a time, into buffers made once per call,
-# and goes out a quarter chunk at a time.  So each temporary of a chunk, and each piece of
-# text, stays far below 128 KiB, the size from which glibc's malloc may map a block afresh
-# or trim freed heap, and no chunk faults in new pages whatever the allocator's thresholds.
-# Larger chunks save little per value.
+# The sweep CSV is formatted and written this many rows at a time.  A chunk's text is
+# at most 512 x 8 x 25 = 102 400 bytes, and each array _g17 makes for the chunk's 3 072
+# values is 74 KB at most, so each stays below 128 KiB, the size from which glibc's
+# malloc may map a block afresh or trim freed heap, and the chunks reuse the heap pages
+# that the chunk before freed.  Larger chunks save little per value.
 _CHUNK_ROWS = 512
 # qsdc records are formatted and written this many at a time.  The longest record,
 # a phase-2 one with a six-digit pair index, is 201 bytes, so a chunk's text stays
@@ -63,15 +64,16 @@ _RECORD_ROWS = 256
 # heap pages that the block before freed.  In one evaluation per ks block, the sweep's
 # page faults followed import-time allocations in modules it never runs.  In a fresh
 # interpreter as the benchmark makes it (2-core VM, Python 3.11.7, NumPy 2.4.6), on the
-# seed-1 sweep_grid argv (10 000 steps x 3 ks), cli.main then took 1 432 minor faults, or 1 566 once the configs stopped loading
-# dataclasses; in blocks of 1 024, 2 048 and 4 096 rows it took 571, 568 and 510.  Each
-# block costs a Python call: warm, sweep_points took 2.4, 6.7, 4.9 and 3.1 ms.
+# seed-1 sweep_grid argv (10 000 steps x 3 ks), cli.main then took 1 432 minor faults,
+# or 1 566 once the configs stopped loading dataclasses; in blocks of 1 024, 2 048 and
+# 4 096 rows it took 571, 568 and 510.  Each block costs a Python call: warm,
+# sweep_points took 2.4, 6.7, 4.9 and 3.1 ms.
 _SWEEP_ROWS = 4096
 
 # The largest sweep grid in rows (steps x ks values).  tracemalloc puts the sweep command
 # at 83 and 75 bytes per row (20 000 and 40 000 steps x 3 ks): sweep_points' 64-byte
 # records and its two columns of couplings; one block's quality_at, which writes its
-# columns into those records, and the CSV writer's buffers do not grow with the grid.
+# columns into those records, and the CSV writer's chunks do not grow with the grid.
 # So ~0.15 GB.
 MAX_SWEEP_ROWS = 2_000_000
 
@@ -218,24 +220,18 @@ def format_sweep_csv(points: np.recarray, spec: SweepSpec, seed: int, out: TextI
     _emit(head + "\n", out)
     # A row is eight 25-byte cells, a column's NUL-padded text and then its comma
     # or newline.  A block writes its ks_over_k and abs_r0 cells once, and each
-    # chunk of its rows the other six, into these buffers made once per call.
+    # chunk of its rows the other six.
     line = np.zeros((_CHUNK_ROWS, 8, 25), np.uint8)
     line[:, :, 24] = np.frombuffer(b",,,,,,,\n", np.uint8)
-    cells = (8 * np.arange(_CHUNK_ROWS)[:, None] + [0, 3, 4, 5, 6, 7]).ravel()
-    values = np.empty((_CHUNK_ROWS, 6))
-    work = _g17_work(values.size)
     for start in range(0, len(points), spec.steps):
         block = points[start : start + spec.steps]
-        line[:, 1:3, :24] = _g17(np.array([block[ks][0], block[r0][0]]))[:, :24]
+        line[:, 1:3, :24] = _g17(np.array([block[ks][0], block[r0][0]]))
         columns = [block[name] for name in (g, *rest)]
         for i in range(0, len(block), _CHUNK_ROWS):
-            n = min(_CHUNK_ROWS, len(block) - i)
-            for j, column in enumerate(columns):
-                values[:n, j] = column[i : i + n]
-            _g17(values[:n].reshape(-1), line.reshape(-1, 25), cells, work)
-            for k in range(0, n, _CHUNK_ROWS // 4):
-                piece = line[k : min(n, k + _CHUNK_ROWS // 4)].tobytes()
-                _emit(piece.translate(None, b"\0").decode("ascii"), out)
+            values = np.stack([column[i : i + _CHUNK_ROWS] for column in columns], axis=1)
+            n = len(values)
+            line[:n, [0, 3, 4, 5, 6, 7], :24] = _g17(values.reshape(-1)).reshape(n, 6, 24)
+            _emit(line[:n].tobytes().translate(None, b"\0").decode("ascii"), out)
 
 
 # 10**j for j = -4 ... 20 as the nearest doubles (exact from j = 0, and above
@@ -253,17 +249,12 @@ _DIGITS = _DIGITS.view(np.uint32).ravel()
 del _k, _kept
 
 
-def _g17(x: np.ndarray, out: np.ndarray | None = None, at: np.ndarray | None = None,
-         work: tuple | None = None) -> np.ndarray:
-    """``'%.17g' % v`` for each float64 v of x, as NUL-padded 25-byte rows (one
-    byte free after the text) in the order of x, or in the first 24 bytes of row
-    ``at[i]`` of ``out`` for x[i].  ``work`` is an (n, 5) uint32 and an (n, 24)
-    uint8 buffer, n >= len(x), made anew if None.  Python formats v outside
-    [1e-4, 1e16); the rest are laid out by slices, one decimal exponent at a time.
+def _g17(x: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` for each float64 v of x, as NUL-padded 24-byte rows in the
+    order of x.  Python formats v outside [1e-4, 1e16); the rest are laid out by
+    slices, one decimal exponent at a time.
     """
-    if out is None:
-        out, at = np.zeros((len(x), 25), np.uint8), np.arange(len(x))
-    groups, text = (buffer[: len(x)] for buffer in work or _g17_work(len(x)))
+    groups, text = np.empty((len(x), 5), np.uint32), np.zeros((len(x), 24), np.uint8)
     fast = (x >= 1e-4) & (x < 1e16)
     a = np.where(fast, x, 1.0)
     e = np.searchsorted(_POW10, a, side="right") - 5  # exact, by the table's rounding
@@ -288,7 +279,6 @@ def _g17(x: np.ndarray, out: np.ndarray | None = None, at: np.ndarray | None = N
         _DIGITS.take(group, out=groups[:, k], mode="wrap")
         zeros_after, digits = zeros_after & (group == 10_000), q
     digits = groups.view(np.uint8)[:, 3:]
-    text[:] = 0  # it may hold an earlier call's longer texts
     starts = np.searchsorted(e, np.arange(-4, 18)).tolist()  # e's rows by exponent
     for exp, rows in zip(range(-4, 17), map(slice, starts, starts[1:])):
         if rows.start == rows.stop:  # no such exponent in x
@@ -303,13 +293,9 @@ def _g17(x: np.ndarray, out: np.ndarray | None = None, at: np.ndarray | None = N
         else:
             slow = [b"%.17g" % v for v in x.take(order[rows]).tolist()]
             text[rows] = np.array(slow, "S24").view(np.uint8).reshape(-1, 24)
-    out[:, :24].view("V24")[at.take(order)] = text.view("V24")
+    out = np.empty_like(text)
+    out.view("V24")[order] = text.view("V24")
     return out
-
-
-def _g17_work(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # _g17's digit groups and text for up to n values.
-    return np.empty((n, 5), np.uint32), np.empty((n, 24), np.uint8)
 
 
 def _seed(args) -> int:
@@ -466,6 +452,9 @@ def build_qsdc_config(args) -> QsdcConfig:
     if "pair_count" not in top:
         fraction = top.get("sample_fraction", DEFAULT_SAMPLE_FRACTION)
         top["pair_count"] = _auto_pair_count(top["message_bits"], fraction)
+        if top["pair_count"] > MAX_PAIR_COUNT:
+            raise ValueError(f"a {len(top['message_bits'])}-bit message at sample_fraction "
+                             f"{fraction} needs more than {MAX_PAIR_COUNT} pairs; pass --pairs")
     if "seed" not in top:
         top["seed"] = draw_seed()
     return QsdcConfig(**top, eve_model=eve_model, channel_model=channel_model)

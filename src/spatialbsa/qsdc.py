@@ -385,18 +385,12 @@ class _PairTable:
             self.rows = np.concatenate([self.rows, rows[first[found >= len(self.rows)]]])
         return ids
 
-    def step(self, keys: np.ndarray, size: int, rows_of) -> np.ndarray:
-        """Each pair's new id, from its key in [0, size): ``rows_of(used)``
-        gives the new rows of the ascending keys in use, one row each."""
-        used, slot = _in_use(keys, size)
-        return self.intern(rows_of(used))[slot]
-
 
 def _flip_ids(table: _PairTable, ids: np.ndarray, swap, phase) -> np.ndarray:
     # flip_rails on the pairs ``ids``, once per (row, swap, phase) in use.
-    return table.step(4 * ids + 2 * swap + phase, 4 * len(table.rows),
-                      lambda used: flip_rails(table.rows[used >> 2], (used & 2) > 0,
-                                              (used & 1) > 0))
+    used, slot = _in_use(4 * ids + 2 * swap + phase, 4 * len(table.rows))
+    rows = flip_rails(table.rows[used >> 2], (used & 2) > 0, (used & 1) > 0)
+    return table.intern(rows)[slot]
 
 
 def _measure_ids(table: _PairTable, ids: np.ndarray, photon: str, x_basis, u):
@@ -411,15 +405,12 @@ def _measure_ids(table: _PairTable, ids: np.ndarray, photon: str, x_basis, u):
     if zero.any():
         raise _zero_norm(int(np.flatnonzero(zero[slot])[0]))
     out = _pick(w[0][slot], w[1][slot], u)
-
-    def collapsed(kept):
-        k = kept >> 1
-        rows = np.empty((len(kept), 2, 2), dtype=p.dtype)
-        _planes(rows, photon)[...] = _collapse(p.take(k, axis=2), w.take(k, axis=1), x[k],
-                                               kept % 2 == 1)
-        return rows
-
-    return out, table.step(2 * slot + out, 2 * len(used), collapsed)
+    kept, slot = _in_use(2 * slot + out, 2 * len(used))
+    k = kept >> 1
+    rows = np.empty((len(kept), 2, 2), dtype=p.dtype)
+    _planes(rows, photon)[...] = _collapse(p.take(k, axis=2), w.take(k, axis=1), x[k],
+                                           kept % 2 == 1)
+    return out, table.intern(rows)[slot]
 
 
 def _transit(table: _PairTable, ids: np.ndarray, config: QsdcConfig,

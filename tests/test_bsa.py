@@ -285,6 +285,18 @@ class TestQuality:
         assert -1e-12 <= eta1 <= 1.0 + 1e-12
         assert 0.5 - 1e-12 <= eta2 <= 1.5 + 1e-12
 
+    @settings(deadline=None, max_examples=500)
+    @given(st.floats(0.01, 1.0), st.floats(0.01, 1.0))
+    def test_fidelities_are_products_of_pass_fidelities(self, r0, rh):
+        # The spin's fidelity to its ideal state after one pass (S), two
+        # passes (D) and four (Q); F2's |22> term does not pass at all.
+        s = (r0 + rh) ** 2 / (2 * (r0**2 + rh**2))
+        d = (r0**2 + rh**2) ** 2 / (2 * (r0**4 + rh**4))
+        q = (r0**4 + rh**4) ** 2 / (2 * (r0**8 + rh**8))
+        f1, _, f2, _ = quality_from_moduli(r0, rh)
+        assert f1 == pytest.approx(s * d, rel=1e-14, abs=0)
+        assert f2 == pytest.approx(0.5 * s * (q + 1), rel=1e-14, abs=0)
+
     def test_point_records_grid_coordinates(self):
         point = quality(operating_point(2.4, 0.7))
         assert point.g_over_ktot == pytest.approx(2.4)

@@ -404,6 +404,18 @@ def test_a_record_chunk_stays_below_128_kib():
         assert cli._RECORD_ROWS * longest < 131_072
 
 
+def test_a_sweep_chunk_goes_out_as_one_piece_below_128_kib(monkeypatch):
+    # A row is eight 25-byte cells at most, so a whole chunk fits below glibc's
+    # largest default mmap threshold and needs no splitting.
+    assert cli._CHUNK_ROWS * 8 * 25 < 131_072
+    spec = cli.SweepSpec(0.1, 3.0, 2 * cli._CHUNK_ROWS + 5, (0.3,))
+    pieces = []
+    monkeypatch.setattr(cli, "_emit", lambda text, out: pieces.append(text))
+    cli.format_sweep_csv(cli.sweep_points(spec), spec, 1, io.StringIO())
+    assert [piece.count("\n") for piece in pieces[1:]] == [cli._CHUNK_ROWS] * 2 + [5]
+    assert all(len(piece.encode()) < 131_072 for piece in pieces)
+
+
 @settings(max_examples=30, deadline=None)
 @given(config=sessions())
 @example(config=ABORTED)
