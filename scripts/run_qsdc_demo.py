@@ -8,6 +8,7 @@ lines.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from spatialbsa.qsdc import EveModel, QsdcConfig, run_session, transcript_jsonl
@@ -61,4 +62,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except (OSError, ValueError) as exc:  # a bad value or path: one line, as the CLI prints it
+        sys.exit(f"error: {exc}")

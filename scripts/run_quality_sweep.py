@@ -7,6 +7,7 @@ kind of cavity, so the numbers can be eyeballed against the curve data.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from spatialbsa.bsa import quality
@@ -48,4 +49,7 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except (OSError, ValueError) as exc:  # a bad value or path: one line, as the CLI prints it
+        sys.exit(f"error: {exc}")

@@ -38,6 +38,7 @@ from .qsdc import (
     EveModel,
     QsdcConfig,
     SessionColumns,
+    check_message,
     check_seed,
     session_columns,
 )
@@ -46,11 +47,12 @@ from .states import BellState, ZeroNormError
 OUT_DIR_ENV = "SPATIALBSA_OUT_DIR"
 
 CSV_HEADER = ",".join(QUALITY_FIELDS)
+_SWEEP_RECORD = np.dtype([(name, float) for name in QUALITY_FIELDS])  # a CSV row's floats
 # The sweep CSV is formatted and written this many rows at a time.  A chunk's text is
-# at most 512 x 8 x 25 = 102 400 bytes, and each array _g17 makes for the chunk's 3 072
-# values is 74 KB at most, so each stays below 128 KiB, the size from which glibc's
-# malloc may map a block afresh or trim freed heap, and the chunks reuse the heap pages
-# that the chunk before freed.  Larger chunks save little per value.
+# at most 512 x 8 x 25 = 102 400 bytes, and each array the writer and _g17 make for its
+# 3 072 values is 74 KB at most: each stays below 128 KiB, from which glibc's malloc may
+# map a block afresh, so the chunks reuse heap pages.  In a fresh interpreter 1 024-row
+# chunks made the writer 16% slower on a 10 000 x 3 grid.
 _CHUNK_ROWS = 512
 # qsdc records are formatted and written this many at a time.  The longest record,
 # a phase-2 one with a six-digit pair index, is 201 bytes, so a chunk's text stays
@@ -183,7 +185,7 @@ def sweep_points(spec: SweepSpec) -> np.recarray:
     failing row holds the first failing row.
     """
     g_over_ktot = np.linspace(spec.g_min, spec.g_max, spec.steps)
-    points = np.recarray(spec.steps * len(spec.ks_list), [(name, float) for name in QUALITY_FIELDS])
+    points = np.recarray(spec.steps * len(spec.ks_list), _SWEEP_RECORD)
     for start, ks in zip(range(0, len(points), spec.steps), sorted(spec.ks_list)):
         params = operating_point(float(g_over_ktot[0]), ks, spec.gamma, spec.detuning)
         with np.errstate(over="ignore"):
@@ -200,10 +202,12 @@ def format_sweep_csv(points: np.recarray, spec: SweepSpec, seed: int, out: TextI
     """Write sweep rows to out as CSV with metadata comments, a chunk of rows at a time.
 
     Floats are printed with 17 significant digits, enough for an exact
-    binary round trip through float().  The rows come in blocks of
-    ``spec.steps``, one per ks value, as ``sweep_points`` returns them; a block
-    whose ks_over_k or abs_r0 varies raises ValueError before anything is written.
+    binary round trip through float().  The rows come in blocks of ``spec.steps``,
+    one per ks value, as ``sweep_points`` returns them; another dtype, or a block
+    whose ks_over_k or abs_r0 varies, raises ValueError before anything is written.
     """
+    if points.dtype != _SWEEP_RECORD:  # the float view below would read it as garbage
+        raise ValueError(f"points must have the dtype sweep_points makes, got {points.dtype}")
     head = "\n".join([
         "# spatial-mode analyzer quality sweep",
         f"# gamma={spec.gamma:.17g} detuning={spec.detuning:.17g} kappa=1",
@@ -212,25 +216,25 @@ def format_sweep_csv(points: np.recarray, spec: SweepSpec, seed: int, out: TextI
         f"# seed={seed}",
         CSV_HEADER,
     ])
-    g, ks, r0, *rest = CSV_HEADER.split(",")
-    for name in (ks, r0):  # by bits, since -0.0 and 0.0 print apart
-        bits = np.asarray(points[name], dtype=float).view(np.uint64)
+    rows = points.view((float, len(QUALITY_FIELDS)), np.ndarray)  # a row's figures in order
+    for col, name in enumerate(QUALITY_FIELDS[1:3], 1):  # ks_over_k and abs_r0
+        bits = rows[:, col].view(np.uint64)  # by bits, since -0.0 and 0.0 print apart
         if (bits != bits[:: spec.steps].repeat(spec.steps)[: len(bits)]).any():
             raise ValueError(f"{name} must hold one value in each block of {spec.steps} rows")
     _emit(head + "\n", out)
-    # A row is eight 25-byte cells, a column's NUL-padded text and then its comma
-    # or newline.  A block writes its ks_over_k and abs_r0 cells once, and each
-    # chunk of its rows the other six.
+    # A row is eight 25-byte cells, a column's NUL-padded text, written as one void, and
+    # then its comma or newline.  A block writes its ks_over_k and abs_r0 cells once, and
+    # each chunk the other six, gathered column-major, so its transpose flattens as is.
     line = np.zeros((_CHUNK_ROWS, 8, 25), np.uint8)
     line[:, :, 24] = np.frombuffer(b",,,,,,,\n", np.uint8)
-    for start in range(0, len(points), spec.steps):
-        block = points[start : start + spec.steps]
-        line[:, 1:3, :24] = _g17(np.array([block[ks][0], block[r0][0]]))
-        columns = [block[name] for name in (g, *rest)]
+    cells = line[:, :, :24].view("V24")[:, :, 0]
+    shared = _g17(rows[:: spec.steps, 1:3].reshape(-1)).view("V24").reshape(-1, 2)
+    for start, shared_cells in zip(range(0, len(rows), spec.steps), shared):
+        block, cells[:, 1:3] = rows[start : start + spec.steps], shared_cells
         for i in range(0, len(block), _CHUNK_ROWS):
-            values = np.stack([column[i : i + _CHUNK_ROWS] for column in columns], axis=1)
+            values = block[i : i + _CHUNK_ROWS, [0, 3, 4, 5, 6, 7]]
             n = len(values)
-            line[:n, [0, 3, 4, 5, 6, 7], :24] = _g17(values.reshape(-1)).reshape(n, 6, 24)
+            cells[:n, [0, 3, 4, 5, 6, 7]] = _g17(values.T.reshape(-1)).view("V24").reshape(6, n).T
             _emit(line[:n].tobytes().translate(None, b"\0").decode("ascii"), out)
 
 
@@ -257,27 +261,27 @@ def _g17(x: np.ndarray) -> np.ndarray:
     groups, text = np.empty((len(x), 5), np.uint32), np.zeros((len(x), 24), np.uint8)
     fast = (x >= 1e-4) & (x < 1e16)
     a = np.where(fast, x, 1.0)
-    e = np.searchsorted(_POW10, a, side="right") - 5  # exact, by the table's rounding
+    j = 25 - np.searchsorted(_POW10, a, side="right")  # a's exponent e is 20 - j, exactly
     # Dekker's TwoProduct: a * 10**(16 - e) is p + err exactly, and p >= 10**16 is
     # an even integer, so rounding err half-even rounds the product half-even.  No
     # double lies near enough below 10**(e + 1) to round up to 10**17.
-    b, b_hi = _POW10.take(20 - e), _POW10_HI.take(20 - e)
+    b, b_hi = _POW10.take(j), _POW10_HI.take(j)
     a_hi = a * 134217729.0 - (a * 134217729.0 - a)  # Veltkamp's split by 2**27 + 1
     a_lo, b_lo, p = a - a_hi, b - b_hi, a * b
     err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
     digits = p.astype(np.int64) + np.rint(err).astype(np.int64)
     del a, b, b_hi, a_hi, a_lo, b_lo, p, err  # freed before the digit groups are made
-    e = np.where(fast, e, 16)
+    e = np.where(fast, 20 - j, 16)
     order = np.argsort(e.astype(np.int8), kind="stable")
     e, digits = e.take(order), digits.take(order)
-    # Four-digit groups, last first; a group with only zeros after it is
-    # looked up with its trailing zeros as NUL.
-    zeros_after = True
+    # Four-digit groups, last first, each made in place in digits beside its quotient;
+    # pad, 10 000 while only zeros follow, looks a group up with trailing zeros as NUL.
+    pad = 10_000
     for k in range(4, -1, -1):
         q = digits // 10_000
-        group = digits - q * 10_000 + zeros_after * 10_000
-        _DIGITS.take(group, out=groups[:, k], mode="wrap")
-        zeros_after, digits = zeros_after & (group == 10_000), q
+        digits += pad - q * 10_000
+        _DIGITS.take(digits, out=groups[:, k], mode="wrap")
+        pad, digits = pad * (digits == pad), q
     digits = groups.view(np.uint8)[:, 3:]
     starts = np.searchsorted(e, np.arange(-4, 18)).tolist()  # e's rows by exponent
     for exp, rows in zip(range(-4, 17), map(slice, starts, starts[1:])):
@@ -449,7 +453,8 @@ def build_qsdc_config(args) -> QsdcConfig:
     top = values["config"]
     if "message_bits" not in top:
         raise ValueError("a message is required (--message or config file)")
-    if "pair_count" not in top:
+    if "pair_count" not in top:  # sized only for a message that a session can carry
+        check_message(top["message_bits"])
         fraction = top.get("sample_fraction", DEFAULT_SAMPLE_FRACTION)
         top["pair_count"] = _auto_pair_count(top["message_bits"], fraction)
         if top["pair_count"] > MAX_PAIR_COUNT:

@@ -145,10 +145,7 @@ class QsdcConfig(Frozen):
                  sample_fraction: float = DEFAULT_SAMPLE_FRACTION,
                  eve_model: EveModel = EveModel(), channel_model: ChannelModel = ChannelModel(),
                  seed: int = 0, qber_abort_threshold: float = 0.11):
-        if not isinstance(message_bits, str) or not message_bits or set(message_bits) - {"0", "1"}:
-            raise ValueError("message_bits must be a nonempty string of 0s and 1s")
-        if len(message_bits) % 2 != 0:
-            raise ValueError("message_bits must have even length (2 bits per pair)")
+        check_message(message_bits)
         pair_count = check_number("pair_count", pair_count, whole=True)
         sample_fraction = check_number("sample_fraction", sample_fraction)
         seed = check_number("seed", seed, whole=True)
@@ -180,6 +177,16 @@ class QsdcConfig(Frozen):
     @property
     def message_pair_count(self) -> int:
         return len(self.message_bits) // 2
+
+
+def check_message(message_bits: str) -> str:
+    """Return ``message_bits`` if a session can carry it: a nonempty, even-length
+    string of 0s and 1s, two bits to a pair."""
+    if not isinstance(message_bits, str) or not message_bits or set(message_bits) - {"0", "1"}:
+        raise ValueError("message_bits must be a nonempty string of 0s and 1s")
+    if len(message_bits) % 2 != 0:
+        raise ValueError("message_bits must have even length (2 bits per pair)")
+    return message_bits
 
 
 def check_seed(seed: int) -> int:

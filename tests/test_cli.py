@@ -679,6 +679,8 @@ class TestQsdcErrorPaths:
             (["--sample-fraction", "0.9999999999999999"], None,
              "a 4-bit message at sample_fraction 0.9999999999999999 needs more than 1000000"
              " pairs; pass --pairs"),
+            (["--message", "01x", "--sample-fraction", "0.9999999"], None,
+             "message_bits must be a nonempty string of 0s and 1s"),
             (["--pairs", "1000001"], None, "pair_count must lie between 1 and 1000000"),
             ([], '{"message_bits": "0101", "pair_count": 1e300}', "pair_count must lie"),
             ([], '{"message_bits": "0101", "pair_count": 63.9}', "pair_count must be a whole"),
@@ -708,7 +710,7 @@ class TestQsdcErrorPaths:
         ids=["unit_sample_fraction", "nan_sample_fraction", "infinite_pair_count",
              "infinite_seed", "huge_seed", "negative_seed", "nan_qber_threshold",
              "infinite_qber_threshold", "infinite_config_qber_threshold", "huge_auto_pair_count",
-             "huge_flag_pair_count", "huge_pair_count", "fractional_pair_count", "fractional_seed",
+             "bad_message_at_huge_auto_pair_count", "huge_flag_pair_count", "huge_pair_count", "fractional_pair_count", "fractional_seed",
              "boolean_pair_count", "boolean_seed", "misspelled_eve_key",
              "misspelled_channel_key", "string_eve_model", "list_channel_model",
              "deep_nesting", "string_sample_fraction", "list_sample_fraction",

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from conftest import parse_sweep_csv
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -44,3 +45,21 @@ def test_qsdc_demo_script_writes_its_transcript(tmp_path):
     assert "message intact:     True" in result.stdout
     events = [json.loads(line) for line in out.read_text().splitlines()]
     assert f"wrote {len(events)} events to {out}" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "name, args, message",
+    [
+        ("run_quality_sweep.py", ["--steps", "1"], "steps must be at least 2"),
+        ("run_qsdc_demo.py", ["--pairs", "1"], "sample_fraction rounds to zero sampled pairs"),
+        ("run_qsdc_demo.py", ["--seed", "-1"], "seed must fit in 64 bits"),
+    ],
+    ids=["sweep_one_step", "demo_one_pair", "demo_negative_seed"],
+)
+def test_bad_values_give_one_error_line(name, args, message, tmp_path):
+    out = tmp_path / "out"
+    flag = "--out" if name == "run_quality_sweep.py" else "--transcript"
+    result = run_script(name, *args, flag, str(out))
+    assert result.returncode == 1
+    assert result.stderr == f"error: {message}\n"
+    assert not out.exists()

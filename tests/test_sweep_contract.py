@@ -271,6 +271,45 @@ def test_csv_rejects_rows_that_do_not_match_the_spec_blocks():
     assert out.getvalue() == ""
 
 
+def slow_path_grid():
+    """A grid whose varying columns take ``_g17``'s slow path in places, with
+    blocks of 2 * 512 + 6 rows, and its spec: g from 0 up to 3e16 (0 and
+    values from 1e16 up), -0.0 as a ks value, and F2 with -0.0, values below
+    1e-4 and 2.5e300 written into its rows."""
+    spec = cli.SweepSpec(0.0, 3e16, 2 * 512 + 6, (-0.0, 0.7))
+    points = cli.sweep_points(spec)
+    points["F2"][[0, 5, 700, 1029, 1030, 2059]] = [-0.0, 1e-5, 2.5e300, 9.999e-5, 5e-324, -0.0]
+    return points, spec
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, 513])
+def test_csv_bytes_do_not_depend_on_the_chunk_size(chunk_rows, monkeypatch):
+    # Chunks of 7 and 513 rows, as the default 512, end each block in a short chunk.
+    points, spec = slow_path_grid()
+    want = csv_text(points, spec, 3)
+    assert want == csv_one_template_per_row(points, spec, 3)
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", chunk_rows)
+    assert csv_text(points, spec, 3) == want
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [[(name, np.float32) for name in QUALITY_FIELDS], [(name, float) for name in QUALITY_FIELDS[::-1]]],
+    ids=["float32_fields", "reordered_fields"],
+)
+def test_csv_rejects_records_of_another_dtype(fields):
+    # The writer reads the records through a view of eight float64s a row.
+    spec = cli.SweepSpec(0.1, 3.0, 5, (0.0, 0.3))
+    points = cli.sweep_points(spec)
+    other = np.recarray(len(points), fields)
+    for name in QUALITY_FIELDS:
+        other[name] = points[name]
+    out = io.StringIO()
+    with pytest.raises(ValueError, match="^points must have the dtype sweep_points makes, got "):
+        cli.format_sweep_csv(other, spec, 1, out)
+    assert out.getvalue() == ""
+
+
 def g17_text(values):
     """``cli._g17``'s text of each value: its row without the NUL padding."""
     return [bytes(row[row != 0]).decode("ascii") for row in cli._g17(np.array(values, float))]
