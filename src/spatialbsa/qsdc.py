@@ -179,14 +179,13 @@ class QsdcConfig(Frozen):
         return len(self.message_bits) // 2
 
 
-def check_message(message_bits: str) -> str:
-    """Return ``message_bits`` if a session can carry it: a nonempty, even-length
-    string of 0s and 1s, two bits to a pair."""
+def check_message(message_bits: str) -> None:
+    """Raise ValueError unless a session can carry ``message_bits``: a nonempty,
+    even-length string of 0s and 1s, two bits to a pair."""
     if not isinstance(message_bits, str) or not message_bits or set(message_bits) - {"0", "1"}:
         raise ValueError("message_bits must be a nonempty string of 0s and 1s")
     if len(message_bits) % 2 != 0:
         raise ValueError("message_bits must have even length (2 bits per pair)")
-    return message_bits
 
 
 def check_seed(seed: int) -> int:

@@ -294,7 +294,8 @@ def test_csv_bytes_do_not_depend_on_the_chunk_size(chunk_rows, monkeypatch):
 
 @pytest.mark.parametrize(
     "fields",
-    [[(name, np.float32) for name in QUALITY_FIELDS], [(name, float) for name in QUALITY_FIELDS[::-1]]],
+    [[(name, np.float32) for name in QUALITY_FIELDS],
+     [(name, float) for name in QUALITY_FIELDS[::-1]]],
     ids=["float32_fields", "reordered_fields"],
 )
 def test_csv_rejects_records_of_another_dtype(fields):
