@@ -370,28 +370,26 @@ def quality_from_moduli(r0, rh):
     ``r0`` and ``rh`` are floats or arrays that broadcast together, and
     the figures are their float64 arithmetic.  F1/eta1: fidelity and
     efficiency of identifying an odd-parity state, in which each photon
-    makes a corrected double pass and the two rails see amplitude imbalance
-    r0^2 versus rh^2 per photon.  F2/eta2: the same for an even-parity
+    makes a corrected double pass.  F2/eta2: the same for an even-parity
     state, whose identification additionally spends the single-pass readout
-    photon.  The formulas keep their raw normalization; see QualityPoint for
-    the eta2 > 1 consequence.
+    photon.  F1 = S D and F2 = S (Q + 1) / 2 in the spin's fidelities after
+    k = 1, 2 and 4 passes, (1 + t^k)^2 / (2 (1 + t^2k)) in the moduli ratio
+    t = min / max, undefined only if both moduli are 0.  The formulas keep
+    their raw normalization; see QualityPoint for the eta2 > 1 consequence.
     """
     with np.errstate(all="ignore"):  # as Python floats: inf and nan without a word
-        r0_2, rh_2 = r0 * r0, rh * rh
-        r0_3, rh_3 = r0_2 * r0, rh_2 * rh
-        r0_4, rh_4 = r0_2 * r0_2, rh_2 * rh_2
-        r0_5, rh_5 = r0_4 * r0, rh_4 * rh
-
-        f1_sum = r0_3 + rh_3 + r0_2 * rh + r0 * rh_2
-        f2_sum = r0_5 + rh_5 + r0_4 * rh + r0 * rh_4
-        r_sum = r0 + rh
-        f1_den = 4.0 * (r0_3 * r0_3 + rh_3 * rh_3 + r0_4 * rh_2 + r0_2 * rh_4)
-        f2_den = 8.0 * (r0_5 * r0_5 + rh_5 * rh_5 + r0_4 * r0_4 * rh_2 + r0_2 * rh_4 * rh_4)
-        if np.any(f1_den == 0.0) or np.any(f2_den == 0.0):
+        top = np.maximum(r0, rh)
+        if np.any(top == 0.0):
             raise ValueError("degenerate parameters: the fidelities need nonzero reflection")
-        f1 = f1_sum * f1_sum / f1_den
-        eta1 = 0.5 * r0_4 + 0.5 * rh_4
-        f2 = f2_sum * f2_sum / f2_den + r_sum * r_sum / (4.0 * (r0_2 + rh_2))
+        t = np.minimum(r0, rh) / top
+        t2 = t * t
+        t4 = t2 * t2
+        u, v, w = 1.0 + t, 1.0 + t2, 1.0 + t4
+        s = u * u / (2.0 * v)
+        f1 = s * (v * v / (2.0 * w))
+        f2 = 0.5 * s * (w * w / (2.0 * (1.0 + t4 * t4)) + 1.0)
+        r0_2, rh_2 = r0 * r0, rh * rh
+        eta1 = 0.5 * (r0_2 * r0_2) + 0.5 * (rh_2 * rh_2)
         eta2 = 0.5 + eta1 * eta1
     return f1, eta1, f2, eta2
 

@@ -73,7 +73,7 @@ _RECORD_ROWS = 256
 _SWEEP_ROWS = 4096
 
 # The largest sweep grid in rows (steps x ks values).  tracemalloc puts the sweep command
-# at 80 and 75 bytes per row (20 000 and 40 000 steps x 3 ks): sweep_points' 64-byte
+# at 78 and 74 bytes per row (20 000 and 40 000 steps x 3 ks): sweep_points' 64-byte
 # records and its two columns of couplings; one block's quality_at, which writes its
 # columns into those records, and the CSV writer's chunks do not grow with the grid.
 # So ~0.15 GB.

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import same_up_to_global_phase
 from spatialbsa.bsa import (
+    CODE_BELL,
     BsaRecord,
     DecoherenceParams,
     DetectorPair,
@@ -293,9 +294,30 @@ class TestQuality:
         s = (r0 + rh) ** 2 / (2 * (r0**2 + rh**2))
         d = (r0**2 + rh**2) ** 2 / (2 * (r0**4 + rh**4))
         q = (r0**4 + rh**4) ** 2 / (2 * (r0**8 + rh**8))
+        # The paper's expanded fidelities, the oracle for both.
+        f1_paper = ((r0**3 + rh**3 + r0**2 * rh + r0 * rh**2) ** 2
+                    / (4 * (r0**6 + rh**6 + r0**4 * rh**2 + r0**2 * rh**4)))
+        f2_paper = ((r0**5 + rh**5 + r0**4 * rh + r0 * rh**4) ** 2
+                    / (8 * (r0**10 + rh**10 + r0**8 * rh**2 + r0**2 * rh**8))
+                    + (r0 + rh) ** 2 / (4 * (r0**2 + rh**2)))
         f1, _, f2, _ = quality_from_moduli(r0, rh)
-        assert f1 == pytest.approx(s * d, rel=1e-14, abs=0)
-        assert f2 == pytest.approx(0.5 * s * (q + 1), rel=1e-14, abs=0)
+        for got, product, paper in ((f1, s * d, f1_paper), (f2, 0.5 * s * (q + 1), f2_paper)):
+            assert got == pytest.approx(product, rel=1e-14, abs=0)
+            assert got == pytest.approx(paper, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("r0, rh, f1, f2", [
+        (1e-40, 1e-40, 1.0, 1.0),  # r^10 underflows; the ratio is 1
+        (0.0, 1e-33, 0.25, 0.375),  # as at (0, 0.5): the ratio is 0
+        (0.0, 0.5, 0.25, 0.375),
+    ])
+    def test_fidelities_depend_on_the_moduli_ratio_alone(self, r0, rh, f1, f2):
+        got = quality_from_moduli(r0, rh)
+        assert (got[0], got[2]) == (f1, f2)
+        assert (quality_from_moduli(rh, r0)[0], quality_from_moduli(rh, r0)[2]) == (f1, f2)
+
+    def test_fidelities_need_one_nonzero_modulus(self):
+        with pytest.raises(ValueError, match="the fidelities need nonzero reflection"):
+            quality_from_moduli(0.0, np.array([0.5, 0.0]))
 
     def test_point_records_grid_coordinates(self):
         point = quality(operating_point(2.4, 0.7))
@@ -344,6 +366,62 @@ class TestClosedFormGap:
             assert self.accuracy(label, params) == pytest.approx(phi_acc, abs=1e-5)
         for label in (BellState.PSI_PLUS, BellState.PSI_MINUS):
             assert self.accuracy(label, params) == pytest.approx(psi_acc, abs=1e-5)
+        point = quality(params)
+        assert point.F2 == pytest.approx(f2, abs=1e-5)
+        assert point.F1 == pytest.approx(f1, abs=1e-5)
+
+
+class TestAccuracySplit:
+    """What the closed forms score: the parity verdict, not the sign check.
+
+    Of the inputs that arrive whole, "parity" is the share with the right
+    flip bit, "sign" the share with a detector pair of the right sign, and
+    "Bell" the share with both, TestClosedFormGap's accuracy.  F1 and F2
+    are products of per-pass spin fidelities, so they can follow only the
+    parity split.  At the two Delta phi = pi/2 roots (detuning 0.5534 and
+    2.0224) the whole phi+ gap is in the sign check, and at 2.0224 phi+'s
+    parity share sits 0.0014 above F2, a gap that is measured here and not
+    explained.  psi+'s terms each pass twice, so its sign check is exact.
+    """
+
+    @staticmethod
+    def split(label, params):
+        dist = outcome_distribution(label, params)
+        code = CODE_BELL.index(label.value)
+        parity = sign = bell = 0.0
+        for k in (0, 1):
+            for j in (0, 1):
+                for l in (0, 1):
+                    p = dist.joint[k, j, l]
+                    parity += p * (k == code & 1)
+                    sign += p * ((j ^ l) == code >> 1)
+                    bell += p * (k == code & 1 and (j ^ l) == code >> 1)
+        return parity / dist.success, sign / dist.success, bell / dist.success
+
+    @pytest.mark.parametrize(
+        "g, ks, detuning, phi, psi, f2, f1",
+        [
+            # (g/ktot, ks/k, detuning), phi+ (parity, sign, Bell), psi+ (parity, sign, Bell)
+            (2.4, 0.0, 0.5, (0.98188, 0.98389, 0.97382), (0.98968, 1.0, 0.98968),
+             0.99980, 0.99989),
+            (2.4, 0.0, 0.5534, (0.99979, 0.95933, 0.95922), (0.99988, 1.0, 0.99988),
+             0.99979, 0.99988),
+            (2.4, 0.0, 2.0224, (0.98903, 0.32355, 0.31831), (0.99295, 1.0, 0.99295),
+             0.98761, 0.99294),
+            (2.4, 0.7, 0.5, (0.78608, 0.84375, 0.70420), (0.69339, 1.0, 0.69339),
+             0.72187, 0.69606),
+            (2.4, 0.0, 0.0, (0.50000, 0.99985, 0.49993), (0.50000, 1.0, 0.50000),
+             0.99983, 0.99991),
+            (0.25, 0.0, 0.1368, (0.15415, 0.29469, 0.06710), (0.18947, 1.0, 0.18947),
+             0.78728, 0.80295),
+            (0.1, 0.0, 0.5, (0.47994, 0.99674, 0.47831), (0.52012, 1.0, 0.52012),
+             0.99996, 0.99998),
+        ],
+    )
+    def test_measured_split(self, g, ks, detuning, phi, psi, f2, f1):
+        params = operating_point(g, ks, detuning=detuning)
+        assert self.split(BellState.PHI_PLUS, params) == pytest.approx(phi, abs=1e-5)
+        assert self.split(BellState.PSI_PLUS, params) == pytest.approx(psi, abs=1e-5)
         point = quality(params)
         assert point.F2 == pytest.approx(f2, abs=1e-5)
         assert point.F1 == pytest.approx(f1, abs=1e-5)

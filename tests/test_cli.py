@@ -394,7 +394,7 @@ class TestSweepCommand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / (3 * steps) < 130  # 121 measured; joining per-ks blocks made it 134
+        assert peak / (3 * steps) < 89  # 78.2 measured (Python 3.11, NumPy 2.4)
 
 
 class TestQsdcCommand:

@@ -178,6 +178,24 @@ def test_branch_maps_equal_gate_by_gate_build_at_golden_points(params):
     assert np.array_equal(maps, gate_by_gate_branch_maps(params))
 
 
+# The share of psi+- with a detector pair of the right sign is 1 in exact
+# arithmetic: each term of the pair passes twice, so the wrong-sign branches
+# cancel.  In floats it is 4 right entries summed in order over ``success``,
+# the pairwise sum of all 8: at most 3 + 7 + 1 roundings of 2**-53 on
+# nonnegative terms, so within 8 ulps of 1.
+SIGN_ULPS = 8 * 2.0**-52
+
+
+@pytest.mark.parametrize("params", golden_operating_points(), ids=point_id)
+@pytest.mark.parametrize("label", [BellState.PSI_PLUS, BellState.PSI_MINUS])
+def test_psi_sign_check_is_exact_at_golden_points(label, params):
+    dist = outcome_distribution(label, params)
+    mixed = label is BellState.PSI_MINUS
+    right = sum(dist.joint[k, j, l] for k in (0, 1) for j in (0, 1) for l in (0, 1)
+                if (j ^ l) == mixed)
+    assert abs(right / dist.success - 1.0) <= SIGN_ULPS
+
+
 @settings(max_examples=40, deadline=None)
 @given(params=operating_points)
 def test_branch_maps_equal_gate_by_gate_build(params):

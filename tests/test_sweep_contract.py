@@ -170,19 +170,18 @@ def test_abs_rh_is_python_abs_of_r_hot():
 
 
 def python_quality_from_moduli(r0: float, rh: float):
-    """The four figures in Python floats, squaring with ``** 2``."""
+    """The four figures in Python floats, the fidelities as per-pass products."""
+    t = min(r0, rh) / max(r0, rh)
+    t2 = t * t
+    t4 = t2 * t2
+    s = (1.0 + t) ** 2 / (2.0 * (1.0 + t2))
+    d = (1.0 + t2) ** 2 / (2.0 * (1.0 + t4))
+    q = (1.0 + t4) ** 2 / (2.0 * (1.0 + t4 * t4))
     r0_2, rh_2 = r0 * r0, rh * rh
-    r0_3, rh_3 = r0_2 * r0, rh_2 * rh
     r0_4, rh_4 = r0_2 * r0_2, rh_2 * rh_2
-    r0_5, rh_5 = r0_4 * r0, rh_4 * rh
-    f1_den = 4.0 * (r0_3 * r0_3 + rh_3 * rh_3 + r0_4 * rh_2 + r0_2 * rh_4)
-    f2_den = 8.0 * (r0_5 * r0_5 + rh_5 * rh_5 + r0_4 * r0_4 * rh_2 + r0_2 * rh_4 * rh_4)
-    f1 = (r0_3 + rh_3 + r0_2 * rh + r0 * rh_2) ** 2 / f1_den
     eta1 = 0.5 * r0_4 + 0.5 * rh_4
-    f2 = ((r0_5 + rh_5 + r0_4 * rh + r0 * rh_4) ** 2 / f2_den
-          + (r0 + rh) ** 2 / (4.0 * (r0_2 + rh_2)))
     eta2 = 0.5 + (0.5 * r0_4 + 0.5 * rh_4) ** 2
-    return f1, eta1, f2, eta2
+    return s * d, eta1, 0.5 * s * (q + 1.0), eta2
 
 
 @settings(deadline=None, max_examples=50)
