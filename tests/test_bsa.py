@@ -311,13 +311,13 @@ class TestQuality:
         (0.0, 0.5, 0.25, 0.375),
     ])
     def test_fidelities_depend_on_the_moduli_ratio_alone(self, r0, rh, f1, f2):
-        got = quality_from_moduli(r0, rh)
-        assert (got[0], got[2]) == (f1, f2)
-        assert (quality_from_moduli(rh, r0)[0], quality_from_moduli(rh, r0)[2]) == (f1, f2)
+        for got in (quality_from_moduli(r0, rh), quality_from_moduli(rh, r0)):
+            assert (got[0], got[2]) == (f1, f2)
 
-    def test_fidelities_need_one_nonzero_modulus(self):
+    @pytest.mark.parametrize("rh", [0.0, np.array([0.5, 0.0])])
+    def test_fidelities_need_one_nonzero_modulus(self, rh):
         with pytest.raises(ValueError, match="the fidelities need nonzero reflection"):
-            quality_from_moduli(0.0, np.array([0.5, 0.0]))
+            quality_from_moduli(0.0, rh)
 
     def test_point_records_grid_coordinates(self):
         point = quality(operating_point(2.4, 0.7))
