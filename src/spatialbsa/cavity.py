@@ -190,13 +190,18 @@ def hot_reflection(params: CavityParams, g: np.ndarray) -> np.ndarray:
 
     ``params`` gives every other rate; its own g is not used.  The value is
     1 - kappa * D_x / (D_x * D_c + g^2) in numpy's complex arithmetic, which
-    agrees with Python's complex type to a few ulps, not bit for bit.
+    agrees with Python's complex type to a few ulps, not bit for bit.  With
+    D_x = 0 the dot is transparent and r_hot is exactly 1 at every g but 0.
     """
     d_exciton = 0.5 * params.gamma - 1j * params.delta_x
     d_cavity = 0.5 * (params.kappa + params.kappa_s) - 1j * params.delta_c
+    if d_exciton == 0.0:
+        if np.any(g == 0.0):
+            raise ValueError("degenerate parameters: hot-cavity response is undefined")
+        return np.ones(np.shape(g), complex)
     # Python floats overflow to inf without a word; so do these arrays.
     with np.errstate(all="ignore"):
-        if 0.0 < abs(d_exciton) < 2.0**-900:
+        if abs(d_exciton) < 2.0**-900:
             # Subnormal products lose bits and can push |r| above 1.  Scaling
             # D_x by 2**1000 and g by 2**500 is exact and leaves the ratio as is.
             d_exciton *= 2.0**1000
@@ -205,10 +210,6 @@ def hot_reflection(params: CavityParams, g: np.ndarray) -> np.ndarray:
         if np.any(denominator == 0.0):
             raise ValueError("degenerate parameters: hot-cavity response is undefined")
         r_hot = 1.0 - params.kappa * d_exciton / denominator
-        if d_exciton == 0.0:
-            # The quotient is 0, but numpy's complex division makes 0 / B NaN
-            # where B = g^2 is below 2**-1024, whose reciprocal overflows.
-            r_hot[np.isnan(r_hot)] = 1.0
         if np.any(np.isnan(r_hot)):
             # inf / inf or inf - inf: both parts of D_x * D_c, or one and g^2, overflowed.
             raise ValueError("rates too large: the hot-cavity response overflows")

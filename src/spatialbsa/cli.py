@@ -30,15 +30,12 @@ from .bsa import (
 )
 from .cavity import Frozen, check_number, operating_point
 from .qsdc import (
-    DEFAULT_SAMPLE_FRACTION,
-    MAX_PAIR_COUNT,
     PHASE1_RECORDS,
     PHASE2_RECORDS,
     ChannelModel,
     EveModel,
     QsdcConfig,
     SessionColumns,
-    check_message,
     check_seed,
     session_columns,
 )
@@ -177,12 +174,11 @@ def sweep_points(spec: SweepSpec) -> np.recarray:
     row order; every figure is elementwise, so a row's bits do not depend on
     its block.  A CavityParams for its first row checks what the rows share,
     and the other checks run in an order that raises the error of the first
-    failing row: a zero hot-cavity denominator needs D_x = 0 and g^2 = 0,
-    and D_x = 0 keeps r_hot at 1 on every other row, a vanishing reflection
-    needs a small g, and an overflowing hot response fails every row or
-    those whose g^2 overflows; so a row failing any of them precedes any row
-    whose g overflows.  That holds in each block, and the first block with a
-    failing row holds the first failing row.
+    failing row: with D_x = 0 r_hot is undefined at g = 0 and 1 on every
+    other row, a vanishing reflection needs a small g, and an overflowing hot
+    response fails every row or those whose g^2 overflows; so a row failing
+    any of them precedes any row whose g overflows.  That holds in each
+    block, and the first block with a failing row holds the first failing row.
     """
     g_over_ktot = np.linspace(spec.g_min, spec.g_max, spec.steps)
     points = np.recarray(spec.steps * len(spec.ks_list), _SWEEP_RECORD)
@@ -408,18 +404,9 @@ def _typed(name: str, value, json_type: type):
     raise ValueError(f"{name} must be {_JSON_NAMES[json_type]}, got {shown}")
 
 
-def _auto_pair_count(message_bits: str, sample_fraction: float) -> int:
-    # Enough pairs that the message fits beside the security sample, with
-    # about as many phase-2 check pairs as message pairs.  Only a valid
-    # fraction is sized; QsdcConfig rejects any other.
-    if not 0.0 < sample_fraction < 1.0:
-        return 32
-    need = 2 * (len(message_bits) // 2)
-    return max(32, math.ceil(need / (1.0 - sample_fraction)))
-
-
 def build_qsdc_config(args) -> QsdcConfig:
-    """Assemble a QsdcConfig: a set flag wins, then a non-null file value, then the default."""
+    """Assemble a QsdcConfig: a set flag wins, then a non-null file value, then the
+    records' own default, a drawn seed aside."""
     try:
         data = {} if args.config is None else json.loads(Path(args.config).read_text())
     except (OSError, RecursionError) as exc:  # a missing file, or nesting too deep to decode
@@ -446,20 +433,11 @@ def build_qsdc_config(args) -> QsdcConfig:
             if value is not None:
                 values[where][key] = value
 
-    eve = values["eve_model"]
-    if eve.get("kind") == "intercept_resend":
-        eve.setdefault("fraction", 1.0)
-    eve_model, channel_model = EveModel(**eve), ChannelModel(**values["channel_model"])
+    eve_model = EveModel(**values["eve_model"])
+    channel_model = ChannelModel(**values["channel_model"])
     top = values["config"]
     if "message_bits" not in top:
         raise ValueError("a message is required (--message or config file)")
-    if "pair_count" not in top:  # sized only for a message that a session can carry
-        check_message(top["message_bits"])
-        fraction = top.get("sample_fraction", DEFAULT_SAMPLE_FRACTION)
-        top["pair_count"] = _auto_pair_count(top["message_bits"], fraction)
-        if top["pair_count"] > MAX_PAIR_COUNT:
-            raise ValueError(f"a {len(top['message_bits'])}-bit message at sample_fraction "
-                             f"{fraction} needs more than {MAX_PAIR_COUNT} pairs; pass --pairs")
     if "seed" not in top:
         top["seed"] = draw_seed()
     return QsdcConfig(**top, eve_model=eve_model, channel_model=channel_model)

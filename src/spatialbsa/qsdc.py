@@ -51,6 +51,7 @@ weights.  So a pair gets, bit for bit, the outcome and row it would get in a
 """
 
 import json
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -98,9 +99,11 @@ class EveModel(Frozen):
 
     __slots__ = ("kind", "fraction")
 
-    def __init__(self, kind: str = "none", fraction: float = 0.0):
+    def __init__(self, kind: str = "none", fraction: float | None = None):
         if kind not in ("none", "intercept_resend"):
             raise ValueError(f"unknown eve model {kind!r}")
+        if fraction is None:  # an attack meets every photon unless told otherwise
+            fraction = 1.0 if kind == "intercept_resend" else 0.0
         fraction = check_number("eve fraction", fraction)
         if not (0.0 <= fraction <= 1.0):
             raise ValueError("eve fraction must lie in [0, 1]")
@@ -109,11 +112,7 @@ class EveModel(Frozen):
         self._set(kind, fraction)
 
     @classmethod
-    def none(cls) -> "EveModel":
-        return cls(kind="none", fraction=0.0)
-
-    @classmethod
-    def intercept_resend(cls, fraction: float = 1.0) -> "EveModel":
+    def intercept_resend(cls, fraction: float | None = None) -> "EveModel":
         return cls(kind="intercept_resend", fraction=fraction)
 
     @property
@@ -136,24 +135,44 @@ class ChannelModel(Frozen):
 
 
 class QsdcConfig(Frozen):
-    """Full description of one session; the session is a pure function of it."""
+    """Full description of one session; the session is a pure function of it.
+
+    A ``pair_count`` of None fits the message beside the phase-1 sample with
+    about as many check pairs, at least 32 pairs and one sampled pair.
+    """
 
     __slots__ = ("message_bits", "pair_count", "sample_fraction", "eve_model", "channel_model",
                  "seed", "qber_abort_threshold")
 
-    def __init__(self, message_bits: str, pair_count: int,
+    def __init__(self, message_bits: str, pair_count: int | None = None,
                  sample_fraction: float = DEFAULT_SAMPLE_FRACTION,
                  eve_model: EveModel = EveModel(), channel_model: ChannelModel = ChannelModel(),
                  seed: int = 0, qber_abort_threshold: float = 0.11):
-        check_message(message_bits)
-        pair_count = check_number("pair_count", pair_count, whole=True)
+        if not isinstance(message_bits, str) or not message_bits or set(message_bits) - {"0", "1"}:
+            raise ValueError("message_bits must be a nonempty string of 0s and 1s")
+        if len(message_bits) % 2 != 0:
+            raise ValueError("message_bits must have even length (2 bits per pair)")
+        if pair_count is not None:
+            pair_count = check_number("pair_count", pair_count, whole=True)
         sample_fraction = check_number("sample_fraction", sample_fraction)
         seed = check_number("seed", seed, whole=True)
         qber_abort_threshold = check_number("qber_abort_threshold", qber_abort_threshold)
-        if not 1 <= pair_count <= MAX_PAIR_COUNT:
+        if pair_count is not None and not 1 <= pair_count <= MAX_PAIR_COUNT:
             raise ValueError(f"pair_count must lie between 1 and {MAX_PAIR_COUNT}")
         if not (0.0 < sample_fraction < 1.0):
             raise ValueError("sample_fraction must lie strictly between 0 and 1")
+        if pair_count is None:
+            pair_count = max(32, math.ceil(len(message_bits) / (1.0 - sample_fraction)))
+            if pair_count > MAX_PAIR_COUNT:
+                raise ValueError(f"a {len(message_bits)}-bit message at sample_fraction "
+                                 f"{sample_fraction} needs more than {MAX_PAIR_COUNT} pairs; "
+                                 "pass --pairs")
+            if round(sample_fraction * pair_count) < 1:
+                # The fewest that sample one, if any within the bound does: f * n must
+                # pass 0.5, as a tie rounds to 0, and none below floor(0.5 / f) does.
+                pair_count = math.floor(min(0.5 / sample_fraction, MAX_PAIR_COUNT))
+                while pair_count < MAX_PAIR_COUNT and round(sample_fraction * pair_count) < 1:
+                    pair_count += 1
         # Any threshold of 1 or more never aborts, and an infinite one has no
         # JSON form.
         if not (0.0 <= qber_abort_threshold < np.inf):
@@ -177,15 +196,6 @@ class QsdcConfig(Frozen):
     @property
     def message_pair_count(self) -> int:
         return len(self.message_bits) // 2
-
-
-def check_message(message_bits: str) -> None:
-    """Raise ValueError unless a session can carry ``message_bits``: a nonempty,
-    even-length string of 0s and 1s, two bits to a pair."""
-    if not isinstance(message_bits, str) or not message_bits or set(message_bits) - {"0", "1"}:
-        raise ValueError("message_bits must be a nonempty string of 0s and 1s")
-    if len(message_bits) % 2 != 0:
-        raise ValueError("message_bits must have even length (2 bits per pair)")
 
 
 def check_seed(seed: int) -> int:

@@ -15,7 +15,7 @@ from conftest import parse_sweep_csv
 from spatialbsa import cli
 from spatialbsa.bsa import QUALITY_FIELDS, outcome_distribution, quality
 from spatialbsa.cavity import operating_point
-from spatialbsa.qsdc import ChannelModel, EveModel, QsdcConfig, session_columns
+from spatialbsa.qsdc import ChannelModel, EveModel, QsdcConfig, run_session, session_columns
 from spatialbsa.register import BellState
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -563,6 +563,33 @@ class TestQsdcCommand:
         payload = json.loads(out)
         assert payload["config"]["pair_count"] >= 32
 
+    def test_auto_pair_count_is_the_library_one(self, capsys):
+        code, out, _ = run_cli(["qsdc", "--message", "0110", "--seed", "2"], capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["pair_count"] == QsdcConfig("0110").pair_count
+
+    def test_tiny_sample_fraction_is_sized_to_sample_a_pair(self, capsys):
+        code, out, err = run_cli(
+            ["qsdc", "--message", "01", "--sample-fraction", "0.01", "--seed", "1"], capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["config"]["pair_count"] == 51
+        assert sum(e["event"] == "phase1_sample" for e in payload["report"]["transcript"]) == 1
+
+    def test_intercept_resend_meets_every_photon_by_default(self, tmp_path, capsys):
+        config = tmp_path / "eve.json"
+        config.write_text('{"eve_model": {"kind": "intercept_resend"}}')
+        fractions = [EveModel("intercept_resend").fraction, EveModel.intercept_resend().fraction]
+        base = ["qsdc", "--message", "01" * 20, "--pairs", "400", "--seed", "3"]
+        for argv in (["--eve", "intercept_resend"], ["--config", str(config)]):
+            code, out, _ = run_cli([*base, *argv], capsys)
+            assert code == 2
+            fractions.append(json.loads(out)["config"]["eve_model"]["fraction"])
+        assert fractions == [1.0] * 4
+        report = run_session(QsdcConfig(message_bits="01" * 20, pair_count=400, seed=3,
+                                        eve_model=EveModel("intercept_resend")))
+        assert report.aborted and report.phase1_qber == 0.15
+
 
 class TestParser:
     def test_missing_subcommand_is_a_usage_error(self, capsys):
@@ -649,6 +676,23 @@ class TestErrorPaths:
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--g-min", "1e-200", "--g-max", "1e-199", "--steps", "3"],
+         ["bsa", "phi+", "--lossy", "--g-over-ktot", "1e-200"]],
+        ids=["sweep", "bsa"],
+    )
+    def test_transparent_dot_reflects_at_underflowing_coupling(self, argv, capsys):
+        # With gamma = detuning = 0 the dot drops out and r_hot is 1 at every
+        # g > 0, even where g^2 underflows to 0; only g = 0 is degenerate.
+        code, out, err = run_cli([*argv, "--gamma", "0", "--detuning", "0", "--seed", "1"],
+                                 capsys)
+        assert (code, err) == (0, "")
+        if argv[0] == "sweep":
+            assert [row["abs_rh"] for row in parse_sweep_csv(out)] == [1.0] * 9  # 3 ks values
+        else:
+            assert json.loads(out)["mean_success_probability"] > 0.0
 
     @pytest.mark.parametrize(
         "argv", [["bsa", "phi+", "--trials", "2"], ["sweep", "--steps", "2"], ["qsdc", "--message", "01"]]

@@ -266,7 +266,7 @@ def sessions(draw):
         message_bits=draw(st.text(alphabet="01", min_size=2 * n_message, max_size=2 * n_message)),
         pair_count=pair_count,
         sample_fraction=sample_fraction,
-        eve_model=draw(st.sampled_from([EveModel.none(), EveModel.intercept_resend(fraction)])),
+        eve_model=draw(st.sampled_from([EveModel(), EveModel.intercept_resend(fraction)])),
         channel_model=ChannelModel(draw(probs), draw(probs)),
         seed=draw(st.integers(0, 2**64 - 1)),
         qber_abort_threshold=draw(st.sampled_from([0.0, 0.11, 1.0])),

@@ -104,7 +104,7 @@ def test_a_subnormal_weight_keeps_the_norm(row, u, outcome, dtype):
 
 
 @settings(max_examples=150, deadline=None)
-@given(psi=pair_rows(), eve=st.one_of(st.just(EveModel.none()),
+@given(psi=pair_rows(), eve=st.one_of(st.just(EveModel()),
                                        probabilities.map(EveModel.intercept_resend)),
        mode=probabilities, phase=probabilities, data=st.data())
 def test_transit_keeps_the_norm(psi, eve, mode, phase, data):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ def travel_photon_rows(amps):
     return np.einsum("i,j->ij", np.asarray(amps, dtype=complex), [1.0, 0.0])[None]
 
 
-def transit(psi, trips, eve=EveModel.none(), channel=ChannelModel()):
+def transit(psi, trips, eve=EveModel(), channel=ChannelModel()):
     # One trip of the rows ``psi`` through the channel and Eve, run on a
     # session's pair table as a session runs it: the rows afterwards.
     config = QsdcConfig("01", 10, eve_model=eve, channel_model=channel)
@@ -270,8 +271,8 @@ class TestTripDraws:
     # 0.913 0.607, coin 0.729, 0.544 0.935.
     def test_trips_without_eve_draw_twice_each(self):
         rng, twin = np.random.default_rng(0), np.random.default_rng(0)
-        trips = prepare_trips(rng, 2, EveModel.none())
-        assert trips.tolist() == [scalar_trip(twin, EveModel.none()) for _ in range(2)]
+        trips = prepare_trips(rng, 2, EveModel())
+        assert trips.tolist() == [scalar_trip(twin, EveModel()) for _ in range(2)]
         assert trips.shape == (2, 2)
         assert rng.bit_generator.state == twin.bit_generator.state
 
@@ -290,7 +291,7 @@ class TestTripDraws:
     @pytest.mark.parametrize(
         "eve, width",
         [
-            (EveModel.none(), 2),
+            (EveModel(), 2),
             (EveModel.intercept_resend(0.0), 5),
             (EveModel.intercept_resend(1.0), 5),
             (EveModel.intercept_resend(0.5), 5),
@@ -370,7 +371,7 @@ class TestPhase2Draws:
         # ``lead`` codes drawn first leave a 32-bit half buffered when odd.
         # The long examples take several hundred check words' halves from the
         # raw block, with no Eve and with Eve at a fraction of 0.3.
-        eve = EveModel.none() if fraction is None else EveModel.intercept_resend(fraction)
+        eve = EveModel() if fraction is None else EveModel.intercept_resend(fraction)
         block_rng, pair_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for rng in (block_rng, pair_rng):
             for _ in range(lead):
@@ -460,8 +461,8 @@ class TestChannel:
     def test_identity_channel_draws_twice_and_does_nothing(self):
         psi = bell_pairs(1)
         rng, twin = np.random.default_rng(0), np.random.default_rng(0)
-        assert np.array_equal(transit(psi, prepare_trips(rng, 1, EveModel.none())), psi)
-        assert len(scalar_trip(twin, EveModel.none())) == 2
+        assert np.array_equal(transit(psi, prepare_trips(rng, 1, EveModel())), psi)
+        assert len(scalar_trip(twin, EveModel())) == 2
         assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_certain_mode_flip_swaps_rails(self):
@@ -598,6 +599,44 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             QsdcConfig(message_bits="01", pair_count=3, sample_fraction=0.1)
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        message_pairs=st.one_of(st.integers(1, 100), st.integers(1, 600_000)),
+        fraction=st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.floats(1e-7, 0.02),
+            # 0.5 / k times k is exactly 0.5, which rounds to no sampled pair.
+            st.integers(33, 2 * MAX_PAIR_COUNT).map(lambda k: 0.5 / k),
+        ),
+    )
+    @example(message_pairs=1, fraction=0.01)
+    @example(message_pairs=1, fraction=5e-324)
+    def test_auto_pair_count_samples_a_pair(self, message_pairs, fraction):
+        message = "01" * message_pairs
+        earlier = max(32, math.ceil(len(message) / (1.0 - fraction)))  # the size before it
+        try:
+            config = QsdcConfig(message, sample_fraction=fraction)
+        except ValueError as exc:
+            if earlier > MAX_PAIR_COUNT:
+                assert str(exc) == (f"a {len(message)}-bit message at sample_fraction {fraction}"
+                                    f" needs more than {MAX_PAIR_COUNT} pairs; pass --pairs")
+            else:  # no count within the bound samples a pair
+                assert str(exc) == "sample_fraction rounds to zero sampled pairs"
+                assert round(fraction * MAX_PAIR_COUNT) < 1
+            return
+        n = config.pair_count
+        assert phase1_sample_count(config) >= 1
+        if round(fraction * earlier) >= 1:
+            assert n == earlier
+        else:  # the fewest pairs above the earlier size that sample one
+            assert n > earlier and round(fraction * (n - 1)) < 1
+
+    def test_auto_pair_count_is_a_given_one(self):
+        config = QsdcConfig("01" * 40, sample_fraction=0.2, seed=5)
+        assert config.pair_count == 100
+        assert config == QsdcConfig("01" * 40, 100, 0.2, seed=5)
+        assert QsdcConfig("01", sample_fraction=0.5 / 40).pair_count == 41  # 40 ties at 0.5
+
     def test_eve_model_validation(self):
         with pytest.raises(ValueError):
             EveModel(kind="mitm")
@@ -605,10 +644,12 @@ class TestConfigValidation:
             EveModel(kind="intercept_resend", fraction=1.5)
         with pytest.raises(ValueError):
             EveModel(kind="none", fraction=0.5)
-        for fraction in ("0.5", None, True):
+        for fraction in ("0.5", True):
             with pytest.raises(ValueError, match="fraction must be a number"):
                 EveModel(kind="intercept_resend", fraction=fraction)
-        assert not EveModel.none().active
+        assert EveModel(kind="intercept_resend", fraction=None).fraction == 1.0
+        assert EveModel(kind="none", fraction=None).fraction == 0.0
+        assert not EveModel().active
         assert EveModel.intercept_resend().fraction == 1.0
 
 

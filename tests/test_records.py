@@ -230,7 +230,7 @@ def test_cavity_params_messages(kwargs, message):
 @pytest.mark.parametrize("kwargs, message", [
     ({"kind": "other", "fraction": "x"}, "unknown eve model 'other'"),
     ({"kind": None}, "unknown eve model None"),
-    ({"kind": "intercept_resend", "fraction": None}, "eve fraction must be a number, got None"),
+    ({"kind": "intercept_resend", "fraction": "0.5"}, "eve fraction must be a number, got '0.5'"),
     ({"kind": "none", "fraction": 1.5}, "eve fraction must lie in [0, 1]"),
     ({"kind": "intercept_resend", "fraction": float("nan")}, "eve fraction must lie in [0, 1]"),
     ({"fraction": 0.5}, "eve model 'none' cannot have a nonzero fraction"),
@@ -239,6 +239,13 @@ def test_eve_model_messages(kwargs, message):
     with pytest.raises(ValueError) as info:
         EveModel(**kwargs)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind, fraction", [("none", 0.0), ("intercept_resend", 1.0)])
+def test_eve_model_fraction_defaults_by_kind(kind, fraction):
+    # An attack meets every photon unless told otherwise; None is the default.
+    assert EveModel(kind).fraction == EveModel(kind, None).fraction == fraction
+    assert type(EveModel(kind).fraction) is float
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -123,7 +123,7 @@ def configs(draw):
     n_message = draw(st.integers(1, free))
     bits = draw(st.text(alphabet="01", min_size=2 * n_message, max_size=2 * n_message))
     fraction = draw(st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]))
-    eve = draw(st.sampled_from([EveModel.none(), EveModel.intercept_resend(fraction)]))
+    eve = draw(st.sampled_from([EveModel(), EveModel.intercept_resend(fraction)]))
     probs = st.sampled_from([0.0, 0.05, 0.3])
     channel = ChannelModel(mode_flip_prob=draw(probs), phase_flip_prob=draw(probs))
     return QsdcConfig(

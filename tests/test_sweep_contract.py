@@ -115,6 +115,8 @@ def python_hot_reflection(params: CavityParams) -> complex:
     d_exciton = 0.5 * params.gamma - 1j * params.delta_x
     d_cavity = 0.5 * (params.kappa + params.kappa_s) - 1j * params.delta_c
     g = params.g
+    if d_exciton == 0.0 and g != 0.0:  # a transparent dot, however small g^2 is
+        return 1.0 + 0.0j
     if 0.0 < abs(d_exciton) < 2.0**-900:
         d_exciton *= 2.0**1000
         g *= 2.0**500
