@@ -220,18 +220,21 @@ def format_sweep_csv(points: np.recarray, spec: SweepSpec, seed: int, out: TextI
     _emit(head + "\n", out)
     # A row is eight 25-byte cells, a column's NUL-padded text, written as one void, and
     # then its comma or newline.  A block writes its ks_over_k and abs_r0 cells once, and
-    # each chunk the other six, gathered column-major, so its transpose flattens as is.
+    # each chunk scatters the other six's text, sorted as _g17 leaves it, in one step.
     line = np.zeros((_CHUNK_ROWS, 8, 25), np.uint8)
     line[:, :, 24] = np.frombuffer(b",,,,,,,\n", np.uint8)
-    cells = line[:, :, :24].view("V24")[:, :, 0]
-    shared = _g17(rows[:: spec.steps, 1:3].reshape(-1)).view("V24").reshape(-1, 2)
-    for start, shared_cells in zip(range(0, len(rows), spec.steps), shared):
-        block, cells[:, 1:3] = rows[start : start + spec.steps], shared_cells
+    cells = line.reshape(-1, 25)[:, :24].view("V24")[:, 0]  # row r's column c at 8 * r + c
+    dest = (np.arange(0, cells.size, 8)[:, None] + [0, 3, 4, 5, 6, 7]).ravel()
+    text, order = _g17(rows[:: spec.steps, 1:3].reshape(-1))
+    shared = np.empty(len(order), "V24")
+    shared[order] = text.view("V24")[:, 0]
+    for start, shared_cells in zip(range(0, len(rows), spec.steps), shared.reshape(-1, 2)):
+        block, cells.reshape(-1, 8)[:, 1:3] = rows[start : start + spec.steps], shared_cells
         for i in range(0, len(block), _CHUNK_ROWS):
             values = block[i : i + _CHUNK_ROWS, [0, 3, 4, 5, 6, 7]]
-            n = len(values)
-            cells[:n, [0, 3, 4, 5, 6, 7]] = _g17(values.T.reshape(-1)).view("V24").reshape(6, n).T
-            _emit(line[:n].tobytes().translate(None, b"\0").decode("ascii"), out)
+            text, order = _g17(values.reshape(-1))
+            cells[dest.take(order)] = text.view("V24")[:, 0]
+            _emit(line[: len(values)].tobytes().translate(None, b"\0").decode("ascii"), out)
 
 
 # 10**j for j = -4 ... 20 as the nearest doubles (exact from j = 0, and above
@@ -249,43 +252,57 @@ _DIGITS = _DIGITS.view(np.uint32).ravel()
 del _k, _kept
 
 
-def _g17(x: np.ndarray) -> np.ndarray:
-    """``'%.17g' % v`` for each float64 v of x, as NUL-padded 24-byte rows in the
-    order of x.  Python formats v outside [1e-4, 1e16); the rest are laid out by
-    slices, one decimal exponent at a time.
+def _g17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``'%.17g' % v`` for each float64 v of x as NUL-padded 24-byte rows, sorted by
+    decimal exponent to be laid out by slices, and the order that sorts x so: row k is
+    x[order[k]]'s text.  Python formats v outside [1e-4, 1e16).
     """
+    lanes, index = np.zeros((3, len(x)), np.uint32), np.empty((len(x), 5), np.uint32)
     groups, text = np.empty((len(x), 5), np.uint32), np.zeros((len(x), 24), np.uint8)
     fast = (x >= 1e-4) & (x < 1e16)
-    a = np.where(fast, x, 1.0)
-    j = 25 - np.searchsorted(_POW10, a, side="right")  # a's exponent e is 20 - j, exactly
+    a = np.where(fast, x, 1e16)  # the first double of exponent 16, which sorts slow values last
+    # a's binary exponent e2 is its bits >> 52, less 1023, and (e2 * 78913) >> 18 is
+    # floor(e2 * log10 2) for |e2| <= 1 650: a's decimal exponent e, or e - 1 where a
+    # reaches the next power of ten, as one compare tells.  Then i is e + 5, so that
+    # 10**(e + 1) is _POW10[i] and 10**(16 - e) is _POW10[25 - i].
+    i = ((a.view(np.int64) >> 52) * 78913 - (1023 * 78913 - (5 << 18))) >> 18
+    i += a >= _POW10.take(i)
     # Dekker's TwoProduct: a * 10**(16 - e) is p + err exactly, and p >= 10**16 is
     # an even integer, so rounding err half-even rounds the product half-even.  No
     # double lies near enough below 10**(e + 1) to round up to 10**17.
-    b, b_hi = _POW10.take(j), _POW10_HI.take(j)
+    b, b_hi = _POW10.take(25 - i), _POW10_HI.take(25 - i)
     a_hi = a * 134217729.0 - (a * 134217729.0 - a)  # Veltkamp's split by 2**27 + 1
     a_lo, b_lo, p = a - a_hi, b - b_hi, a * b
     err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
     digits = p.astype(np.int64) + np.rint(err).astype(np.int64)
     del a, b, b_hi, a_hi, a_lo, b_lo, p, err  # freed before the digit groups are made
-    e = np.where(fast, 20 - j, 16)
-    order = np.argsort(e.astype(np.int8), kind="stable")
-    e, digits = e.take(order), digits.take(order)
-    # Four-digit groups, last first, each made in place in digits beside its quotient;
-    # pad, 10 000 while only zeros follow, looks a group up with trailing zeros as NUL.
-    pad = 10_000
-    for k in range(4, -1, -1):
-        q = digits // 10_000
-        digits += pad - q * 10_000
-        _DIGITS.take(digits, out=groups[:, k], mode="wrap")
-        pad, digits = pad * (digits == pad), q
+    order = np.argsort(i.astype(np.int8), kind="stable")
+    # The sorted digits as two uint32 lanes of 9 and 8 digits, each split once into a high
+    # and a low 4-digit group, (g0 g1, g2) and (g3, g4), and the lead digit g0 then off g1.
+    # A group indexes _DIGITS 10 000 on, its text with trailing zeros as NUL, when only
+    # zeros follow it: a lane's low group when the next lane is 0 (lanes[2], after the
+    # low lane, always is), and its high group when its low group is 0 too.
+    digits = digits.take(order)
+    top = digits // 10**8  # int64, so that the product below cannot wrap
+    lanes[0], lanes[1] = top, digits - top * 10**8
+    high = lanes[:2] // 10_000
+    low = lanes[:2] - high * 10_000
+    lead = high[0] // 10_000
+    high[0] -= lead * 10_000
+    pad = (lanes[1:] == 0) * np.uint32(10_000)
+    high += pad * (low == 0)
+    low += pad
+    for k, group in enumerate((lead, high[0], low[0], high[1], low[1])):
+        index[:, k] = group
+    _DIGITS.take(index, out=groups, mode="clip")  # mode "raise" would write a copy first
     digits = groups.view(np.uint8)[:, 3:]
-    starts = np.searchsorted(e, np.arange(-4, 18)).tolist()  # e's rows by exponent
-    for exp, rows in zip(range(-4, 17), map(slice, starts, starts[1:])):
+    ends = i.take(order).searchsorted(np.arange(1, 23)).tolist()  # the sorted rows by exponent
+    for exp, rows in zip(range(-4, 17), map(slice, ends, ends[1:])):
         if rows.start == rows.stop:  # no such exponent in x
             continue
-        if exp < 0:  # "0.", zeros, then the digits
-            text[rows, : 1 - exp] = np.frombuffer(b"0.000", np.uint8)[: 1 - exp]
-            text[rows, 1 - exp : 18 - exp] = digits[rows]
+        if exp < 0:  # "0.", then -exp - 1 zeros, from the lead group's "000", and the digits
+            text.view(np.uint16)[rows, 0] = np.frombuffer(b"0.", np.uint16)
+            text[rows, 2 : 18 - exp] = groups.view(np.uint8)[rows, 4 + exp :]
         elif exp < 16:  # the integer digits, then a point if a fraction follows
             np.bitwise_or(digits[rows, : exp + 1], 48, out=text[rows, : exp + 1])  # "0" for NUL
             np.minimum(digits[rows, exp + 1], 46, out=text[rows, exp + 1])  # "." or NUL
@@ -293,9 +310,7 @@ def _g17(x: np.ndarray) -> np.ndarray:
         else:
             slow = [b"%.17g" % v for v in x.take(order[rows]).tolist()]
             text[rows] = np.array(slow, "S24").view(np.uint8).reshape(-1, 24)
-    out = np.empty_like(text)
-    out.view("V24")[order] = text.view("V24")
-    return out
+    return text, order
 
 
 def _seed(args) -> int:

@@ -166,7 +166,7 @@ class QsdcConfig(Frozen):
             if pair_count > MAX_PAIR_COUNT:
                 raise ValueError(f"a {len(message_bits)}-bit message at sample_fraction "
                                  f"{sample_fraction} needs more than {MAX_PAIR_COUNT} pairs; "
-                                 "pass --pairs")
+                                 "set pair_count (--pairs)")
             if round(sample_fraction * pair_count) < 1:
                 # The fewest that sample one, if any within the bound does: f * n must
                 # pass 0.5, as a tie rounds to 0, and none below floor(0.5 / f) does.

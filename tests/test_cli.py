@@ -722,7 +722,7 @@ class TestQsdcErrorPaths:
              "qber_abort_threshold must be finite"),
             (["--sample-fraction", "0.9999999999999999"], None,
              "a 4-bit message at sample_fraction 0.9999999999999999 needs more than 1000000"
-             " pairs; pass --pairs"),
+             " pairs; set pair_count (--pairs)"),
             (["--message", "01x", "--sample-fraction", "0.9999999"], None,
              "message_bits must be a nonempty string of 0s and 1s"),
             (["--pairs", "1000001"], None, "pair_count must lie between 1 and 1000000"),

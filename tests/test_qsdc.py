@@ -619,7 +619,8 @@ class TestConfigValidation:
         except ValueError as exc:
             if earlier > MAX_PAIR_COUNT:
                 assert str(exc) == (f"a {len(message)}-bit message at sample_fraction {fraction}"
-                                    f" needs more than {MAX_PAIR_COUNT} pairs; pass --pairs")
+                                    f" needs more than {MAX_PAIR_COUNT} pairs;"
+                                    " set pair_count (--pairs)")
             else:  # no count within the bound samples a pair
                 assert str(exc) == "sample_fraction rounds to zero sampled pairs"
                 assert round(fraction * MAX_PAIR_COUNT) < 1

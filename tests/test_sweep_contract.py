@@ -313,8 +313,12 @@ def test_csv_rejects_records_of_another_dtype(fields):
 
 
 def g17_text(values):
-    """``cli._g17``'s text of each value: its row without the NUL padding."""
-    return [bytes(row[row != 0]).decode("ascii") for row in cli._g17(np.array(values, float))]
+    """``cli._g17``'s text of each value: its row, put back in the order of
+    values, without the NUL padding."""
+    text, order = cli._g17(np.array(values, float))
+    rows = np.empty_like(text)
+    rows[order] = text
+    return [bytes(row[row != 0]).decode("ascii") for row in rows]
 
 
 @settings(deadline=None, max_examples=300)
@@ -343,4 +347,50 @@ def test_g17_around_powers_of_ten():
     powers = 10.0 ** np.arange(-5, 18)
     values = np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf)])
     values = np.concatenate([values, -values]).tolist()
+    assert g17_text(values) == ["%.17g" % v for v in values]
+
+
+def test_g17_around_powers_of_two():
+    # Every binary exponent of the fast range, [1e-4, 1e16): 2**k, and both of its
+    # neighbours.  The one below 2**k tops binade k - 1, which holds a power of ten
+    # whenever floor(k log10 2) moves, so there the exponent needs its one correction.
+    powers = 2.0 ** np.arange(-14, 55)
+    values = np.concatenate([powers, np.nextafter(powers, np.inf), np.nextafter(powers, 0.0)])
+    values = np.concatenate([values, -values]).tolist()
+    assert g17_text(values) == ["%.17g" % v for v in values]
+
+
+def digit_lanes(v):
+    """v's 17 significant digits, as '%.17g' rounds them, split as ``_g17`` splits
+    them: the lead digit, then a high and a low lane of 8."""
+    digits = ("%.16e" % v)[:18].replace(".", "")
+    return digits[0], digits[1:9], digits[9:]
+
+
+# m / 2**k prints every digit it holds, those of m * 5**k, so its 17 digits end in
+# zeros when m * 5**k has fewer than 17.
+DYADIC = [m / 2.0**k for m in (1, 3, 7, 123, 12_345, 1_234_567, 123_456_789, 12_345_678_901,
+                               1_234_567_890_123, 123_456_789_012_345, 2**53 - 1)
+          for k in range(64) if 1e-4 <= m / 2.0**k < 1e16]
+
+
+@pytest.mark.parametrize("zeros", range(1, 17))
+def test_g17_trailing_zeros_across_the_lane_split(zeros):
+    # The zeros fill the low lane from its end and, from 9 zeros on, the high lane too.
+    values = [v for v in DYADIC if len("".join(digit_lanes(v)).rstrip("0")) == 17 - zeros]
+    assert len(values) >= 3
+    values += [-v for v in values]
+    assert g17_text(values) == ["%.17g" % v for v in values]
+
+
+@pytest.mark.parametrize("lane", [1, 2], ids=["high", "low"])
+def test_g17_nonzero_digits_in_one_lane_only(lane):
+    # Beside the lead digit, nonzero digits in this lane and only zeros in the other:
+    # dyadic values, and powers of ten plus a few ulps, from 1e-4 up.
+    near = [b + n * math.ulp(b) for b in (10.0 ** np.arange(-4, 16)).tolist()
+            for n in (1, 3, 45, 4_503, 45_035_996)]
+    values = [v for v in DYADIC + near
+              if digit_lanes(v)[lane] != "0" * 8 and digit_lanes(v)[3 - lane] == "0" * 8]
+    assert len(values) >= 20
+    values += [-v for v in values]
     assert g17_text(values) == ["%.17g" % v for v in values]
