@@ -166,9 +166,9 @@ def reflection(params: CavityParams, coupled: bool = True) -> complex:
 
     With ``coupled`` true the dot dresses the cavity (hot response); false
     gives the empty-cavity (cold) response.  Input-output theory for a weak
-    coherent probe yields
+    coherent probe yields, with the dot's load L = g^2 / D_x,
 
-        r_hot  = 1 - kappa * D_x / (D_x * D_c + g^2)
+        r_hot  = (D_c - kappa + L) / (D_c + L)
         r_cold = (kappa_s/2 - kappa/2 - i delta_c) / D_c
 
     with D_x = gamma/2 - i delta_x and D_c = (kappa + kappa_s)/2 - i delta_c.
@@ -189,30 +189,28 @@ def hot_reflection(params: CavityParams, g: np.ndarray) -> np.ndarray:
     """r_hot at each coupling in the array ``g``, as a complex array.
 
     ``params`` gives every other rate; its own g is not used.  The value is
-    1 - kappa * D_x / (D_x * D_c + g^2) in numpy's complex arithmetic, which
-    agrees with Python's complex type to a few ulps, not bit for bit.  With
-    D_x = 0 the dot is transparent and r_hot is exactly 1 at every g but 0.
+    (D_c - kappa + L) / (D_c + L), 1 - kappa * D_x / (D_x * D_c + g^2) divided
+    through by D_x, in numpy's arithmetic.  Its parts obey |numerator| <=
+    |denominator|, so |r_hot| <= 1 to rounding, and a small r_hot keeps its
+    relative precision.  r_hot is 1 where D_c + L overflows, as where L does
+    (the saturated dot).  With D_x = 0 the dot is transparent and r_hot is
+    exactly 1 at every g but 0.
     """
-    d_exciton = 0.5 * params.gamma - 1j * params.delta_x
-    d_cavity = 0.5 * (params.kappa + params.kappa_s) - 1j * params.delta_c
-    if d_exciton == 0.0:
+    # With D_x = s (a - ib), max(a, |b|) = 1: L = g (g / s) (a + ib) / (a^2 + b^2),
+    # as numpy's complex division overflows on a subnormal D_x.
+    scale = max(0.5 * params.gamma, abs(params.delta_x))
+    if scale == 0.0:
         if np.any(g == 0.0):
             raise ValueError("degenerate parameters: hot-cavity response is undefined")
         return np.ones(np.shape(g), complex)
+    a, b = 0.5 * params.gamma / scale, params.delta_x / scale
+    d_cavity = 0.5 * (params.kappa + params.kappa_s) - 1j * params.delta_c
     # Python floats overflow to inf without a word; so do these arrays.
     with np.errstate(all="ignore"):
-        if abs(d_exciton) < 2.0**-900:
-            # Subnormal products lose bits and can push |r| above 1.  Scaling
-            # D_x by 2**1000 and g by 2**500 is exact and leaves the ratio as is.
-            d_exciton *= 2.0**1000
-            g = g * 2.0**500
-        denominator = d_exciton * d_cavity + g * g
-        if np.any(denominator == 0.0):
-            raise ValueError("degenerate parameters: hot-cavity response is undefined")
-        r_hot = 1.0 - params.kappa * d_exciton / denominator
-        if np.any(np.isnan(r_hot)):
-            # inf / inf or inf - inf: both parts of D_x * D_c, or one and g^2, overflowed.
-            raise ValueError("rates too large: the hot-cavity response overflows")
+        load = g * (g / scale) / (a * a + b * b) * complex(a, b)
+        denominator = d_cavity + load
+        r_hot = (0.5 * params.kappa_s - 0.5 * params.kappa - 1j * params.delta_c + load) / denominator
+    r_hot[np.isinf(denominator)] = 1.0
     return r_hot
 
 
