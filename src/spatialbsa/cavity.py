@@ -203,7 +203,7 @@ def hot_reflection(params: CavityParams, g: np.ndarray) -> np.ndarray:
         if np.any(g == 0.0):
             raise ValueError("degenerate parameters: hot-cavity response is undefined")
         return np.ones(np.shape(g), complex)
-    a, b = 0.5 * params.gamma / scale, params.delta_x / scale
+    a, b = params.gamma / scale * 0.5, params.delta_x / scale  # not 0.5 * gamma: it may be subnormal
     d_cavity = 0.5 * (params.kappa + params.kappa_s) - 1j * params.delta_c
     # Python floats overflow to inf without a word; so do these arrays.
     with np.errstate(all="ignore"):
