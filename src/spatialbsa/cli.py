@@ -175,10 +175,9 @@ def sweep_points(spec: SweepSpec) -> np.recarray:
     its block.  A CavityParams for its first row checks what the rows share,
     and the other checks run in an order that raises the error of the first
     failing row: with D_x = 0 r_hot is undefined at g = 0 and 1 on every
-    other row, a vanishing reflection needs a small g, and an overflowing hot
-    response fails every row or those whose g^2 overflows; so a row failing
-    any of them precedes any row whose g overflows.  That holds in each
-    block, and the first block with a failing row holds the first failing row.
+    other row, and a vanishing reflection needs a small g; so a row failing
+    either precedes any row whose g overflows.  That holds in each block,
+    and the first block with a failing row holds the first failing row.
     """
     g_over_ktot = np.linspace(spec.g_min, spec.g_max, spec.steps)
     points = np.recarray(spec.steps * len(spec.ks_list), _SWEEP_RECORD)

@@ -1,4 +1,6 @@
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from spatialbsa.cavity import (
     CavityParams,
     IDEAL_COLD,
     IDEAL_HOT,
+    hot_reflection,
     operating_point,
     phase_shifts,
     reflection,
@@ -27,6 +30,25 @@ from spatialbsa.register import (
 # Reference amplitude computed independently at 30-digit precision for
 # g=2.4, kappa=1, kappa_s=0, gamma=0.1, detunings 0.5.
 REFERENCE_HOT = 0.986511721045785259 + 0.0896640873148312459j
+
+# Four units of 2**-52, the bound for one part or one modulus of r_hot.
+ULPS = 4 * 2.0**-52
+# Subnormal rates, of either sign where a sign is allowed.
+SUBNORMALS = st.sampled_from([5e-324, 1e-320, 1e-310, 2.0**-1030])
+SIGNED_SUBNORMALS = st.one_of(SUBNORMALS, SUBNORMALS.map(lambda v: -v))
+
+
+def exact_hot_reflection(params: CavityParams, g: float) -> complex:
+    """Hu et al.'s r_hot = 1 - kappa D_x / (D_x D_c + g^2) in exact rational
+    arithmetic on the float inputs, rounded once per part."""
+    g, kappa, kappa_s, gamma, delta_c, delta_x = map(Fraction, (g, *params._values()[1:]))
+    dx_re, dx_im = gamma / 2, -delta_x
+    dc_re, dc_im = (kappa + kappa_s) / 2, -delta_c
+    b_re = dx_re * dc_re - dx_im * dc_im + g * g
+    b_im = dx_re * dc_im + dx_im * dc_re
+    b_2 = b_re * b_re + b_im * b_im
+    return complex(1 - kappa * (dx_re * b_re + dx_im * b_im) / b_2,
+                   -kappa * (dx_im * b_re - dx_re * b_im) / b_2)
 
 
 def random_params(rng, lossless=False):
@@ -115,21 +137,19 @@ class TestReflection:
 
     @settings(deadline=None)
     @given(
-        g=st.floats(0.0, 10.0),
+        g=st.one_of(st.floats(0.0, 10.0), SUBNORMALS),
         kappa=st.floats(0.1, 3.0),
-        kappa_s=st.floats(0.0, 2.0),
-        gamma=st.floats(0.0, 1.0),
-        delta_c=st.floats(-3.0, 3.0),
-        delta_x=st.floats(-3.0, 3.0),
+        kappa_s=st.one_of(st.floats(0.0, 2.0), SUBNORMALS),
+        gamma=st.one_of(st.floats(0.0, 1.0), SUBNORMALS),
+        delta_c=st.one_of(st.floats(-3.0, 3.0), SIGNED_SUBNORMALS),
+        delta_x=st.one_of(st.floats(-3.0, 3.0), SIGNED_SUBNORMALS),
     )
     @example(g=0.0, kappa=0.5, kappa_s=0.0, gamma=0.0, delta_c=0.0, delta_x=2.2250738585e-313)
+    @example(g=1e-160, kappa=1.0, kappa_s=1.0, gamma=1e-310, delta_c=0.0, delta_x=0.0)
     def test_modulus_bound_property(self, g, kappa, kappa_s, gamma, delta_c, delta_x):
-        # The bound applies wherever the response is defined.  The degenerate
-        # set (vanishing denominator, e.g. gamma = delta_x = 0 with g**2
-        # underflowing to zero) is rejected by reflection() and out of scope.
-        d_exciton = 0.5 * gamma - 1j * delta_x
-        d_cavity = 0.5 * (kappa + kappa_s) - 1j * delta_c
-        assume(d_exciton * d_cavity + g * g != 0.0)
+        # The bound applies wherever the response is defined: everywhere but
+        # D_x = 0 with g = 0, which reflection() rejects.
+        assume(not (0.5 * gamma - 1j * delta_x == 0.0 and g == 0.0))
         params = CavityParams(
             g=g, kappa=kappa, kappa_s=kappa_s, gamma=gamma,
             delta_c=delta_c, delta_x=delta_x,
@@ -148,17 +168,23 @@ class TestReflection:
             reflection(params, coupled=True)
 
     def test_huge_detuning_leaves_the_probe_unscattered(self):
-        # Re(D_x * D_c) overflows alone, and r_hot takes its limit 1.
-        assert reflection(operating_point(2.4, detuning=1e200), coupled=True) == 1.0
+        # D_x * D_c is never formed, so r_hot is the model's 1 - kappa / D_c
+        # to first order, not a rounded 1.
+        assert reflection(operating_point(2.4, detuning=1e200), coupled=True) == 1 - 1e-200j
 
     @pytest.mark.parametrize(
-        "params", [operating_point(2.4, gamma=1e10, detuning=1e300),
-                   operating_point(1e200, detuning=1e200)],
-        ids=["both_parts_of_dx_dc", "dx_dc_and_g_squared"],
+        "params, want",
+        [(operating_point(2.4, gamma=1e10, detuning=1e300), 1 - 1e-300j),
+         # g^2 = |D_x|^2 to rounding, so L's detuning cancels D_c's: r_hot = -0.45 / 0.55
+         (operating_point(1e200, detuning=1e200), -0.8181818181818181),
+         # L overflows: the saturated dot
+         (operating_point(1e200, detuning=0.5), 1.0)],
+        ids=["both_parts_of_dx_dc", "dx_dc_and_g_squared", "saturated_dot"],
     )
-    def test_overflowing_response_rejected(self, params):
-        with pytest.raises(ValueError, match="the hot-cavity response overflows"):
-            reflection(params, coupled=True)
+    def test_huge_rates_take_the_model_value(self, params, want):
+        got = reflection(params, coupled=True)
+        assert got == want
+        assert abs(got - exact_hot_reflection(params, params.g)) <= ULPS
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -188,6 +214,66 @@ class TestReflection:
         assert params.kappa_s == 0.7
         assert params.g_over_ktot == pytest.approx(2.4)
         assert params.ks_over_k == pytest.approx(0.7)
+
+
+class TestLoadForm:
+    """r_hot = (D_c - kappa + L) / (D_c + L), L = g^2 / D_x, against the exact
+    model, with every bound fixed before the run."""
+
+    @pytest.mark.parametrize("gamma", [0.1, 1.0])
+    def test_g_squared_law_at_critical_coupling(self, gamma):
+        # At kappa_s = kappa and zero detuning |r_hot| = g^2 / |kappa D_x + g^2|,
+        # which the old form 1 - kappa D_x / B rounded to 0 below g/ktot 3e-10.
+        params = operating_point(1.0, 1.0, gamma, 0.0)
+        g = np.logspace(-20, -6, 57) * 2.0
+        r_hot = hot_reflection(params, g)
+        for got, v in zip(np.hypot(r_hot.real, r_hot.imag).tolist(), g.tolist()):
+            law = float(Fraction(v) ** 2 / (Fraction(gamma) / 2 + Fraction(v) ** 2))
+            assert abs(got - law) <= ULPS * law
+
+    def test_critical_coupling_sweep_follows_the_g_squared_law(self):
+        points = sweep_points(SweepSpec(1e-20, 1e-19, 3, (1.0,), 0.1, 0.0))
+        law = [(2.0 * v) ** 2 / 0.05 for v in points.g_over_ktot.tolist()]
+        assert points.abs_rh.tolist() == pytest.approx(law, rel=ULPS)
+        assert (points.F1.tolist(), points.F2.tolist()) == ([0.25] * 3, [0.375] * 3)
+
+    @pytest.mark.parametrize("ks, detuning", [(0.0, 0.5), (0.7, 0.0), (0.3, -2.0)])
+    def test_r_hot_tends_to_one_as_g_grows(self, ks, detuning):
+        params = operating_point(1.0, ks, 0.1, detuning)
+        g = [10.0**k for k in range(0, 154, 4)]
+        r_hot = hot_reflection(params, np.array(g)).tolist()
+        for got, v in zip(r_hot, g):
+            assert abs(got - exact_hot_reflection(params, v)) <= ULPS
+        assert abs(1.0 - r_hot[-1]) <= ULPS
+        # Where L = g^2 / D_x overflows, the saturated dot reflects as 1.
+        saturated = hot_reflection(params, np.array([1e155, 1e200, 1.7976931348623157e308]))
+        assert saturated.tolist() == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("gamma, delta_x", [(1e-310, 0.0), (2.0**-1040, 3e-312),
+                                                (0.0, -1e-320), (1e-320, 1e-320)])
+    def test_subnormal_exciton_term_needs_no_rescale(self, gamma, delta_x):
+        # g^2 near |D_x| puts L anywhere from negligible to dominant.
+        params = CavityParams(1.0, 1.0, 0.3, gamma, 0.2, delta_x)
+        size = math.hypot(0.5 * gamma, delta_x)
+        g = [math.sqrt(size) * 2.0**k for k in range(-8, 9)]
+        for got, v in zip(hot_reflection(params, np.array(g)).tolist(), g):
+            assert abs(got - exact_hot_reflection(params, v)) <= ULPS
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        kappa=st.floats(0.1, 3.0),
+        kappa_s=st.floats(0.0, 2.0, allow_subnormal=False),
+        gamma=st.floats(0.0, 1.0, allow_subnormal=False),
+        delta_c=st.floats(-3.0, 3.0, allow_subnormal=False),
+        delta_x=st.floats(-3.0, 3.0, allow_subnormal=False),
+    )
+    def test_cold_reflection_is_the_zero_load_case(self, kappa, kappa_s, gamma, delta_c, delta_x):
+        # At g = 0, L = 0 and r_hot is r_cold's quotient in numpy's complex
+        # division rather than Python's: within 4 * 2**-52 of |r_cold|.
+        assume(gamma != 0.0 or delta_x != 0.0)
+        params = CavityParams(0.0, kappa, kappa_s, gamma, delta_c, delta_x)
+        hot, cold = reflection(params, coupled=True), reflection(params, coupled=False)
+        assert abs(hot - cold) <= ULPS * abs(cold)
 
 
 TINY = 2.0**-900

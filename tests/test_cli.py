@@ -651,10 +651,6 @@ class TestErrorPaths:
              "degenerate parameters: hot-cavity response is undefined"),
             (["sweep", "--ks", "1", "--detuning", "0", "--g-min", "0"],
              "degenerate parameters: the fidelities need nonzero reflection"),
-            (["bsa", "phi+", "--lossy", "--detuning", "1e300", "--gamma", "1e10"],
-             "rates too large: the hot-cavity response overflows"),
-            (["sweep", "--detuning", "1e300", "--gamma", "1e10", "--steps", "3", "--ks", "0"],
-             "rates too large: the hot-cavity response overflows"),
             (["bsa", "phi+", "--gamma", "-1e-3"], "gamma must be nonnegative"),
             (["bsa", "phi+", "--g-over-ktot", "-1"], "g_over_ktot must be nonnegative"),
             (["bsa", "phi+", "--ks-over-k", "-1"], "ks_over_k must be nonnegative"),
@@ -665,7 +661,7 @@ class TestErrorPaths:
              "sweep_seed_2_64", "sweep_seed_before_grid", "degenerate_cavity", "overflowing_coupling",
              "infinite_coupling", "nan_detuning", "no_surviving_amplitude",
              "sweep_overflowing_coupling", "sweep_degenerate_cavity",
-             "sweep_no_reflection", "overflowing_response", "sweep_overflowing_response",
+             "sweep_no_reflection",
              "negative_gamma_exponent_form", "negative_coupling", "negative_leakage",
              "infinite_leakage", "nan_leakage"],
     )
@@ -676,6 +672,35 @@ class TestErrorPaths:
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["bsa", "phi+", "--lossy", "--trials", "2"], ["sweep", "--steps", "3", "--ks", "0"]],
+        ids=["overflowing_response", "sweep_overflowing_response"],
+    )
+    def test_huge_rates_leave_the_probe_unscattered(self, argv, capsys):
+        # Far off resonance both reflections are 1 to within 1e-300, where
+        # D_x * D_c overflows; as D_x * D_c is never formed, these run.
+        code, out, err = run_cli([*argv, "--detuning", "1e300", "--gamma", "1e10", "--seed", "1"],
+                                 capsys)
+        assert (code, err) == (0, "")
+        if argv[0] == "sweep":
+            figures = [(1.0, 1.0, 1.0, 1.0, 1.0, 1.5)] * 3  # abs_r0, abs_rh, F1, eta1, F2, eta2
+            assert [tuple(row.values())[2:] for row in parse_sweep_csv(out)] == figures
+        else:
+            report = json.loads(out)
+            assert report["mean_success_probability"] == pytest.approx(1.0, rel=1e-14)
+            assert report["counts"]["phi+"] == 0  # equal phases: no parity to read
+
+    def test_critical_coupling_reflects_at_the_smallest_couplings(self, capsys):
+        # |r_hot| = g^2 / |kappa D_x + g^2| at ks = 1 and zero detuning, where
+        # |r_0| = 0: the fidelities are the ratio-0 values, not an error.
+        code, out, err = run_cli(["sweep", "--ks", "1", "--detuning", "0", "--g-min", "1e-20",
+                                  "--g-max", "1e-19", "--steps", "3", "--seed", "1"], capsys)
+        assert (code, err) == (0, "")
+        rows = parse_sweep_csv(out)
+        assert [row["abs_rh"] for row in rows] == pytest.approx(
+            [(2.0 * row["g_over_ktot"]) ** 2 / 0.05 for row in rows], rel=4 * 2.0**-52)
+        assert [(row["F1"], row["F2"]) for row in rows] == [(0.25, 0.375)] * 3
 
     @pytest.mark.parametrize(
         "argv",
