@@ -423,8 +423,10 @@ def build_qsdc_config(args) -> QsdcConfig:
     records' own default, a drawn seed aside."""
     try:
         data = {} if args.config is None else json.loads(Path(args.config).read_text())
-    except (OSError, RecursionError) as exc:  # a missing file, or nesting too deep to decode
+    except OSError as exc:  # a missing file; the text names the path
         raise ValueError(str(exc)) from None
+    except (ValueError, RecursionError) as exc:  # bytes or JSON that do not decode
+        raise ValueError(f"{args.config}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError("config file must hold a JSON object")
     values = {}

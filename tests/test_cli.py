@@ -475,10 +475,27 @@ class TestQsdcCommand:
         assert abs(payload["report"]["phase1_qber"] - 0.25) < 0.05
 
     def test_malformed_config_file_exits_one(self, tmp_path, capsys):
+        # A file that does not decode is named once, before the decoder's words.
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        code, _, err = run_cli(["qsdc", "--config", str(bad)], capsys)
-        assert code == 1 and "error" in err
+        code, out, err = run_cli(["qsdc", "--config", str(bad)], capsys)
+        assert (code, out) == (1, "")
+        assert err == (f"error: {bad}: Expecting property name enclosed in double quotes:"
+                       " line 1 column 2 (char 1)\n")
+
+    def test_undecodable_config_file_is_named_once(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff{}")
+        code, out, err = run_cli(["qsdc", "--config", str(bad)], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff")
+        assert err.count(str(bad)) == 1 and err.count("\n") == 1
+
+    def test_missing_config_file_is_named_once(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        code, _, err = run_cli(["qsdc", "--config", str(missing)], capsys)
+        assert code == 1
+        assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
