@@ -8,6 +8,7 @@ from spatialbsa.bsa import (
     BsaRecord,
     DecoherenceParams,
     DetectorPair,
+    _pair_joint,
     analyze,
     classify,
     decoherence_factor,
@@ -371,6 +372,26 @@ class TestClosedFormGap:
         assert point.F1 == pytest.approx(f1, abs=1e-5)
 
 
+# TestAccuracySplit's operating points and the shares measured at each.
+SPLIT_POINTS = [
+    # (g/ktot, ks/k, detuning), phi+ (parity, sign, Bell), psi+ (parity, sign, Bell)
+    (2.4, 0.0, 0.5, (0.98188, 0.98389, 0.97382), (0.98968, 1.0, 0.98968),
+     0.99980, 0.99989),
+    (2.4, 0.0, 0.5534, (0.99979, 0.95933, 0.95922), (0.99988, 1.0, 0.99988),
+     0.99979, 0.99988),
+    (2.4, 0.0, 2.0224, (0.98903, 0.32355, 0.31831), (0.99295, 1.0, 0.99295),
+     0.98761, 0.99294),
+    (2.4, 0.7, 0.5, (0.78608, 0.84375, 0.70420), (0.69339, 1.0, 0.69339),
+     0.72187, 0.69606),
+    (2.4, 0.0, 0.0, (0.50000, 0.99985, 0.49993), (0.50000, 1.0, 0.50000),
+     0.99983, 0.99991),
+    (0.25, 0.0, 0.1368, (0.15415, 0.29469, 0.06710), (0.18947, 1.0, 0.18947),
+     0.78728, 0.80295),
+    (0.1, 0.0, 0.5, (0.47994, 0.99674, 0.47831), (0.52012, 1.0, 0.52012),
+     0.99996, 0.99998),
+]
+
+
 class TestAccuracySplit:
     """What the closed forms score: the parity verdict, not the sign check.
 
@@ -380,8 +401,12 @@ class TestAccuracySplit:
     are products of per-pass spin fidelities, so they can follow only the
     parity split.  At the two Delta phi = pi/2 roots (detuning 0.5534 and
     2.0224) the whole phi+ gap is in the sign check, and at 2.0224 phi+'s
-    parity share sits 0.0014 above F2, a gap that is measured here and not
-    explained.  psi+'s terms each pass twice, so its sign check is exact.
+    parity share sits 0.0014 above F2.  That gap is the weighting: the
+    |11> and |22> terms reach the detectors with no cross term, so phi+'s
+    parity share is their accuracies' mean weighted by survival, while
+    F2 = (S Q + S) / 2 weighs them equally, and |11>, which passes the
+    cavity four times, survives less.  psi+'s terms each pass twice, so its
+    sign check is exact and its two terms survive alike.
     """
 
     @staticmethod
@@ -400,23 +425,7 @@ class TestAccuracySplit:
 
     @pytest.mark.parametrize(
         "g, ks, detuning, phi, psi, f2, f1",
-        [
-            # (g/ktot, ks/k, detuning), phi+ (parity, sign, Bell), psi+ (parity, sign, Bell)
-            (2.4, 0.0, 0.5, (0.98188, 0.98389, 0.97382), (0.98968, 1.0, 0.98968),
-             0.99980, 0.99989),
-            (2.4, 0.0, 0.5534, (0.99979, 0.95933, 0.95922), (0.99988, 1.0, 0.99988),
-             0.99979, 0.99988),
-            (2.4, 0.0, 2.0224, (0.98903, 0.32355, 0.31831), (0.99295, 1.0, 0.99295),
-             0.98761, 0.99294),
-            (2.4, 0.7, 0.5, (0.78608, 0.84375, 0.70420), (0.69339, 1.0, 0.69339),
-             0.72187, 0.69606),
-            (2.4, 0.0, 0.0, (0.50000, 0.99985, 0.49993), (0.50000, 1.0, 0.50000),
-             0.99983, 0.99991),
-            (0.25, 0.0, 0.1368, (0.15415, 0.29469, 0.06710), (0.18947, 1.0, 0.18947),
-             0.78728, 0.80295),
-            (0.1, 0.0, 0.5, (0.47994, 0.99674, 0.47831), (0.52012, 1.0, 0.52012),
-             0.99996, 0.99998),
-        ],
+        SPLIT_POINTS,
     )
     def test_measured_split(self, g, ks, detuning, phi, psi, f2, f1):
         params = operating_point(g, ks, detuning=detuning)
@@ -425,6 +434,39 @@ class TestAccuracySplit:
         point = quality(params)
         assert point.F2 == pytest.approx(f2, abs=1e-5)
         assert point.F1 == pytest.approx(f1, abs=1e-5)
+
+    @staticmethod
+    def term_weights_and_accuracies(label, params):
+        """Each of the label's two rail terms alone: its detection probability
+        and the share of its detections with the label's flip bit."""
+        amps = make_bell(label).amplitudes.reshape(2, 2)  # rail of a, rail of b
+        terms = np.zeros((2, 2, 2), complex)
+        for n, (a, b) in enumerate(zip(*np.nonzero(amps))):
+            terms[n, a, b] = amps[a, b]
+        joint = _pair_joint(terms, params).reshape(2, 2, 4)  # term, k, (j, l)
+        weight = joint.sum(axis=(1, 2))
+        return weight, joint[:, CODE_BELL.index(label.value) & 1].sum(axis=1) / weight
+
+    @pytest.mark.parametrize("label", [BellState.PHI_PLUS, BellState.PHI_MINUS, BellState.PSI_PLUS])
+    @pytest.mark.parametrize("g, ks, detuning", [point[:3] for point in SPLIT_POINTS])
+    def test_parity_share_is_the_survival_weighted_mean_of_the_terms(self, label, g, ks, detuning):
+        # An identity, so the bound is rounding only: 4 * 2**-52.
+        params = operating_point(g, ks, detuning=detuning)
+        weight, accuracy = self.term_weights_and_accuracies(label, params)
+        parity = self.split(label, params)[0]
+        assert abs(parity - weight @ accuracy / weight.sum()) <= 4 * 2.0**-52
+
+    @pytest.mark.parametrize("detuning", [0.5534, 2.0224])
+    def test_terms_score_their_closed_form_factors_at_the_quarter_turn_roots(self, detuning):
+        # At Delta phi = pi/2, |11>'s accuracy is S Q and |22>'s is S, the two
+        # halves of F2.  The roots are given to 4 decimals; the bound, 5e-5,
+        # was fixed before the run.
+        params = operating_point(2.4, 0.0, detuning=detuning)
+        point = quality(params)
+        t = min(point.abs_r0, point.abs_rh) / max(point.abs_r0, point.abs_rh)
+        s, q = ((1.0 + t**k) ** 2 / (2.0 * (1.0 + t ** (2 * k))) for k in (1, 4))
+        _, accuracy = self.term_weights_and_accuracies(BellState.PHI_PLUS, params)
+        assert accuracy == pytest.approx([s * q, s], abs=5e-5)
 
 
 class TestDecoherence:
