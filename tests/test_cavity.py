@@ -169,7 +169,7 @@ class TestReflection:
 
     def test_huge_detuning_leaves_the_probe_unscattered(self):
         # D_x * D_c is never formed, so r_hot is the model's 1 - kappa / D_c
-        # to first order, not a rounded 1.
+        # to first order.
         assert reflection(operating_point(2.4, detuning=1e200), coupled=True) == 1 - 1e-200j
 
     @pytest.mark.parametrize(
@@ -223,19 +223,13 @@ class TestLoadForm:
     @pytest.mark.parametrize("gamma", [0.1, 1.0])
     def test_g_squared_law_at_critical_coupling(self, gamma):
         # At kappa_s = kappa and zero detuning |r_hot| = g^2 / |kappa D_x + g^2|,
-        # which the old form 1 - kappa D_x / B rounded to 0 below g/ktot 3e-10.
+        # however small: no difference near 1 is formed.
         params = operating_point(1.0, 1.0, gamma, 0.0)
         g = np.logspace(-20, -6, 57) * 2.0
         r_hot = hot_reflection(params, g)
         for got, v in zip(np.hypot(r_hot.real, r_hot.imag).tolist(), g.tolist()):
             law = float(Fraction(v) ** 2 / (Fraction(gamma) / 2 + Fraction(v) ** 2))
             assert abs(got - law) <= ULPS * law
-
-    def test_critical_coupling_sweep_follows_the_g_squared_law(self):
-        points = sweep_points(SweepSpec(1e-20, 1e-19, 3, (1.0,), 0.1, 0.0))
-        law = [(2.0 * v) ** 2 / 0.05 for v in points.g_over_ktot.tolist()]
-        assert points.abs_rh.tolist() == pytest.approx(law, rel=ULPS)
-        assert (points.F1.tolist(), points.F2.tolist()) == ([0.25] * 3, [0.375] * 3)
 
     @pytest.mark.parametrize("ks, detuning", [(0.0, 0.5), (0.7, 0.0), (0.3, -2.0)])
     def test_r_hot_tends_to_one_as_g_grows(self, ks, detuning):
